@@ -191,7 +191,7 @@ def backward(config, params, cache, d_out, need_param_grads=True):
     return grads, dX
 
 
-def evaluate(config, params, points, label, z, chunk=65536):
+def evaluate(config, params, points, label, z, chunk=8192):
     """Forward without caching, chunked over points; returns (N, n)."""
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     out = np.empty((len(P), config.out_channels))

@@ -216,7 +216,7 @@ def _write_log_csv(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols) + "\n")
+            fh.write(",".join(repr(float(row[c])) if isinstance(row[c], float) else str(row[c]) for c in cols) + "\n")
 
 
 def _family_latent(bundle, family):
@@ -297,15 +297,12 @@ def _parse_res_list(text):
 
 
 def cmd_render(cfg, args):
-    import numpy as np
-
     from . import autodecoder as ad
     from . import field as field_mod
     from .render import (
-        extract_zero_level, field_grid, render_bilateral, render_implicit,
-        write_contours, write_image,
+        compose_image, extract_zero_level, field_grid, opacity, render_bilateral,
+        write_contours, write_image, zero_level_field,
     )
-    from .field import compose_median, kernel
 
     bundle = ad.load_checkpoint(args.checkpoint)
     z = _family_latent(bundle, args.family)
@@ -316,25 +313,29 @@ def cmd_render(cfg, args):
         train_grid = field_grid(bundle, z, label, bundle.train_width)
     for width in _parse_res_list(args.res):
         name = f"render_{_safe_name(args.family, args.label)}_{args.method}_{width}"
+        # one network evaluation per width serves the image, the channel
+        # images and the contours
+        grid = None
+        if args.method == "implicit" or args.channels or args.contours:
+            grid = field_grid(bundle, z, label, width)
         if args.method == "implicit":
-            img = render_implicit(bundle, z, label, width)
+            img = compose_image(grid, width, bundle.aa_k, bundle.supervision)
         else:
             img = render_bilateral(
                 train_grid, width, bundle.aa_k, bundle.supervision
             )
         write_image(out / f"{name}.pgm", img)
         if args.channels:
-            grid = field_grid(bundle, z, label, width)
-            gamma = bundle.aa_k / width
-            for c in range(grid.shape[0]):
-                ch = kernel(grid[c], gamma) if bundle.supervision == "sdf" else np.clip(grid[c], 0, 1)
-                write_image(out / f"{name}_c{c}.pgm", ch)
+            for c, channel in enumerate(grid):
+                write_image(
+                    out / f"{name}_c{c}.pgm",
+                    opacity(channel, width, bundle.aa_k, bundle.supervision),
+                )
         if args.contours:
-            grid = field_grid(bundle, z, label, width)
-            med = compose_median(grid, axis=0)
-            if bundle.supervision != "sdf":
-                med = med - 0.5  # pixel mode: threshold opacities at 1/2
-            write_contours(out / f"{name}_contours.json", extract_zero_level(med))
+            write_contours(
+                out / f"{name}_contours.json",
+                extract_zero_level(zero_level_field(grid, bundle.supervision)),
+            )
     if args.channels and train_grid is not None:
         field_mod.write_grid(
             out / f"channels_{_safe_name(args.family, args.label)}.grid", train_grid
@@ -408,11 +409,8 @@ def cmd_fit(cfg, args):
 
 
 def cmd_eval(cfg, args):
-    import numpy as np
-
     from . import autodecoder as ad
-    from .field import compose_median, kernel
-    from . import geometry
+    from .field import compose_median, rasterize_ground_truth
     from .metrics import corner_region_metrics, laplacian_smoothness, mse, soft_iou
     from .render import field_grid, render_bilateral, render_implicit
 
@@ -426,12 +424,13 @@ def cmd_eval(cfg, args):
         z = bundle.latents.codes[bundle.latents.family_ids.index(prepared.family_id)]
         grid = field_grid(bundle, z, prepared.label, bundle.train_width)
         lap = laplacian_smoothness(compose_median(grid, axis=0))
-        sdf_cache = {}
-        for width in cfg.eval.resolutions:
-            sdf_cache[width] = geometry.sdf_grid(prepared.glyph, width)
+        truths = {
+            width: rasterize_ground_truth(prepared.glyph, width, bundle.aa_k / width)
+            for width in cfg.eval.resolutions
+        }
         for method in cfg.eval.methods:
             for width in cfg.eval.resolutions:
-                truth = kernel(sdf_cache[width], bundle.aa_k / width)
+                truth = truths[width]
                 if method == "implicit":
                     img = render_implicit(bundle, z, prepared.label, width)
                 else:

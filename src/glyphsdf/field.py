@@ -123,15 +123,13 @@ def compose_train_grad(channels, mode):
     return value, grad
 
 
-def rasterize_ground_truth(glyph, width, gamma, sdf=None):
+def rasterize_ground_truth(glyph, width, gamma):
     """Analytic anti-aliased raster of a glyph at pixel centers.
 
-    ``sdf`` may pass a precomputed exact signed-distance grid to avoid
-    recomputing it when only gamma changes.
+    The signed distance is exact inside the anti-alias band and clamped to
+    +-gamma outside it, where the kernel is exactly 0 or 1 either way.
     """
-    if sdf is None:
-        sdf = geometry.sdf_grid(glyph, width)
-    return kernel(sdf, gamma)
+    return kernel(geometry.sdf_grid(glyph, width, band=gamma), gamma)
 
 
 # ---------------------------------------------------------------------------

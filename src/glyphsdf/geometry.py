@@ -20,6 +20,12 @@ CORNER_ANGLE_DEFAULT = 3.0  # radians
 
 _CHUNK = 1 << 17
 
+# exact SDF grids: pixel tiles and hull pieces for distance culling, and an
+# absolute slack that covers rounding in the bounds and distances
+_TILE = 16
+_HULL_PIECES = 16
+_SLACK = 1e-12
+
 
 def eval_segment(pts, t):
     """Evaluate a Bezier segment (2-4 control points) at parameter(s) t."""
@@ -279,24 +285,6 @@ def _all_segments(glyph):
     return [seg for contour in glyph.contours for seg in contour.segments]
 
 
-def distance_batch(points, glyph, n_init=32, n_newton=8):
-    """Unsigned distance from each point to the nearest outline point."""
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    best = np.full(len(P), np.inf)
-    for seg in _all_segments(glyph):
-        d, _ = nearest_on_segment(P, seg, n_init=n_init, n_newton=n_newton)
-        np.minimum(best, d, out=best)
-    return best
-
-
-def sdf_batch(points, glyph, pieces=None, n_init=32, n_newton=8):
-    """Signed distance (positive inside) for a batch of points."""
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    d = distance_batch(P, glyph, n_init=n_init, n_newton=n_newton)
-    w = winding_batch(P, glyph, pieces)
-    return np.where(w != 0, d, -d)
-
-
 def glyph_sdf(p, glyph):
     """Signed distance from a single point; positive inside the glyph."""
     P = np.asarray(p, dtype=np.float64)[None, :]
@@ -324,18 +312,119 @@ def pixel_centers(width, height=None):
     return grid
 
 
-def sdf_grid(glyph, width, height=None, n_init=32, n_newton=8):
-    """Exact signed distance sampled at all pixel centers, shape (H, W)."""
-    if height is None:
-        height = width
-    pts = pixel_centers(width, height).reshape(-1, 2)
-    pieces = monotone_pieces(glyph)
-    out = np.empty(len(pts))
-    for s in range(0, len(pts), _CHUNK):
-        out[s : s + _CHUNK] = sdf_batch(
-            pts[s : s + _CHUNK], glyph, pieces, n_init=n_init, n_newton=n_newton
-        )
-    return out.reshape(height, width)
+def _winding_grid(pieces, xs, ys):
+    """Nonzero-rule winding number at every (ys[i], xs[j]), by scanlines.
+
+    The crossing of a piece depends only on the row height, so each piece
+    is bisected once per row, with the same floats as ``winding_batch``;
+    the pixels strictly left of the crossing (sorted ``xs``) count it.
+    """
+    w = np.zeros((len(ys), len(xs) + 1), dtype=np.int64)
+    for piece in pieces:
+        ylo, yhi = (piece.y0, piece.y1) if piece.upward else (piece.y1, piece.y0)
+        rows = np.flatnonzero((ys >= ylo) & (ys < yhi))
+        if not rows.size:
+            continue
+        hits = np.searchsorted(xs, _piece_crossing_x(piece, ys[rows]), side="left")
+        direction = 1 if piece.upward else -1
+        w[rows, 0] += direction
+        w[rows, hits] -= direction
+    return np.cumsum(w[:, :-1], axis=1)
+
+
+def _halve(pts):
+    """de Casteljau split of a Bezier segment at t = 1/2."""
+    left, right = [pts[0]], [pts[-1]]
+    cur = pts
+    while len(cur) > 1:
+        cur = 0.5 * (cur[:-1] + cur[1:])
+        left.append(cur[0])
+        right.append(cur[-1])
+    return np.array(left), np.array(right[::-1])
+
+
+def _hull_boxes(pts):
+    """Control-point boxes (x0, y0, x1, y1) of the segment's _HULL_PIECES
+    de Casteljau pieces; by the convex-hull property they cover the curve."""
+    pieces = [np.asarray(pts, dtype=np.float64)]
+    while len(pieces) < _HULL_PIECES:
+        pieces = [half for piece in pieces for half in _halve(piece)]
+    return np.array([[*p.min(axis=0), *p.max(axis=0)] for p in pieces])
+
+
+def _box_gap(tiles, boxes):
+    """Smallest distance between each tile box and any of ``boxes``."""
+    gap_x = np.maximum(np.maximum(boxes[None, :, 0] - tiles[:, None, 2],
+                                  tiles[:, None, 0] - boxes[None, :, 2]), 0.0)
+    gap_y = np.maximum(np.maximum(boxes[None, :, 1] - tiles[:, None, 3],
+                                  tiles[:, None, 1] - boxes[None, :, 3]), 0.0)
+    return np.hypot(gap_x, gap_y).min(axis=1)
+
+
+def _distance_grid(segments, xs, ys, band):
+    """Unsigned distance to the outline at every pixel center: exact wherever
+    it is below ``band`` (everywhere for None), at least ``band`` elsewhere.
+
+    Pixels are grouped in _TILE x _TILE tiles.  The box distance from a tile
+    to a segment's hull boxes bounds the segment's distance from below, so
+    ``nearest_on_segment`` runs only on tiles whose bound is within the
+    clamp: ``band``, tightened to the tile's worst running best.  Tiles take
+    their segments nearest bound first, one rank per pass.  A skipped
+    segment cannot lower a pixel's minimum below the clamp, so every pixel
+    below it keeps the exact minimum over all segments.
+    """
+    height, width = len(ys), len(xs)
+    best = np.full((height, width), np.inf)
+    if not segments:
+        return best
+    ty, tx = -(-height // _TILE), -(-width // _TILE)
+    i0, j0 = np.arange(ty) * _TILE, np.arange(tx) * _TILE
+    tiles = np.stack(np.broadcast_arrays(
+        xs[j0][None, :], ys[i0][:, None],
+        xs[np.minimum(j0 + _TILE, width) - 1][None, :],
+        ys[np.minimum(i0 + _TILE, height) - 1][:, None],
+    ), axis=-1).reshape(-1, 4)
+    # (tiles, segments): box gap from each tile to the nearest hull box
+    bound = np.stack([_box_gap(tiles, _hull_boxes(seg.points)) for seg in segments], axis=1)
+    order = np.argsort(bound, axis=1, kind="stable")
+    tile_of = ((np.arange(height) // _TILE)[:, None] * tx
+               + (np.arange(width) // _TILE)[None, :]).ravel()
+    clamp = np.full(len(tiles), np.inf if band is None else float(band))
+    flat = best.reshape(-1)
+    for rank in range(len(segments)):
+        seg_of = order[:, rank]
+        active = bound[np.arange(len(tiles)), seg_of] <= clamp + _SLACK
+        if not active.any():
+            break
+        for k, seg in enumerate(segments):
+            take = active & (seg_of == k)
+            if not take.any():
+                continue
+            pix = np.flatnonzero(take[tile_of])
+            for s in range(0, len(pix), _CHUNK):
+                chunk = pix[s : s + _CHUNK]
+                i, j = np.divmod(chunk, width)
+                d, _ = nearest_on_segment(np.stack([xs[j], ys[i]], axis=1), seg)
+                flat[chunk] = np.minimum(flat[chunk], d)
+        worst = np.maximum.reduceat(np.maximum.reduceat(best, i0, axis=0), j0, axis=1)
+        clamp = np.minimum(clamp, worst.reshape(-1))
+    return best
+
+
+def sdf_grid(glyph, width, band=None):
+    """Signed distance at all pixel centers, shape (W, W), positive inside.
+
+    Exact everywhere by default.  With ``band``, the distance is exact only
+    where it is below ``band`` and clamped to +-band elsewhere, which is all
+    an anti-aliased raster with gamma = band reads.
+    """
+    centers = pixel_centers(width)
+    xs, ys = centers[0, :, 0], centers[:, 0, 1]
+    d = _distance_grid(_all_segments(glyph), xs, ys, band)
+    if band is not None:
+        d = np.minimum(d, band)
+    w = _winding_grid(monotone_pieces(glyph), xs, ys)
+    return np.where(w != 0, d, -d)
 
 
 # ---------------------------------------------------------------------------

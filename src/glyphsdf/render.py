@@ -23,27 +23,40 @@ from . import geometry
 from .field import compose_median, kernel
 
 
-def field_grid(bundle, z, label, width, chunk=65536):
+def field_grid(bundle, z, label, width):
     """Raw channel outputs at all pixel centers, shape (n, W, W)."""
+    if width < 8:
+        raise ValueError(f"render width must be >= 8, got {width}")
     pts = geometry.pixel_centers(width).reshape(-1, 2)
-    out = ad.evaluate(bundle.network, bundle.params, pts, label, z, chunk=chunk)
+    out = ad.evaluate(bundle.network, bundle.params, pts, label, z)
     n = bundle.network.out_channels
     return out.T.reshape(n, width, width)
 
 
-def _finish(channels, width, aa_k, supervision):
-    med = compose_median(channels, axis=0)
+def opacity(values, width, aa_k, supervision):
+    """Opacity of field values at output width W: the kernel with
+    gamma = aa_k / W for distances, a clip to [0, 1] for pixel supervision."""
     if supervision == "sdf":
-        return kernel(med, aa_k / width)
-    return np.clip(med, 0.0, 1.0)
+        return kernel(values, aa_k / width)
+    return np.clip(values, 0.0, 1.0)
+
+
+def compose_image(channels, width, aa_k, supervision):
+    """The rendered image of (n, W, W) channels: opacity of their median."""
+    return opacity(compose_median(channels, axis=0), width, aa_k, supervision)
+
+
+def zero_level_field(channels, supervision):
+    """Scalar (W, W) field whose zero level set is the rendered outline:
+    the channel median, less 1/2 for pixel-supervised opacities."""
+    med = compose_median(channels, axis=0)
+    return med if supervision == "sdf" else med - 0.5
 
 
 def render_implicit(bundle, z, label, width):
     """Dense network evaluation at the target resolution; (W, W) in [0,1]."""
-    if width < 8:
-        raise ValueError(f"render width must be >= 8, got {width}")
     grid = field_grid(bundle, z, label, width)
-    return _finish(grid, width, bundle.aa_k, bundle.supervision)
+    return compose_image(grid, width, bundle.aa_k, bundle.supervision)
 
 
 def bilinear_resample(grid, width):
@@ -77,7 +90,7 @@ def bilinear_resample(grid, width):
 def render_bilateral(grid, width, aa_k=4.0, supervision="sdf"):
     """Upsample a stored field grid and compose; (W, W) in [0, 1]."""
     up = bilinear_resample(grid, width)
-    return _finish(up, width, aa_k, supervision)
+    return compose_image(up, width, aa_k, supervision)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +121,8 @@ def extract_zero_level(grid):
     the crossing edges.  The two ambiguous saddle cases are resolved by the
     sign of the cell-center sample (mean of the four corners), which is
     deterministic.  Returns a list of (m, 2) arrays in field coordinates;
-    closed loops repeat their first vertex at the end.
+    closed loops repeat their first vertex at the end, and an open contour
+    comes back as one polyline from the domain border to the border.
     """
     f = np.asarray(grid, dtype=np.float64)
     h, w = f.shape
@@ -165,25 +179,34 @@ def extract_zero_level(grid):
                     (eid[a], eid[b], interp(*corners_of[a]), interp(*corners_of[b]))
                 )
 
-    starts = {}
+    starts, ends = {}, {}
     for k, seg in enumerate(segments):
         starts.setdefault(seg[0], []).append(k)
+        ends.setdefault(seg[1], []).append(k)
     used = [False] * len(segments)
+
+    def unused(index, edge):
+        return next((k for k in index.get(edge, ()) if not used[k]), None)
+
     contours = []
     for k0 in range(len(segments)):
         if used[k0]:
             continue
         used[k0] = True
-        _, cur_edge, pa, pb = segments[k0]
+        first_edge, cur_edge, pa, pb = segments[k0]
         chain = [pa, pb]
-        while True:
-            nxt = next((k for k in starts.get(cur_edge, ()) if not used[k]), None)
-            if nxt is None:
-                break
+        while (nxt := unused(starts, cur_edge)) is not None:
             used[nxt] = True
             _, cur_edge, _, pb = segments[nxt]
             chain.append(pb)
-        contours.append(np.asarray(chain))
+        # an open chain may have started mid-way: extend it backward through
+        # the segments that end on its first edge (a closed loop has none left)
+        head = []
+        while (prv := unused(ends, first_edge)) is not None:
+            used[prv] = True
+            first_edge, _, pa, _ = segments[prv]
+            head.append(pa)
+        contours.append(np.asarray(head[::-1] + chain))
     return contours
 
 

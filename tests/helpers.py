@@ -6,9 +6,12 @@ distance transform for signed-distance grids, closed-form box fields.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from glyphsdf import glyphs
+import numpy as np
+from hypothesis import assume, strategies as st
+
+from glyphsdf import geometry, glyphs
 
 SQUARE_PATH = "M 0 0 L 1 0 L 1 1 L 0 1 Z"
 
@@ -189,3 +192,59 @@ def edt_sdf_oracle(glyph, width, holes=None):
     d_out = distance_transform_edt(~mask)
     sdf_px = np.where(mask, d_in - 0.5, -(d_out - 0.5))
     return sdf_px * (2.0 / width)
+
+
+def sdf_batch(points, glyph):
+    """Per-point signed distance (positive inside): the minimum of
+    ``nearest_on_segment`` over every segment, signed by ``winding_batch``.
+
+    This is the package's own per-point route, kept as the reference that
+    the band-limited SDF grids must equal byte for byte.
+    """
+    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    d = np.full(len(P), np.inf)
+    for contour in glyph.contours:
+        for seg in contour.segments:
+            np.minimum(d, geometry.nearest_on_segment(P, seg)[0], out=d)
+    return np.where(geometry.winding_batch(P, glyph) != 0, d, -d)
+
+
+def _snap(p):
+    # the 1/16 lattice: odd multiples are the pixel-center rows and columns
+    # of a 16 px grid, so vertices and horizontal runs can sit exactly on them
+    return np.round(np.asarray(p, dtype=np.float64) * 16.0) / 16.0
+
+
+@st.composite
+def _star_contour(draw, scale):
+    n = draw(st.integers(3, 7))
+    corners = []
+    for i in range(n):
+        angle = 2 * math.pi * (i + draw(st.floats(0.0, 0.8))) / n
+        radius = scale * draw(st.floats(0.3, 0.9))
+        corners.append(_snap((radius * math.cos(angle), radius * math.sin(angle))))
+    corners = [c for k, c in enumerate(corners) if not np.array_equal(c, corners[k - 1])]
+    assume(len(corners) >= 3)
+    segments = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        order = draw(st.sampled_from([2, 3, 4]))
+        normal = np.array([a[1] - b[1], b[0] - a[0]])
+        inner = [
+            _snap(a + (b - a) * k / (order - 1) + draw(st.floats(-0.3, 0.3)) * normal)
+            for k in range(1, order - 1)
+        ]
+        segments.append(glyphs.Segment([a, *inner, b]))
+    return glyphs.Contour(segments)
+
+
+@st.composite
+def outlines(draw):
+    """Random star-shaped glyphs of lines, quadratics and cubics on the 1/16
+    lattice, with an optional reversed hole; coordinates inside [-1, 1]."""
+    contours = [draw(_star_contour(1.0))]
+    if draw(st.booleans()):
+        hole = draw(_star_contour(0.3))
+        contours.append(glyphs.Contour(
+            [glyphs.Segment(seg.points[::-1]) for seg in reversed(hole.segments)]
+        ))
+    return glyphs.Glyph(contours)

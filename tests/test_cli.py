@@ -19,18 +19,17 @@ def run_cli(*args, cwd=None):
     )
 
 
-@pytest.fixture()
-def workspace(tmp_path):
+def _write_workspace(root):
     """Manifest with one square and one L glyph in a single family."""
-    (tmp_path / "sq.path").write_text(SQUARE_PATH)
-    (tmp_path / "l.path").write_text(L_PATH)
+    (root / "sq.path").write_text(SQUARE_PATH)
+    (root / "l.path").write_text(L_PATH)
     manifest = [
         {"family": "fam", "label": "A", "file": "sq.path"},
         {"family": "fam", "label": "B", "file": "l.path"},
     ]
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (root / "manifest.json").write_text(json.dumps(manifest))
     config = {
-        "dataset": {"manifest": str(tmp_path / "manifest.json"), "alphabet": "AB"},
+        "dataset": {"manifest": str(root / "manifest.json"), "alphabet": "AB"},
         "field": {"train_width": 16},
         "train": {
             "epochs": 20,
@@ -40,10 +39,15 @@ def workspace(tmp_path):
             "threads": 1,
         },
         "eval": {"resolutions": [16, 32], "methods": ["implicit", "bilateral"]},
-        "paths": {"output_dir": str(tmp_path / "out")},
+        "paths": {"output_dir": str(root / "out")},
     }
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    return tmp_path
+    (root / "config.json").write_text(json.dumps(config))
+    return root
+
+
+@pytest.fixture()
+def workspace(tmp_path):
+    return _write_workspace(tmp_path)
 
 
 def test_no_command_is_usage_error():
@@ -104,6 +108,9 @@ class TestTrain:
         log = (out / "train_log.csv").read_text().splitlines()
         assert log[0] == "epoch,gamma,loss_total,loss_global,loss_local,loss_grad,latent_norm,wall_ms"
         assert len(log) == 21
+        for line in log[1:]:
+            for cell in line.split(","):
+                float(cell)  # plain numbers, no numpy scalar reprs
         echo = json.loads((out / "config.echo.json").read_text())
         assert echo["train"]["epochs"] == 20
 
@@ -156,11 +163,19 @@ class TestTrain:
         assert bundle.network.out_channels == 1
 
 
-@pytest.fixture()
-def trained(workspace):
-    res = run_cli("--config", workspace / "config.json", "train")
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """One training run shared by the module; its tests read the checkpoint."""
+    ws = _write_workspace(tmp_path_factory.mktemp("trained"))
+    res = run_cli("--config", ws / "config.json", "train")
     assert res.returncode == 0, res.stderr
-    return workspace, workspace / "out" / "checkpoint.ckpt"
+    return ws / "out" / "checkpoint.ckpt"
+
+
+@pytest.fixture()
+def trained(workspace, trained_checkpoint):
+    """A fresh workspace, with its own output dir, and the shared checkpoint."""
+    return workspace, trained_checkpoint
 
 
 class TestRenderCommand:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from glyphsdf import field, geometry
 from glyphsdf.errors import CheckpointError
 
-from helpers import box_sdf, square_glyph
+from helpers import box_sdf, ring_glyph, square_glyph
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -138,18 +138,16 @@ class TestRasterize:
     def test_antialias_band_is_exactly_the_open_kernel_band(self):
         g = square_glyph()
         width, gamma = 64, 4 / 64
-        sdf = geometry.sdf_grid(g, width)
-        img = field.rasterize_ground_truth(g, width, gamma, sdf=sdf)
+        img = field.rasterize_ground_truth(g, width, gamma)
         expected = np.abs(box_sdf(geometry.pixel_centers(width).reshape(-1, 2), 0.85)) < gamma
         got = (img > 0) & (img < 1)
         assert np.array_equal(got.reshape(-1), expected)
 
-    def test_reuses_precomputed_sdf(self):
-        g = square_glyph()
-        sdf = geometry.sdf_grid(g, 32)
-        a = field.rasterize_ground_truth(g, 32, 0.1, sdf=sdf)
-        b = field.rasterize_ground_truth(g, 32, 0.1)
-        assert np.array_equal(a, b)
+    def test_equals_kernel_of_exact_sdf(self):
+        # the band-limited distances give the raster of the exact grid
+        for g in (square_glyph(), ring_glyph()):
+            exact = field.kernel(geometry.sdf_grid(g, 48), 0.1)
+            assert field.rasterize_ground_truth(g, 48, 0.1).tobytes() == exact.tobytes()
 
 
 class TestGridContainer:

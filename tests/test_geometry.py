@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from glyphsdf import geometry, glyphs
+from glyphsdf import field, geometry, glyphs
 from glyphsdf.errors import GeometryError
 
 from helpers import (
-    box_sdf, dense_sweep_nearest, edt_sdf_oracle, l_glyph, ring_glyph,
-    square_glyph,
+    box_sdf, dense_sweep_nearest, edt_sdf_oracle, l_glyph, outlines, ring_glyph,
+    sdf_batch, square_glyph,
 )
 
 
@@ -77,7 +78,7 @@ class TestGlyphSdf:
     def test_normalized_square_matches_box_formula(self):
         g = square_glyph()
         pts = np.random.default_rng(3).uniform(-1, 1, size=(500, 2))
-        ours = geometry.sdf_batch(pts, g)
+        ours = sdf_batch(pts, g)
         ref = box_sdf(pts, 0.85)
         assert np.max(np.abs(ours - ref)) < 1e-9
 
@@ -117,6 +118,37 @@ class TestSdfOracles:
         assert np.max(np.abs(ours - oracle)) <= 2.0 / width
 
 
+class TestExactGrid:
+    """The SDF grid and the ground-truth raster equal the per-point route
+    byte for byte; 16 px puts pixel-center rows on outline vertices."""
+
+    WIDTHS = st.sampled_from([16, 24, 40, 64, 96])
+
+    @given(outlines(), WIDTHS)
+    @settings(max_examples=40, deadline=None)
+    def test_sdf_grid_equals_per_point_reference(self, glyph, width):
+        centers = geometry.pixel_centers(width).reshape(-1, 2)
+        ref = sdf_batch(centers, glyph).reshape(width, width)
+        assert geometry.sdf_grid(glyph, width).tobytes() == ref.tobytes()
+
+    @given(outlines(), WIDTHS, st.floats(0.5, 8.0))
+    @settings(max_examples=40, deadline=None)
+    def test_rasterize_equals_kernel_of_reference(self, glyph, width, aa_k):
+        gamma = aa_k / width
+        centers = geometry.pixel_centers(width).reshape(-1, 2)
+        ref = field.kernel(sdf_batch(centers, glyph), gamma).reshape(width, width)
+        assert field.rasterize_ground_truth(glyph, width, gamma).tobytes() == ref.tobytes()
+
+    @given(outlines(), WIDTHS)
+    @settings(max_examples=40, deadline=None)
+    def test_scanline_winding_equals_winding_batch(self, glyph, width):
+        centers = geometry.pixel_centers(width)
+        w = geometry._winding_grid(
+            geometry.monotone_pieces(glyph), centers[0, :, 0], centers[:, 0, 1]
+        )
+        assert np.array_equal(w.reshape(-1), geometry.winding_batch(centers.reshape(-1, 2), glyph))
+
+
 class TestWinding:
     def test_square_inside_outside(self):
         g = square_glyph()
@@ -150,8 +182,8 @@ class TestProperties:
         rng = np.random.default_rng(11)
         p = rng.uniform(-1, 1, size=(10_000, 2))
         h = rng.normal(scale=0.02, size=(10_000, 2))
-        s1 = geometry.sdf_batch(p, g)
-        s2 = geometry.sdf_batch(p + h, g)
+        s1 = sdf_batch(p, g)
+        s2 = sdf_batch(p + h, g)
         hn = np.sqrt(np.sum(h * h, axis=1))
         assert np.all(np.abs(s2 - s1) <= hn + 1e-9)
 

@@ -145,6 +145,16 @@ class TestZeroLevel:
         # a simple closed curve visits each vertex once
         assert len(np.unique(np.round(pts, 12), axis=0)) == len(pts)
 
+    def test_open_contour_is_one_polyline_in_either_orientation(self):
+        x = geometry.pixel_centers(8)[..., 0]
+        for grid in (x - 0.1, 0.1 - x):
+            contours = render.extract_zero_level(grid)
+            assert len(contours) == 1
+            c = contours[0]
+            assert len(c) == 8  # one vertex per grid row, border to border
+            assert np.allclose(c[:, 0], 0.1, atol=1e-12)
+            assert np.all(np.abs(np.diff(c[:, 1])) > 0)
+
     def test_contour_json(self, tmp_path):
         grid = np.array([[1.0, 1.0], [-1.0, -1.0]])
         cs = render.extract_zero_level(grid)

@@ -7,7 +7,7 @@ import pytest
 from glyphsdf import field, geometry, templates
 from glyphsdf.geometry import Corner
 
-from helpers import l_glyph, square_glyph
+from helpers import l_glyph, sdf_batch, square_glyph
 
 
 def make_corner(position=(0.0, 0.0), tangent_in=(0.0, -1.0), tangent_out=(1.0, 0.0),
@@ -115,7 +115,7 @@ class TestBuildTemplate:
         gamma = 4 / width
         tpl = templates.build_template(corner, width)
         composed = tpl.composed_target(gamma)
-        truth = field.kernel(geometry.sdf_batch(tpl.points, g), gamma)
+        truth = field.kernel(sdf_batch(tpl.points, g), gamma)
         apex = np.linalg.norm(tpl.points - corner.position, axis=1) < 2 * gamma
         keep = ~((tpl.quadrant == 4) & apex)
         assert np.max(np.abs(composed[keep] - truth[keep])) <= 1e-6
