@@ -6,6 +6,29 @@ LeakyReLU units with the input concatenated onto the output of hidden
 layer 3, then a linear head.  Forward/backward are hand-written reverse
 mode over float64 numpy so training is bit-reproducible and gradients are
 exact; tests verify them against central finite differences.
+
+Each hidden layer runs as one matmul into a preallocated buffer, an
+in-place bias add and an in-place leaky ReLU; the activation feeding the
+skip layer is written straight into the left block of one ``[a | X]``
+buffer.  The cache of ``forward(..., need_cache=True)`` is the tuple
+``(X, acts, skip_in)``:
+
+* ``X``: the input rows;
+* ``acts``: one post-activation array per hidden layer.  Since the slope
+  is in (0, 1], an activation is ``>= 0`` exactly where its pre-activation
+  is, so :func:`backward` takes the slope mask from it and rebuilds
+  nothing.  (The one exception is a negative pre-activation so small that
+  ``slope * z`` rounds to -0.0, below about 2.5e-322 at slope 0.01.);
+* ``skip_in``: the ``[a | X]`` input of the skip layer (its left block is
+  ``acts[skip_layer - 1]``), or None without a skip.
+
+Every output, gradient and ADAM update is byte-identical to the
+straightforward form with a fresh array per step (whole-array temporaries,
+``np.where`` activations rebuilt from cached pre-activations, a
+concatenated skip input): the BLAS calls see the same operands and every
+elementwise operation is the same IEEE operation in the same order.
+``tests/helpers.py`` keeps that form as the reference the tests compare
+against.
 """
 from __future__ import annotations
 
@@ -37,6 +60,9 @@ class NetworkConfig:
             raise ValueError(
                 f"skip_layer must be in [0, hidden_layers), got {self.skip_layer}"
             )
+        # forward's in-place leaky ReLU and backward's slope mask rely on it
+        if not 0.0 < self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must be in (0, 1], got {self.leaky_slope}")
 
     @property
     def in_dim(self):
@@ -118,23 +144,41 @@ def assemble_inputs(points, label, z, alphabet_size):
 def forward(config, params, X, need_cache=True):
     """Evaluate the network on rows of X; returns (out, cache).
 
-    The cache keeps the input and every pre-activation, enough to run
-    :func:`backward` without re-doing the matmuls.
+    With ``need_cache`` the cache ``(X, acts, skip_in)`` holds what
+    :func:`backward` needs (see the module docstring); otherwise it is None.
     """
     if X.shape[1] != config.in_dim:
         raise ValueError(f"input width {X.shape[1]} != expected {config.in_dim}")
     slope = config.leaky_slope
-    zs = [] if need_cache else None
+    width, skip = config.width, config.skip_layer
+    m = len(X)
+    scratch = np.empty((m, width))
+    skip_in = None
+    if skip:
+        skip_in = np.empty((m, width + config.in_dim))
+        skip_in[:, width:] = X
+    if not need_cache:
+        pair = (np.empty((m, width)), np.empty((m, width)))
+    acts = []
     a = X
     for l in range(config.hidden_layers):
-        if config.skip_layer and l == config.skip_layer:
-            a = np.concatenate([a, X], axis=1)
-        z = a @ params.weights[l] + params.biases[l]
+        if skip and l == skip - 1:
+            h = skip_in[:, :width]
+        elif need_cache:
+            h = np.empty((m, width))
+        else:
+            h = pair[l % 2]
+        np.matmul(a, params.weights[l], out=h)
+        h += params.biases[l]
+        # leaky ReLU in place: max(h, slope*h) is where(h >= 0, h, slope*h)
+        # bit for bit when 0 < slope <= 1
+        np.multiply(h, slope, out=scratch)
+        np.maximum(h, scratch, out=h)
         if need_cache:
-            zs.append(z)
-        a = np.where(z >= 0, z, slope * z)
+            acts.append(h)
+        a = skip_in if skip and l == skip - 1 else h
     out = a @ params.weights[-1] + params.biases[-1]
-    cache = (X, zs) if need_cache else None
+    cache = (X, acts, skip_in) if need_cache else None
     return out, cache
 
 
@@ -150,43 +194,47 @@ def backward(config, params, cache, d_out, need_param_grads=True):
     """
     if cache is None:
         raise ValueError("backward needs the cache from a forward call")
-    X, zs = cache
-    if len(zs) != config.hidden_layers or len(X) != len(d_out):
+    X, acts, skip_in = cache
+    if len(acts) != config.hidden_layers or len(X) != len(d_out):
         raise ValueError("stale cache: shapes do not match this backward call")
     slope = config.leaky_slope
+    width, skip = config.width, config.skip_layer
     gw = [None] * (config.hidden_layers + 1)
     gb = [None] * (config.hidden_layers + 1)
     dX = np.zeros_like(X)
 
-    def activation(l):
-        z = zs[l]
-        return np.where(z >= 0, z, slope * z)
-
     if need_param_grads:
-        a_last = activation(config.hidden_layers - 1)
-        gw[-1] = a_last.T @ d_out
+        gw[-1] = acts[-1].T @ d_out
         gb[-1] = d_out.sum(axis=0)
     da = d_out @ params.weights[-1].T
+    da_buf = da
+    dz = np.empty_like(da)
+    factor = np.empty_like(da)
+    nonneg = np.empty(da.shape, dtype=bool)
     for l in range(config.hidden_layers - 1, -1, -1):
-        z = zs[l]
-        dz = da * np.where(z >= 0, 1.0, slope)
+        # dz = da * where(pre-activation >= 0, 1, slope).  The activations
+        # have the pre-activations' signs, and max(0 or 1, slope) is that
+        # factor exactly; unlike a masked select it does not branch per entry
+        np.greater_equal(acts[l], 0.0, out=nonneg)
+        np.maximum(nonneg, slope, out=factor)
+        np.multiply(da, factor, out=dz)
         if need_param_grads:
             if l == 0:
                 a_in = X
-            elif config.skip_layer and l == config.skip_layer:
-                a_in = np.concatenate([activation(l - 1), X], axis=1)
+            elif skip and l == skip:
+                a_in = skip_in
             else:
-                a_in = activation(l - 1)
+                a_in = acts[l - 1]
             gw[l] = a_in.T @ dz
             gb[l] = dz.sum(axis=0)
-        d_in = dz @ params.weights[l].T
         if l == 0:
-            dX += d_in
-        elif config.skip_layer and l == config.skip_layer:
-            da = d_in[:, : config.width]
-            dX += d_in[:, config.width :]
+            dX += dz @ params.weights[l].T
+        elif skip and l == skip:
+            d_in = dz @ params.weights[l].T
+            da = d_in[:, :width]
+            dX += d_in[:, width:]
         else:
-            da = d_in
+            da = np.matmul(dz, params.weights[l].T, out=da_buf)
     grads = Parameters(gw, gb) if need_param_grads else None
     return grads, dX
 
@@ -231,6 +279,7 @@ def adam_step(state, arrays, grads):
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
+    scratch = np.empty(2 * max((g.size for g in grads.values()), default=0))
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for tensor {name!r}")
@@ -240,11 +289,24 @@ def adam_step(state, arrays, grads):
         state.ensure(name, p)
         m = state.m[name]
         v = state.v[name]
+        s = scratch[: g.size].reshape(g.shape)
+        u = scratch[g.size : 2 * g.size].reshape(g.shape)
+        # in place, the same operations in the same order as
+        #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*(g*g)
+        #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=s)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.multiply(g, g, out=s)
+        s *= 1.0 - state.beta2
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= state.lr
+        np.divide(v, bc2, out=u)
+        np.sqrt(u, out=u)
+        u += state.eps
+        s /= u
+        p -= s
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +405,10 @@ def load_checkpoint(path, expect_alphabet=None):
         raise CheckpointError(
             "checkpoint alphabet does not match the configured alphabet"
         )
-    config = NetworkConfig(**manifest["network"])
+    try:
+        config = NetworkConfig(**manifest["network"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad network description in {path}: {exc}") from exc
     payload = raw[start + blob_len :]
     arrays = {}
     for spec in manifest["arrays"]:

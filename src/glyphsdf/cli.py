@@ -480,7 +480,7 @@ def main(argv=None):
             os.environ[var] = str(args.threads)
 
     from .errors import (
-        CheckpointError, ConfigError, GlyphSdfError, ManifestError,
+        CheckpointError, ConfigError, GlyphSdfError, ImageError, ManifestError,
         NumericalError, PathSyntaxError,
     )
 
@@ -496,7 +496,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except CheckpointError as exc:
+    except (CheckpointError, ImageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

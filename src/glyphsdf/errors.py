@@ -32,3 +32,7 @@ class NumericalError(GlyphSdfError):
 
 class CheckpointError(GlyphSdfError):
     """Unreadable, truncated or incompatible checkpoint file."""
+
+
+class ImageError(GlyphSdfError, ValueError):
+    """Unreadable or malformed PGM image: bad header, truncated payload."""

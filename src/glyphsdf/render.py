@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodecoder as ad
 from . import geometry
+from .errors import ImageError
 from .field import compose_median, kernel
 
 
@@ -140,44 +141,45 @@ def extract_zero_level(grid):
         xb, yb = node_xy(i1, j1)
         return (xa + t * (xb - xa), ya + t * (yb - ya))
 
+    # a cell is crossed unless its four corners agree; classify all cells at
+    # once and visit only the crossed ones, in row-major order
+    tl, tr, br, bl = inside[:-1, :-1], inside[:-1, 1:], inside[1:, 1:], inside[1:, :-1]
+    crossed = (tl != tr) | (tr != br) | (br != bl)
     # segments are (start_edge_id, end_edge_id, start_xy, end_xy); edge ids
     # name grid edges, so loops chain exactly with no coordinate tolerance
     segments = []
-    for i in range(h - 1):
-        for j in range(w - 1):
-            key = (
-                bool(inside[i, j]),
-                bool(inside[i, j + 1]),
-                bool(inside[i + 1, j + 1]),
-                bool(inside[i + 1, j]),
+    for i, j in np.argwhere(crossed).tolist():
+        key = (
+            bool(inside[i, j]),
+            bool(inside[i, j + 1]),
+            bool(inside[i + 1, j + 1]),
+            bool(inside[i + 1, j]),
+        )
+        eid = {
+            "t": ("h", i, j),
+            "r": ("v", i, j + 1),
+            "b": ("h", i + 1, j),
+            "l": ("v", i, j),
+        }
+        # interpolate lazily: only crossing edges have a valid divisor
+        corners_of = {
+            "t": (i, j, i, j + 1),
+            "r": (i, j + 1, i + 1, j + 1),
+            "b": (i + 1, j, i + 1, j + 1),
+            "l": (i, j, i + 1, j),
+        }
+        if key in _MS_LUT:
+            pairs = _MS_LUT[key]
+        else:
+            center = f[i, j] + f[i, j + 1] + f[i + 1, j] + f[i + 1, j + 1]
+            if key == (True, False, True, False):
+                pairs = [("t", "r"), ("b", "l")] if center > 0 else [("t", "l"), ("b", "r")]
+            else:  # (False, True, False, True)
+                pairs = [("r", "b"), ("l", "t")] if center > 0 else [("r", "t"), ("l", "b")]
+        for a, b in pairs:
+            segments.append(
+                (eid[a], eid[b], interp(*corners_of[a]), interp(*corners_of[b]))
             )
-            if all(key) or not any(key):
-                continue
-            eid = {
-                "t": ("h", i, j),
-                "r": ("v", i, j + 1),
-                "b": ("h", i + 1, j),
-                "l": ("v", i, j),
-            }
-            # interpolate lazily: only crossing edges have a valid divisor
-            corners_of = {
-                "t": (i, j, i, j + 1),
-                "r": (i, j + 1, i + 1, j + 1),
-                "b": (i + 1, j, i + 1, j + 1),
-                "l": (i, j, i + 1, j),
-            }
-            if key in _MS_LUT:
-                pairs = _MS_LUT[key]
-            else:
-                center = f[i, j] + f[i, j + 1] + f[i + 1, j] + f[i + 1, j + 1]
-                if key == (True, False, True, False):
-                    pairs = [("t", "r"), ("b", "l")] if center > 0 else [("t", "l"), ("b", "r")]
-                else:  # (False, True, False, True)
-                    pairs = [("r", "b"), ("l", "t")] if center > 0 else [("r", "t"), ("l", "b")]
-            for a, b in pairs:
-                segments.append(
-                    (eid[a], eid[b], interp(*corners_of[a]), interp(*corners_of[b]))
-                )
 
     starts, ends = {}, {}
     for k, seg in enumerate(segments):
@@ -237,10 +239,15 @@ def write_image(path, image):
 
 
 def read_image(path):
-    """Read a binary PGM (P5) back to floats in [0, 1]."""
+    """Read a binary PGM (P5) back to floats in [0, 1].
+
+    Samples are one byte for maxval <= 255 and two big-endian bytes above
+    it.  A bad header, a truncated payload or a sample above maxval raises
+    :class:`ImageError`.
+    """
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P5"):
-        raise ValueError(f"not a binary PGM file: {path}")
+        raise ImageError(f"not a binary PGM file: {path}")
     # header: magic, width, height, maxval, single whitespace, then payload
     fields = []
     pos = 2
@@ -254,8 +261,17 @@ def read_image(path):
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
+        if not raw[start:pos].isdigit():
+            raise ImageError(f"bad PGM header in {path}")
         fields.append(int(raw[start:pos]))
     pos += 1  # the single whitespace after maxval
     w, h, maxval = fields
-    data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
+    if w < 1 or h < 1 or not 1 <= maxval <= 65535:
+        raise ImageError(f"bad PGM header in {path}: {w}x{h}, maxval {maxval}")
+    dtype = np.dtype(np.uint8) if maxval <= 255 else np.dtype(">u2")
+    if len(raw) - pos < w * h * dtype.itemsize:
+        raise ImageError(f"truncated PGM payload in {path}")
+    data = np.frombuffer(raw, dtype=dtype, count=w * h, offset=pos)
+    if data.max() > maxval:
+        raise ImageError(f"PGM sample above maxval {maxval} in {path}")
     return data.reshape(h, w).astype(np.float64) / float(maxval)

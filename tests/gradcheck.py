@@ -37,7 +37,7 @@ def _loss_structure(cfg, params, z, label, sample_set, tpls, gamma, composer,
         all_pts = pts
     X = ad.assemble_inputs(all_pts, label, z, cfg.alphabet_size)
     out, cache = ad.forward(cfg, params, X)
-    _, zs = cache
+    zs = cache[1]
     bits = [tuple((layer >= 0).ravel()) for layer in zs]
     center = out[:N]
     if supervision == "sdf":

@@ -248,3 +248,183 @@ def outlines(draw):
             [glyphs.Segment(seg.points[::-1]) for seg in reversed(hole.segments)]
         ))
     return glyphs.Glyph(contours)
+
+
+# ---------------------------------------------------------------------------
+# straightforward references for the allocation-lean network and ADAM code
+# and the vectorized marching squares; the package must equal them byte for
+# byte
+
+
+def reference_forward(config, params, X, need_cache=True):
+    """Forward pass with a fresh array per step; the cache is (X, zs) with
+    every pre-activation."""
+    slope = config.leaky_slope
+    zs = [] if need_cache else None
+    a = X
+    for l in range(config.hidden_layers):
+        if config.skip_layer and l == config.skip_layer:
+            a = np.concatenate([a, X], axis=1)
+        z = a @ params.weights[l] + params.biases[l]
+        if need_cache:
+            zs.append(z)
+        a = np.where(z >= 0, z, slope * z)
+    out = a @ params.weights[-1] + params.biases[-1]
+    return out, ((X, zs) if need_cache else None)
+
+
+def reference_backward(config, params, cache, d_out, need_param_grads=True):
+    """Backward pass of :func:`reference_forward`: rebuilds each activation
+    and the skip input from the cached pre-activations."""
+    from glyphsdf.autodecoder import Parameters
+
+    X, zs = cache
+    slope = config.leaky_slope
+    gw = [None] * (config.hidden_layers + 1)
+    gb = [None] * (config.hidden_layers + 1)
+    dX = np.zeros_like(X)
+
+    def activation(l):
+        z = zs[l]
+        return np.where(z >= 0, z, slope * z)
+
+    if need_param_grads:
+        gw[-1] = activation(config.hidden_layers - 1).T @ d_out
+        gb[-1] = d_out.sum(axis=0)
+    da = d_out @ params.weights[-1].T
+    for l in range(config.hidden_layers - 1, -1, -1):
+        dz = da * np.where(zs[l] >= 0, 1.0, slope)
+        if need_param_grads:
+            if l == 0:
+                a_in = X
+            elif config.skip_layer and l == config.skip_layer:
+                a_in = np.concatenate([activation(l - 1), X], axis=1)
+            else:
+                a_in = activation(l - 1)
+            gw[l] = a_in.T @ dz
+            gb[l] = dz.sum(axis=0)
+        d_in = dz @ params.weights[l].T
+        if l == 0:
+            dX += d_in
+        elif config.skip_layer and l == config.skip_layer:
+            da = d_in[:, : config.width]
+            dX += d_in[:, config.width :]
+        else:
+            da = d_in
+    return (Parameters(gw, gb) if need_param_grads else None), dX
+
+
+def reference_evaluate(config, params, points, label, z, chunk=8192):
+    """Chunked :func:`reference_forward` over points; returns (N, n)."""
+    from glyphsdf.autodecoder import assemble_inputs
+
+    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    out = np.empty((len(P), config.out_channels))
+    for s in range(0, len(P), chunk):
+        X = assemble_inputs(P[s : s + chunk], label, z, config.alphabet_size)
+        out[s : s + chunk], _ = reference_forward(config, params, X, need_cache=False)
+    return out
+
+
+def reference_adam_step(state, arrays, grads):
+    """One ADAM update written with whole-array temporaries."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for name, g in grads.items():
+        p = arrays[name]
+        state.ensure(name, p)
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def reference_extract_zero_level(grid):
+    """Marching squares visiting every cell in a Python loop, with the
+    package's segment table and chaining."""
+    from glyphsdf.render import _MS_LUT
+
+    f = np.asarray(grid, dtype=np.float64)
+    h, w = f.shape
+    if h < 2 or w < 2:
+        return []
+    inside = f > 0.0
+
+    def node_xy(i, j):
+        return ((j + 0.5) / w * 2.0 - 1.0, (i + 0.5) / h * 2.0 - 1.0)
+
+    def interp(i0, j0, i1, j1):
+        va, vb = f[i0, j0], f[i1, j1]
+        t = va / (va - vb)
+        xa, ya = node_xy(i0, j0)
+        xb, yb = node_xy(i1, j1)
+        return (xa + t * (xb - xa), ya + t * (yb - ya))
+
+    segments = []
+    for i in range(h - 1):
+        for j in range(w - 1):
+            key = (
+                bool(inside[i, j]),
+                bool(inside[i, j + 1]),
+                bool(inside[i + 1, j + 1]),
+                bool(inside[i + 1, j]),
+            )
+            if all(key) or not any(key):
+                continue
+            eid = {
+                "t": ("h", i, j),
+                "r": ("v", i, j + 1),
+                "b": ("h", i + 1, j),
+                "l": ("v", i, j),
+            }
+            corners_of = {
+                "t": (i, j, i, j + 1),
+                "r": (i, j + 1, i + 1, j + 1),
+                "b": (i + 1, j, i + 1, j + 1),
+                "l": (i, j, i + 1, j),
+            }
+            if key in _MS_LUT:
+                pairs = _MS_LUT[key]
+            else:
+                center = f[i, j] + f[i, j + 1] + f[i + 1, j] + f[i + 1, j + 1]
+                if key == (True, False, True, False):
+                    pairs = [("t", "r"), ("b", "l")] if center > 0 else [("t", "l"), ("b", "r")]
+                else:
+                    pairs = [("r", "b"), ("l", "t")] if center > 0 else [("r", "t"), ("l", "b")]
+            for a, b in pairs:
+                segments.append(
+                    (eid[a], eid[b], interp(*corners_of[a]), interp(*corners_of[b]))
+                )
+
+    starts, ends = {}, {}
+    for k, seg in enumerate(segments):
+        starts.setdefault(seg[0], []).append(k)
+        ends.setdefault(seg[1], []).append(k)
+    used = [False] * len(segments)
+
+    def unused(index, edge):
+        return next((k for k in index.get(edge, ()) if not used[k]), None)
+
+    contours = []
+    for k0 in range(len(segments)):
+        if used[k0]:
+            continue
+        used[k0] = True
+        first_edge, cur_edge, pa, pb = segments[k0]
+        chain = [pa, pb]
+        while (nxt := unused(starts, cur_edge)) is not None:
+            used[nxt] = True
+            _, cur_edge, _, pb = segments[nxt]
+            chain.append(pb)
+        head = []
+        while (prv := unused(ends, first_edge)) is not None:
+            used[prv] = True
+            first_edge, _, pa, _ = segments[prv]
+            head.append(pa)
+        contours.append(np.asarray(head[::-1] + chain))
+    return contours

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import helpers
 from glyphsdf import autodecoder as ad
 from glyphsdf.errors import CheckpointError, NumericalError
 
@@ -89,6 +91,11 @@ class TestForward:
         cfg, params = make_net()
         with pytest.raises(ValueError, match="input width"):
             ad.forward(cfg, params, np.zeros((3, cfg.in_dim + 1)))
+
+    @pytest.mark.parametrize("slope", [0.0, -0.01, 1.5, float("nan")])
+    def test_leaky_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match="leaky_slope"):
+            ad.NetworkConfig(alphabet_size=2, leaky_slope=slope)
 
     def test_default_config_shapes(self):
         cfg = ad.NetworkConfig(alphabet_size=52)
@@ -310,9 +317,122 @@ class TestCheckpoint:
             ad.load_checkpoint(path)
 
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda m: m["network"].update(leaky_slope=0.0),
+            lambda m: m["network"].update(bogus=1),
+            lambda m: m.pop("network"),
+        ],
+    )
+    def test_bad_network_description(self, tmp_path, corrupt):
+        import json, struct
+
+        bundle = self._bundle(with_adam=False)
+        path = tmp_path / "x.ckpt"
+        ad.save_checkpoint(path, bundle)
+        raw = path.read_bytes()
+        n = struct.unpack_from("<I", raw, 8)[0]
+        manifest = json.loads(raw[12 : 12 + n])
+        corrupt(manifest)
+        blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n :])
+        with pytest.raises(CheckpointError, match="bad network description"):
+            ad.load_checkpoint(path)
+
+
 def test_assemble_inputs_layout():
     X = ad.assemble_inputs(np.array([[0.5, -0.5]]), label=1, z=np.arange(4.0), alphabet_size=3)
     assert X.shape == (1, 2 + 3 + 4)
     assert list(X[0, :2]) == [0.5, -0.5]
     assert list(X[0, 2:5]) == [0.0, 1.0, 0.0]
     assert list(X[0, 5:]) == [0.0, 1.0, 2.0, 3.0]
+
+
+# ---------------------------------------------------------------------------
+# byte equality with the straightforward references in tests/helpers.py
+
+
+@st.composite
+def networks(draw):
+    """A random small network with random biases, some hidden units with
+    zero weights and bias (exact zero pre-activations), and an rng."""
+    hidden = draw(st.integers(1, 4))
+    cfg = ad.NetworkConfig(
+        alphabet_size=draw(st.integers(1, 3)),
+        hidden_layers=hidden,
+        width=draw(st.integers(1, 24)),
+        skip_layer=draw(st.integers(0, hidden - 1)),
+        out_channels=draw(st.integers(1, 4)),
+        leaky_slope=draw(st.sampled_from([0.01, 0.3, 1.0])),
+        latent_dim=draw(st.integers(1, 6)),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    params = ad.init_parameters(cfg, rng)
+    for l, b in enumerate(params.biases):
+        b[:] = rng.normal(scale=0.5, size=b.shape)
+        if l < hidden and draw(st.booleans()):
+            unit = draw(st.integers(0, cfg.width - 1))
+            params.weights[l][:, unit] = 0.0
+            b[unit] = 0.0
+    return cfg, params, rng
+
+
+def _assert_params_equal(a, b):
+    for (name, x), (_, y) in zip(a.named(), b.named()):
+        assert np.array_equal(x, y), name
+
+
+class TestReferenceEquality:
+    @settings(max_examples=60, deadline=None)
+    @given(networks(), st.integers(1, 40), st.booleans())
+    def test_forward_backward(self, net, rows, need_param_grads):
+        cfg, params, rng = net
+        X = rng.normal(size=(rows, cfg.in_dim))
+        X[rng.random(X.shape) < 0.1] = 0.0
+        out, cache = ad.forward(cfg, params, X)
+        ref_out, ref_cache = helpers.reference_forward(cfg, params, X)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(ad.forward(cfg, params, X, need_cache=False)[0], ref_out)
+        assert len(cache[0]) == rows
+        for act, z in zip(cache[1], ref_cache[1]):
+            assert np.array_equal(act >= 0, z >= 0)
+        d_out = rng.normal(size=out.shape)
+        grads, dX = ad.backward(cfg, params, cache, d_out, need_param_grads)
+        ref_grads, ref_dX = helpers.reference_backward(
+            cfg, params, ref_cache, d_out, need_param_grads
+        )
+        assert np.array_equal(dX, ref_dX)
+        if need_param_grads:
+            _assert_params_equal(grads, ref_grads)
+        else:
+            assert grads is None and ref_grads is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(networks(), st.integers(1, 40), st.integers(1, 16))
+    def test_evaluate(self, net, rows, chunk):
+        cfg, params, rng = net
+        pts = rng.uniform(-1.0, 1.0, size=(rows, 2))
+        z = rng.normal(size=cfg.latent_dim)
+        label = int(rng.integers(cfg.alphabet_size))
+        out = ad.evaluate(cfg, params, pts, label, z, chunk=chunk)
+        ref = helpers.reference_evaluate(cfg, params, pts, label, z, chunk=chunk)
+        assert np.array_equal(out, ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(networks(), st.integers(1, 6))
+    def test_adam_steps(self, net, steps):
+        cfg, params, rng = net
+        ref_params = params.copy()
+        state = ad.AdamState(lr=1e-2)
+        ref_state = ad.AdamState(lr=1e-2)
+        for _ in range(steps):
+            grads = {name: rng.normal(size=p.shape) for name, p in params.named()}
+            grads["b0"][:] = 0.0
+            ad.adam_step(state, dict(params.named()), grads)
+            helpers.reference_adam_step(ref_state, dict(ref_params.named()), grads)
+        _assert_params_equal(params, ref_params)
+        for name in ref_state.m:
+            assert np.array_equal(state.m[name], ref_state.m[name])
+            assert np.array_equal(state.v[name], ref_state.v[name])

@@ -290,6 +290,23 @@ class TestFitCommand:
         assert "mask dimensions" in res.stderr
 
 
+    @pytest.mark.parametrize(
+        "raw", [b"P5\n16 16\n255\n" + bytes(100), b"P5\n16 sixteen\n255\n"]
+    )
+    def test_bad_target_image_is_io_error(self, trained, raw):
+        ws, ckpt = trained
+        target = ws / "bad.pgm"
+        target.write_bytes(raw)
+        res = run_cli(
+            "--config", ws / "config.json", "fit", "--checkpoint", ckpt,
+            "--target", target, "--label", "A",
+        )
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "PGM" in res.stderr
+
+
 class TestEvalCommand:
     def test_metrics_table_columns(self, trained):
         ws, ckpt = trained

@@ -1,8 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import helpers
 from glyphsdf import autodecoder as ad
 from glyphsdf import field, geometry, render
+from glyphsdf.errors import ImageError
 from glyphsdf.config import FieldSettings, TrainSettings
 from glyphsdf.training import prepare_glyph, train
 
@@ -166,6 +171,38 @@ class TestZeroLevel:
         assert isinstance(data, list)
 
 
+@st.composite
+def level_grids(draw):
+    """Fields of 2xN to 12x12 nodes: small integers (exact zeros and saddles
+    are common) or smooth random values, whose zero sets reach the border."""
+    h = draw(st.integers(2, 12))
+    w = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(-2, 3, size=(h, w)).astype(np.float64) * 0.5
+    return rng.normal(size=(h, w))
+
+
+class TestZeroLevelReference:
+    @settings(max_examples=200, deadline=None)
+    @given(level_grids())
+    def test_equals_cell_loop(self, grid):
+        contours = render.extract_zero_level(grid)
+        ref = helpers.reference_extract_zero_level(grid)
+        assert len(contours) == len(ref)
+        for c, r in zip(contours, ref):
+            assert np.array_equal(c, r)
+
+    def test_saddles_and_zeros(self):
+        grid = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
+        for field_ in (grid, -grid, grid.T):
+            contours = render.extract_zero_level(field_)
+            ref = helpers.reference_extract_zero_level(field_)
+            assert len(contours) == len(ref) > 0
+            for c, r in zip(contours, ref):
+                assert np.array_equal(c, r)
+
+
 class TestPgm:
     def test_all_white(self, tmp_path):
         p = tmp_path / "w.pgm"
@@ -201,4 +238,47 @@ class TestPgm:
         p = tmp_path / "x.pgm"
         p.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
         with pytest.raises(ValueError):
+            render.read_image(p)
+
+    def test_read_rejects_non_pgm_with_image_error(self, tmp_path):
+        p = tmp_path / "x.pgm"
+        p.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+        with pytest.raises(ImageError, match="not a binary PGM"):
+            render.read_image(p)
+
+    def test_reads_16_bit_big_endian(self, tmp_path):
+        p = tmp_path / "wide.pgm"
+        p.write_bytes(b"P5\n3 1\n65535\n" + struct.pack(">3H", 65535, 32768, 256))
+        back = render.read_image(p)
+        assert back.shape == (1, 3)
+        assert np.array_equal(back[0], np.array([65535, 32768, 256]) / 65535.0)
+
+    def test_truncated_payload(self, tmp_path):
+        for header, payload in ((b"P5\n4 4\n255\n", bytes(10)), (b"P5\n2 2\n1000\n", bytes(7))):
+            p = tmp_path / "t.pgm"
+            p.write_bytes(header + payload)
+            with pytest.raises(ImageError, match="truncated"):
+                render.read_image(p)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"P5\n4 x\n255\n" + bytes(16),
+            b"P5\n0 4\n255\n",
+            b"P5\n2 2\n0\n" + bytes(4),
+            b"P5\n2 2\n70000\n" + bytes(8),
+            b"P5\n2",
+            b"P5 -2 2 255 " + bytes(4),
+        ],
+    )
+    def test_bad_header(self, tmp_path, raw):
+        p = tmp_path / "h.pgm"
+        p.write_bytes(raw)
+        with pytest.raises(ImageError, match="PGM header"):
+            render.read_image(p)
+
+    def test_sample_above_maxval(self, tmp_path):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(b"P5\n2 1\n100\n" + bytes([50, 200]))
+        with pytest.raises(ImageError, match="above maxval"):
             render.read_image(p)
