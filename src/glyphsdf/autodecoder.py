@@ -401,6 +401,15 @@ def load_checkpoint(path, expect_alphabet=None):
         raise CheckpointError(
             f"checkpoint version {manifest.get('version')} unsupported (want {CKPT_VERSION})"
         )
+    try:
+        return _bundle_from(manifest, raw[start + blob_len :], path, expect_alphabet)
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint {path} has no {exc.args[0]!r} entry") from None
+
+
+def _bundle_from(manifest, payload, path, expect_alphabet):
+    """The bundle a decoded manifest and its array payload describe; a
+    missing manifest or array entry raises KeyError."""
     if expect_alphabet is not None and manifest["alphabet"] != expect_alphabet:
         raise CheckpointError(
             "checkpoint alphabet does not match the configured alphabet"
@@ -409,7 +418,6 @@ def load_checkpoint(path, expect_alphabet=None):
         config = NetworkConfig(**manifest["network"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad network description in {path}: {exc}") from exc
-    payload = raw[start + blob_len :]
     arrays = {}
     for spec in manifest["arrays"]:
         size = int(np.prod(spec["shape"])) if spec["shape"] else 1

@@ -79,20 +79,20 @@ def _build_parser():
 
 def _load_config(args):
     from .config import RunConfig
-    from .errors import ConfigError
 
     path = args.config or os.environ.get(CONFIG_ENV)
     cfg = RunConfig.load(path) if path else RunConfig()
-    cfg.apply_overrides(args.set)
+    # flags win over --set, and pass the same validation
+    overrides = list(args.set)
     if args.seed is not None:
-        cfg.train.seed = args.seed
+        overrides.append(f"train.seed={args.seed}")
     if args.threads is not None:
-        cfg.train.threads = args.threads
+        overrides.append(f"train.threads={args.threads}")
     if getattr(args, "mode", None) == "n1":
-        cfg.field.channels = 1
+        overrides.append("field.channels=1")
     elif getattr(args, "mode", None) == "pixel":
-        cfg.train.supervision = "pixel"
-    return cfg
+        overrides.append('train.supervision="pixel"')
+    return cfg.apply_overrides(overrides)
 
 
 def _out_dir(cfg):
@@ -128,7 +128,8 @@ def _prepare_dataset(cfg, report=None):
     from . import templates as templates_mod
     from .errors import GlyphSdfError
     from .glyphs import glyph_from_path, load_manifest
-    from .training import PreparedGlyph
+    from .render import write_image
+    from .training import PreparedGlyph, prepare_glyph
 
     if not cfg.dataset.manifest:
         raise _UsageError("config has no dataset.manifest")
@@ -160,34 +161,27 @@ def _prepare_dataset(cfg, report=None):
         if cached is not None and cached.get("hash") == digest:
             sdf = field_mod.read_grid(stem.with_suffix(".sdf.grid"))[0].astype(np.float64)
             templates = templates_mod.templates_from_arrays(
-                field_mod.read_grid(stem.with_suffix(".templates.grid")),
-                cached["corners"],
-                cfg.field.train_width,
+                cached["corners"], cfg.field.train_width
+            )
+            item = PreparedGlyph(
+                entry.family_id, entry.family_index, entry.label, glyph, sdf, templates
             )
             skipped += 1
         else:
-            from . import geometry, render as render_mod
-
-            sdf = geometry.sdf_grid(glyph, cfg.field.train_width)
-            # training always sees the stored float32 precision, so runs are
-            # identical whether the prepared cache was hit or rebuilt
-            sdf = sdf.astype(np.float32).astype(np.float64)
-            templates = templates_mod.build_templates(
-                glyph, cfg.field.train_width, cfg.field.corner_threshold
+            item = prepare_glyph(
+                glyph, entry.family_id, entry.family_index, entry.label, cfg.field
             )
-            grids, corner_meta = templates_mod.templates_to_arrays(templates)
-            field_mod.write_grid(stem.with_suffix(".sdf.grid"), sdf)
-            field_mod.write_grid(stem.with_suffix(".templates.grid"), grids)
-            render_mod.write_image(
+            field_mod.write_grid(stem.with_suffix(".sdf.grid"), item.sdf)
+            write_image(
                 stem.with_suffix(".pgm"),
-                field_mod.kernel(sdf, cfg.field.gamma_final),
+                field_mod.kernel(item.sdf, cfg.field.gamma_final),
             )
             meta = {
                 "hash": digest,
                 "family": entry.family_id,
                 "label": entry.label_char,
                 "train_width": cfg.field.train_width,
-                "corners": corner_meta,
+                "corners": templates_mod.templates_to_arrays(item.templates),
                 "sampling": {
                     "rho": cfg.train.rho,
                     "min_homogeneous": cfg.train.min_homogeneous,
@@ -198,11 +192,7 @@ def _prepare_dataset(cfg, report=None):
                 json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
             rebuilt += 1
-        prepared.append(
-            PreparedGlyph(
-                entry.family_id, entry.family_index, entry.label, glyph, sdf, templates
-            )
-        )
+        prepared.append(item)
     if report:
         report(f"prepared {len(entries)} glyphs: {rebuilt} rebuilt, {skipped} skipped")
     return prepared
@@ -286,6 +276,14 @@ def cmd_train(cfg, args):
     return 0
 
 
+def _check_width(width):
+    from .field import MIN_WIDTH
+
+    if width < MIN_WIDTH:
+        raise _UsageError(f"--res width {width} is below the minimum of {MIN_WIDTH}")
+    return width
+
+
 def _parse_res_list(text):
     try:
         values = [int(v) for v in str(text).split(",") if v]
@@ -293,7 +291,7 @@ def _parse_res_list(text):
         raise _UsageError(f"bad --res list {text!r}") from None
     if not values:
         raise _UsageError("--res needs at least one width")
-    return values
+    return [_check_width(v) for v in values]
 
 
 def cmd_render(cfg, args):
@@ -304,6 +302,7 @@ def cmd_render(cfg, args):
         write_contours, write_image, zero_level_field,
     )
 
+    widths = _parse_res_list(args.res)
     bundle = ad.load_checkpoint(args.checkpoint)
     z = _family_latent(bundle, args.family)
     label = _label_index(bundle, args.label)
@@ -311,7 +310,7 @@ def cmd_render(cfg, args):
     train_grid = None
     if args.method == "bilateral" or args.channels:
         train_grid = field_grid(bundle, z, label, bundle.train_width)
-    for width in _parse_res_list(args.res):
+    for width in widths:
         name = f"render_{_safe_name(args.family, args.label)}_{args.method}_{width}"
         # one network evaluation per width serves the image, the channel
         # images and the contours
@@ -340,7 +339,7 @@ def cmd_render(cfg, args):
         field_mod.write_grid(
             out / f"channels_{_safe_name(args.family, args.label)}.grid", train_grid
         )
-    print(f"rendered {len(_parse_res_list(args.res))} image(s) into {out}")
+    print(f"rendered {len(widths)} image(s) into {out}")
     return 0
 
 
@@ -350,6 +349,7 @@ def cmd_interpolate(cfg, args):
 
     if args.steps < 2:
         raise _UsageError("--steps must be >= 2 (endpoints included)")
+    _check_width(args.res)
     bundle = ad.load_checkpoint(args.checkpoint)
     za = _family_latent(bundle, args.family_a)
     zb = _family_latent(bundle, args.family_b)
@@ -375,6 +375,7 @@ def cmd_fit(cfg, args):
     from .render import read_image, render_implicit, write_image
     from .training import fit_latent
 
+    _check_width(args.res)
     bundle = ad.load_checkpoint(args.checkpoint)
     label = _label_index(bundle, args.label)
     target = read_image(args.target)

@@ -1,5 +1,8 @@
 """Run configuration: JSON document with dataset/field/train/eval/paths
 sections, strict about unknown keys, with flag overrides applied on top.
+
+Each section validates its own values when it is built, so values from the
+file and from overrides pass the same checks.
 """
 from __future__ import annotations
 
@@ -9,7 +12,13 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .errors import ConfigError
+from .field import MIN_WIDTH
 from .glyphs import DEFAULT_ALPHABET, DEFAULT_MARGIN
+
+
+def _require(ok, message):
+    if not ok:
+        raise ConfigError(message)
 
 
 @dataclass
@@ -25,6 +34,14 @@ class FieldSettings:
     aa_k: float = 4.0
     train_width: int = 64
     corner_threshold: float = 3.0
+
+    def __post_init__(self):
+        _require(self.channels in (1, 3), f"field.channels must be 1 or 3, got {self.channels!r}")
+        _require(self.aa_k > 0, f"field.aa_k must be > 0, got {self.aa_k!r}")
+        _require(
+            self.train_width >= MIN_WIDTH,
+            f"field.train_width must be >= {MIN_WIDTH}, got {self.train_width!r}",
+        )
 
     @property
     def gamma_final(self):
@@ -56,12 +73,25 @@ class TrainSettings:
     threads: int | None = None   # 1 forces the bit-reproducible mode
 
     def __post_init__(self):
-        if self.supervision not in ("sdf", "pixel"):
-            raise ConfigError(f"supervision must be 'sdf' or 'pixel', got {self.supervision!r}")
-        if min(self.alpha, self.beta, self.gamma_reg) < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if not 0.0 <= self.eikonal_ratio <= 1.0:
-            raise ConfigError("eikonal_ratio must be in [0, 1]")
+        _require(
+            self.supervision in ("sdf", "pixel"),
+            f"train.supervision must be 'sdf' or 'pixel', got {self.supervision!r}",
+        )
+        _require(
+            min(self.alpha, self.beta, self.gamma_reg) >= 0,
+            "train.alpha, train.beta and train.gamma_reg must be >= 0",
+        )
+        _require(0.0 <= self.eikonal_ratio <= 1.0, "train.eikonal_ratio must be in [0, 1]")
+        _require(self.epochs >= 1, f"train.epochs must be >= 1, got {self.epochs!r}")
+        _require(self.lr > 0 and self.fit_lr > 0, "train.lr and train.fit_lr must be > 0")
+        _require(
+            self.hidden_layers >= 1 and self.hidden_width >= 1,
+            "train.hidden_layers and train.hidden_width must be >= 1",
+        )
+        _require(
+            self.samples_cap is None or self.samples_cap >= 1,
+            f"train.samples_cap must be null or >= 1, got {self.samples_cap!r}",
+        )
 
 
 @dataclass
@@ -69,10 +99,28 @@ class EvalSettings:
     resolutions: list = dc_field(default_factory=lambda: [128, 256, 512, 1024])
     methods: list = dc_field(default_factory=lambda: ["implicit", "bilateral"])
 
+    def __post_init__(self):
+        _require(
+            all(width >= MIN_WIDTH for width in self.resolutions),
+            f"eval.resolutions must all be >= {MIN_WIDTH}, got {self.resolutions!r}",
+        )
+        _require(
+            all(m in ("implicit", "bilateral") for m in self.methods),
+            f"eval.methods must be 'implicit' or 'bilateral', got {self.methods!r}",
+        )
+
 
 @dataclass
 class PathsSettings:
     output_dir: str = "out"
+
+
+def _build_section(name, section_cls, values):
+    """One validated section; a value of the wrong type is a ConfigError."""
+    try:
+        return section_cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config section {name!r}: {exc}") from exc
 
 
 _SECTIONS = {
@@ -108,10 +156,7 @@ class RunConfig:
             bad = set(section) - valid
             if bad:
                 raise ConfigError(f"unknown keys in section {name!r}: {sorted(bad)}")
-            try:
-                kwargs[name] = section_cls(**section)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad config section {name!r}: {exc}") from exc
+            kwargs[name] = _build_section(name, section_cls, section)
         return cls(**kwargs)
 
     @classmethod
@@ -145,7 +190,8 @@ class RunConfig:
                 value = json.loads(raw)
             except json.JSONDecodeError:
                 value = raw  # bare strings are convenient on the command line
-            setattr(section, key, value)
+            values = {**dataclasses.asdict(section), key: value}
+            setattr(self, section_name, _build_section(section_name, type(section), values))
         return self
 
     def echo(self, path):

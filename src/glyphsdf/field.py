@@ -14,32 +14,16 @@ time and a differentiable surrogate at training time.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, GeometryError
+from .errors import CheckpointError
 from . import geometry
 
 
-@dataclass
-class FieldConfig:
-    """Channel count and anti-alias band for one trained field."""
-
-    channels: int = 3
-    aa_k: float = 4.0
-    train_width: int = 64
-
-    def __post_init__(self):
-        if self.channels not in (1, 3):
-            raise GeometryError(f"channels must be 1 or 3, got {self.channels}")
-        if self.aa_k <= 0 or self.train_width < 8:
-            raise GeometryError("aa_k must be > 0 and train_width >= 8")
-
-    @property
-    def gamma_final(self):
-        return self.aa_k / self.train_width
+# smallest grid width a field is trained or rendered at
+MIN_WIDTH = 8
 
 
 def kernel(d, gamma):
@@ -66,30 +50,6 @@ def compose_median(channels, axis=-1):
     if c.shape[axis] == 1:
         return np.take(c, 0, axis=axis)
     return np.median(c, axis=axis)
-
-
-def compose_train(channels, mode, axis=-1):
-    """Differentiable training composition.
-
-    mode="mean": plain channel mean (warm-up).
-    mode="median_pair": average of the median and the channel value closest
-    to it; an exact tie picks the smaller of the two equidistant values.
-    """
-    c = np.asarray(channels, dtype=np.float64)
-    if c.shape[axis] == 1:
-        return np.take(c, 0, axis=axis)
-    if mode == "mean":
-        return np.mean(c, axis=axis)
-    if mode == "median_pair":
-        if c.shape[axis] != 3:
-            raise ValueError("median_pair composition needs exactly 3 channels")
-        s = np.sort(c, axis=axis)
-        a = np.take(s, 0, axis=axis)
-        b = np.take(s, 1, axis=axis)
-        hi = np.take(s, 2, axis=axis)
-        near = np.where(b - a <= hi - b, a, hi)
-        return 0.5 * (b + near)
-    raise ValueError(f"unknown composition mode {mode!r}")
 
 
 def compose_train_grad(channels, mode):

@@ -143,22 +143,6 @@ def nearest_on_segment(points, segment, n_init=32, n_newton=8):
     return _nearest_curve(pts, P, n_init, n_newton)
 
 
-def segment_distance(p, segment):
-    """Global minimum distance from a single point to a segment.
-
-    Returns (distance, t).  Ties resolve to the smallest parameter: the
-    dense seed sweep scans t in increasing order and ``argmin`` keeps the
-    first minimum, so the polished result comes from the lowest-t basin.
-    """
-    P = np.asarray(p, dtype=np.float64)[None, :]
-    pts = segment.points if hasattr(segment, "points") else np.asarray(segment, float)
-    if len(pts) == 2:
-        d, t = _nearest_line(pts, P)
-    else:
-        d, t = _nearest_curve(pts, P, n_init=257, n_newton=24)
-    return float(d[0]), float(t[0])
-
-
 # ---------------------------------------------------------------------------
 # winding numbers via y-monotone pieces
 
@@ -283,17 +267,6 @@ def winding_number(p, glyph, pieces=None):
 
 def _all_segments(glyph):
     return [seg for contour in glyph.contours for seg in contour.segments]
-
-
-def glyph_sdf(p, glyph):
-    """Signed distance from a single point; positive inside the glyph."""
-    P = np.asarray(p, dtype=np.float64)[None, :]
-    best = np.inf
-    for seg in _all_segments(glyph):
-        d, _ = segment_distance(P[0], seg)
-        best = min(best, d)
-    inside = winding_number(P[0], glyph) != 0
-    return best if inside else -best
 
 
 def pixel_centers(width, height=None):

@@ -206,27 +206,6 @@ def parse_path(text):
     return contours
 
 
-_CMD_BY_ORDER = {2: "L", 3: "Q", 4: "C"}
-
-
-def to_path_text(contours):
-    """Serialize contours back to path text; re-parsing is exact."""
-    if isinstance(contours, Glyph):
-        contours = contours.contours
-    parts = []
-    for contour in contours:
-        start = contour.segments[0].start
-        words = ["M", repr(float(start[0])), repr(float(start[1]))]
-        for seg in contour.segments:
-            words.append(_CMD_BY_ORDER[len(seg.points)])
-            for x, y in seg.points[1:]:
-                words.append(repr(float(x)))
-                words.append(repr(float(y)))
-        words.append("Z")
-        parts.append(" ".join(words))
-    return "\n".join(parts)
-
-
 def normalize(glyph, margin=DEFAULT_MARGIN):
     """Uniformly scale + translate so the bounding box is centered at the
     origin with max extent 2*(1 - margin).  Aspect ratio is preserved."""

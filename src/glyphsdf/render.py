@@ -21,13 +21,13 @@ import numpy as np
 from . import autodecoder as ad
 from . import geometry
 from .errors import ImageError
-from .field import compose_median, kernel
+from .field import MIN_WIDTH, compose_median, kernel
 
 
 def field_grid(bundle, z, label, width):
     """Raw channel outputs at all pixel centers, shape (n, W, W)."""
-    if width < 8:
-        raise ValueError(f"render width must be >= 8, got {width}")
+    if width < MIN_WIDTH:
+        raise ValueError(f"render width must be >= {MIN_WIDTH}, got {width}")
     pts = geometry.pixel_centers(width).reshape(-1, 2)
     out = ad.evaluate(bundle.network, bundle.params, pts, label, z)
     n = bundle.network.out_channels

@@ -34,16 +34,6 @@ class SampleConfig:
 
 
 @dataclass
-class FieldSample:
-    """One training location (row view into a SampleSet)."""
-
-    position: np.ndarray
-    kind: int
-    target_opacity: float
-    corner_ref: int = -1
-
-
-@dataclass
 class SampleSet:
     positions: np.ndarray        # (N, 2)
     targets: np.ndarray          # (N,)
@@ -54,16 +44,6 @@ class SampleSet:
 
     def __len__(self):
         return len(self.positions)
-
-    def sample(self, i):
-        ref = -1
-        for k, rows in enumerate(self.template_rows):
-            if i in rows:
-                ref = k
-                break
-        return FieldSample(
-            self.positions[i], int(self.kinds[i]), float(self.targets[i]), ref
-        )
 
 
 def _dilate3x3(mask):

@@ -64,13 +64,12 @@ def _rot90ccw(v):
     return np.array([-v[1], v[0]])
 
 
-def build_template(corner, width, gamma=None):
+def build_template(corner, width):
     """Build the window, quadrant labels and half-plane fields for a corner.
 
-    ``gamma`` is accepted for symmetry with the loss call sites but targets
-    are derived on demand via :meth:`CornerTemplate.targets`, so it is not
-    stored.  Windows that would leave [-1, 1]^2 are clipped and the lost
-    point count recorded.
+    Targets are derived on demand via :meth:`CornerTemplate.targets`.
+    Windows that would leave [-1, 1]^2 are clipped and the lost point count
+    recorded.
     """
     u = corner.tangent_in
     v = corner.tangent_out
@@ -170,28 +169,15 @@ def corner_loss_grad(pred, template, gamma):
     return best_sse / denom, grad
 
 
-def corner_loss(pred, template, gamma):
-    """Scalar form of :func:`corner_loss_grad`."""
-    return corner_loss_grad(pred, template, gamma)[0]
-
-
 # ---------------------------------------------------------------------------
-# serialization helpers (grid container payload + JSON metadata)
+# serialization: the prepared JSON stores each corner; the templates are
+# rebuilt from it
 
 
 def templates_to_arrays(templates):
-    """Pack half-plane fields into one (2C, w, w) array (NaN = clipped)."""
-    if not templates:
-        return np.zeros((0, 0, 0), dtype=np.float32), []
-    w_t = templates[0].window_size
-    grids = np.full((2 * len(templates), w_t, w_t), np.nan, dtype=np.float32)
+    """JSON-ready metadata, one dict per template."""
     meta = []
-    for k, tpl in enumerate(templates):
-        i0, j0 = tpl.origin
-        rr = tpl.pixel_ij[:, 0] - i0
-        cc = tpl.pixel_ij[:, 1] - j0
-        grids[2 * k, rr, cc] = tpl.halfplane[:, 0]
-        grids[2 * k + 1, rr, cc] = tpl.halfplane[:, 1]
+    for tpl in templates:
         c = tpl.corner
         meta.append(
             {
@@ -202,17 +188,17 @@ def templates_to_arrays(templates):
                 "convex": bool(c.convex),
                 "contour_index": int(c.contour_index),
                 "junction_index": int(c.junction_index),
-                "origin": [int(i0), int(j0)],
+                "origin": [int(tpl.origin[0]), int(tpl.origin[1])],
                 "clipped": int(tpl.clipped),
             }
         )
-    return grids, meta
+    return meta
 
 
-def templates_from_arrays(grids, meta, width):
-    """Rebuild templates from :func:`templates_to_arrays` output."""
+def templates_from_arrays(meta, width):
+    """Rebuild templates from :func:`templates_to_arrays` metadata."""
     templates = []
-    for k, info in enumerate(meta):
+    for info in meta:
         corner = geometry.Corner(
             position=np.array(info["position"]),
             tangent_in=np.array(info["tangent_in"]),
@@ -222,6 +208,5 @@ def templates_from_arrays(grids, meta, width):
             contour_index=info["contour_index"],
             junction_index=info["junction_index"],
         )
-        tpl = build_template(corner, width)
-        templates.append(tpl)
+        templates.append(build_template(corner, width))
     return templates

@@ -14,15 +14,15 @@ prediction and target always share the same blur scale.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodecoder as ad
-from . import geometry, sampling, templates as templates_mod
+from . import geometry, templates as templates_mod
 from .errors import NumericalError
 from .field import compose_train_grad, kernel, kernel_grad
-from .sampling import SampleConfig, sample_glyph
+from .sampling import SampleConfig, SampleSet, sample_glyph
 
 
 @dataclass
@@ -30,10 +30,6 @@ class LossWeights:
     alpha: float = 1.0
     beta: float = 0.01
     gamma_reg: float = 1e-4
-
-    def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma_reg) < 0:
-            raise ValueError("loss weights must be non-negative")
 
 
 @dataclass
@@ -63,25 +59,6 @@ class LossTerms:
     local: float
     grad: float
     latent_norm: float
-
-
-def loss_global(pred_composed, targets):
-    """Mean squared error of the composed prediction against the targets."""
-    r = pred_composed - targets
-    return float(np.mean(r * r))
-
-
-def loss_eikonal(grad_xy):
-    """One-sided unit-gradient penalty.
-
-    ``grad_xy`` has shape (k, n, 2): spatial gradient of each channel at k
-    points.  Contributions are |1 - ||g||| where ||g|| < 1, else 0, averaged
-    over points and channels.
-    """
-    g = np.asarray(grad_xy, dtype=np.float64)
-    norm = np.sqrt(np.einsum("knc,knc->kn", g, g))
-    short = np.where(norm < 1.0, 1.0 - norm, 0.0)
-    return float(np.mean(short))
 
 
 def total_loss(
@@ -227,7 +204,10 @@ class PreparedGlyph:
 
 
 def prepare_glyph(glyph, family_id, family_index, label, field_settings):
+    # training always sees the float32 precision the prepared cache stores,
+    # so runs are identical whether the cache was hit or rebuilt
     sdf = geometry.sdf_grid(glyph, field_settings.train_width)
+    sdf = sdf.astype(np.float32).astype(np.float64)
     templates = templates_mod.build_templates(
         glyph, field_settings.train_width, field_settings.corner_threshold
     )
@@ -257,8 +237,6 @@ def _capped_view(samples, cap, rng):
     Returns a SampleSet sharing no rows semantics with the original (the
     template row indices are remapped into the subset).
     """
-    from .sampling import SampleSet
-
     n = len(samples)
     window_rows = (
         np.unique(np.concatenate(samples.template_rows))
@@ -490,39 +468,36 @@ def fit_latent(
     if len(idx) > max_points:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
         idx = idx[np.sort(rng.choice(len(idx), max_points, replace=False))]
-    pts = centers[idx]
-    tgt = targets[idx]
 
-    gamma = bundle.aa_k / width
-    net = bundle.network
-    params = bundle.params
+    # the training objective with the network frozen: the global term
+    # (median-pair composition at the final anti-alias range) plus the
+    # latent norm, over the unmasked pixels
+    samples = SampleSet(
+        positions=centers[idx],
+        targets=targets[idx],
+        kinds=np.zeros(len(idx), dtype=np.uint8),
+        template_rows=[],
+        rng_seed=seed,
+        gamma=bundle.aa_k / width,
+    )
+    weights = LossWeights(0.0, 0.0, gamma_reg)
     z = bundle.latents.mean_code().copy()
     adam = ad.AdamState(lr=lr)
     history = []
     for _ in range(steps):
-        if len(pts):
-            X = ad.assemble_inputs(pts, label, z, net.alphabet_size)
-            out, cache = ad.forward(net, params, X)
-            if bundle.supervision == "sdf":
-                C = kernel(out, gamma)
-            else:
-                C = out
-            composed, comp_grad = compose_train_grad(C, "median_pair")
-            residual = composed - tgt
-            loss = float(np.mean(residual * residual))
-            dC = (2.0 / len(pts)) * residual[:, None] * comp_grad
-            if bundle.supervision == "sdf":
-                d_out = dC * kernel_grad(out, gamma)
-            else:
-                d_out = dC
-            _, dX = ad.backward(net, params, cache, d_out, need_param_grads=False)
-            dz = dX[:, 2 + net.alphabet_size :].sum(axis=0)
-        else:
-            loss = 0.0
-            dz = np.zeros_like(z)
-        znorm = float(np.linalg.norm(z))
-        if znorm > 0:
-            dz = dz + gamma_reg * z / znorm
-        history.append(loss + gamma_reg * znorm)
+        terms, _, dz = total_loss(
+            bundle.network,
+            bundle.params,
+            z,
+            label,
+            samples,
+            [],
+            gamma=samples.gamma,
+            composer="median_pair",
+            weights=weights,
+            supervision=bundle.supervision,
+            need_param_grads=False,
+        )
+        history.append(terms.total)
         ad.adam_step(adam, {"z": z}, {"z": dz})
     return z, history

@@ -82,6 +82,25 @@ def ring_glyph(label=0, family_id="fam"):
     return glyphs.glyph_from_path(RING_PATH, label=label, family_id=family_id)
 
 
+def drop_checkpoint_entry(path, entry):
+    """Rewrite a checkpoint file without one manifest key, or without the
+    array table's record of the array named ``entry``."""
+    import json
+    import struct
+    from pathlib import Path
+
+    raw = Path(path).read_bytes()
+    n = struct.unpack_from("<I", raw, 8)[0]
+    manifest = json.loads(raw[12 : 12 + n])
+    names = [spec["name"] for spec in manifest["arrays"]]
+    if entry in names:
+        del manifest["arrays"][names.index(entry)]
+    else:
+        del manifest[entry]
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    Path(path).write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n :])
+
+
 def box_sdf(points, half):
     """Closed-form signed distance to an origin-centered axis-aligned square
     of half-width ``half``; positive inside."""
@@ -90,6 +109,23 @@ def box_sdf(points, half):
     outside = np.sqrt(np.sum(np.maximum(q, 0.0) ** 2, axis=-1))
     inside = np.minimum(np.maximum(q[..., 0], q[..., 1]), 0.0)
     return -(outside + inside)
+
+
+def to_path_text(contours):
+    """Serialize contours back to path text; re-parsing is exact."""
+    cmd_by_order = {2: "L", 3: "Q", 4: "C"}
+    parts = []
+    for contour in contours:
+        start = contour.segments[0].start
+        words = ["M", repr(float(start[0])), repr(float(start[1]))]
+        for seg in contour.segments:
+            words.append(cmd_by_order[len(seg.points)])
+            for x, y in seg.points[1:]:
+                words.append(repr(float(x)))
+                words.append(repr(float(y)))
+        words.append("Z")
+        parts.append(" ".join(words))
+    return "\n".join(parts)
 
 
 def dense_sweep_nearest(ctrl, p, n=100_000):
@@ -251,9 +287,41 @@ def outlines(draw):
 
 
 # ---------------------------------------------------------------------------
-# straightforward references for the allocation-lean network and ADAM code
-# and the vectorized marching squares; the package must equal them byte for
-# byte
+# straightforward references for the loss terms, the allocation-lean network
+# and ADAM code and the vectorized marching squares; the package must equal
+# the network, ADAM and marching-squares references byte for byte
+
+
+def reference_compose_train(channels, mode, axis=-1):
+    """Training composition written with a sort: the channel mean, or for
+    median_pair the average of the median and the channel value closest to
+    it (an exact tie picks the smaller of the two equidistant values)."""
+    c = np.asarray(channels, dtype=np.float64)
+    if c.shape[axis] == 1:
+        return np.take(c, 0, axis=axis)
+    if mode == "mean":
+        return np.mean(c, axis=axis)
+    s = np.sort(c, axis=axis)
+    a = np.take(s, 0, axis=axis)
+    b = np.take(s, 1, axis=axis)
+    hi = np.take(s, 2, axis=axis)
+    near = np.where(b - a <= hi - b, a, hi)
+    return 0.5 * (b + near)
+
+
+def reference_loss_global(pred_composed, targets):
+    """Mean squared error of the composed prediction against the targets."""
+    r = pred_composed - targets
+    return float(np.mean(r * r))
+
+
+def reference_loss_eikonal(grad_xy):
+    """One-sided unit-gradient penalty of (k, n, 2) spatial gradients:
+    |1 - ||g||| where ||g|| < 1, else 0, averaged over points and channels."""
+    g = np.asarray(grad_xy, dtype=np.float64)
+    norm = np.sqrt(np.einsum("knc,knc->kn", g, g))
+    short = np.where(norm < 1.0, 1.0 - norm, 0.0)
+    return float(np.mean(short))
 
 
 def reference_forward(config, params, X, need_cache=True):

@@ -341,6 +341,15 @@ class TestCheckpoint:
             ad.load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("entry", ["latents", "families", "arrays", "alphabet", "channels"])
+    def test_missing_manifest_entry(self, tmp_path, entry):
+        path = tmp_path / "x.ckpt"
+        ad.save_checkpoint(path, self._bundle(with_adam=False))
+        helpers.drop_checkpoint_entry(path, entry)
+        with pytest.raises(CheckpointError, match=f"no '{entry}' entry"):
+            ad.load_checkpoint(path)
+
+
 def test_assemble_inputs_layout():
     X = ad.assemble_inputs(np.array([[0.5, -0.5]]), label=1, z=np.arange(4.0), alphabet_size=3)
     assert X.shape == (1, 2 + 3 + 4)

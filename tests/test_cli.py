@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import L_PATH, SQUARE_PATH
+from helpers import L_PATH, SQUARE_PATH, drop_checkpoint_entry
 
 
 def run_cli(*args, cwd=None):
@@ -77,7 +77,8 @@ class TestPrepare:
         prep = workspace / "out" / "prepared"
         assert (prep / "fam__A.pgm").is_file()
         assert (prep / "fam__A.sdf.grid").is_file()
-        assert (prep / "fam__A.templates.grid").is_file()
+        # templates are rebuilt from the corners in the JSON; no payload file
+        assert not (prep / "fam__A.templates.grid").exists()
         meta = json.loads((prep / "fam__A.json").read_text())
         assert len(meta["corners"]) == 4  # square corners -> 4 templates
         res2 = run_cli("--config", workspace / "config.json", "prepare")
@@ -330,6 +331,72 @@ class TestEvalCommand:
         for row in rows:
             parts = row.split(",")
             assert 0.0 <= float(parts[3]) <= 1.0
+
+
+CKPT = object()  # stands for the trained checkpoint in a command
+
+
+def _in_file(section, key, value, *command):
+    """argv running ``command`` with one value of the config file replaced."""
+
+    def argv(ws, ckpt):
+        doc = json.loads((ws / "config.json").read_text())
+        doc[section][key] = value
+        (ws / "bad.json").write_text(json.dumps(doc))
+        return ["--config", ws / "bad.json", *[ckpt if a is CKPT else a for a in command]]
+
+    return argv
+
+
+def _with_set(override):
+    return lambda ws, ckpt: ["--config", ws / "config.json", "--set", override, "train"]
+
+
+def _command(*command):
+    return lambda ws, ckpt: [
+        "--config", ws / "config.json", *[ckpt if a is CKPT else a for a in command]
+    ]
+
+
+def _render_without(entry):
+    def argv(ws, ckpt):
+        path = ws / f"no_{entry}.ckpt"
+        path.write_bytes(ckpt.read_bytes())
+        drop_checkpoint_entry(path, entry)
+        return ["--config", ws / "config.json", "render", "--checkpoint", path,
+                "--family", "fam", "--label", "A"]
+
+    return argv
+
+
+BAD_INPUTS = [
+    # (case, argv from (workspace, checkpoint), documented exit code)
+    ("field.channels=2", _in_file("field", "channels", 2, "train"), 1),
+    ("field.aa_k=0", _in_file("field", "aa_k", 0, "train"), 1),
+    ("field.train_width=4", _in_file("field", "train_width", 4, "train"), 1),
+    ("eval.resolutions=[4]", _in_file("eval", "resolutions", [4], "eval", "--checkpoint", CKPT), 1),
+    ("train.hidden_layers=0", _in_file("train", "hidden_layers", 0, "train"), 1),
+    ("train.epochs=-3", _with_set("train.epochs=-3"), 1),
+    ("train.lr=-1", _with_set("train.lr=-1"), 1),
+    ("train.samples_cap=0", _with_set("train.samples_cap=0"), 1),
+    ("train.supervision=bogus", _with_set('train.supervision="bogus"'), 1),
+    ("train.alpha=-1", _with_set("train.alpha=-1"), 1),
+    ("render --res 4", _command(
+        "render", "--checkpoint", CKPT, "--family", "fam", "--label", "A", "--res", "4"), 1),
+    ("interpolate --res 0", _command(
+        "interpolate", "--checkpoint", CKPT, "--family-a", "fam", "--family-b", "fam",
+        "--label", "A", "--steps", "2", "--res", "0"), 1),
+    ("checkpoint without latents", _render_without("latents"), 3),
+]
+
+
+@pytest.mark.parametrize("case, argv, code", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_is_one_line_error(trained, case, argv, code):
+    ws, ckpt = trained
+    res = run_cli(*argv(ws, ckpt))
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1, res.stderr
 
 
 def test_env_var_config(workspace, monkeypatch):

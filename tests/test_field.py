@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glyphsdf import field, geometry
-from glyphsdf.errors import CheckpointError
+from glyphsdf.config import FieldSettings
+from glyphsdf.errors import CheckpointError, ConfigError
 
-from helpers import box_sdf, ring_glyph, square_glyph
+from helpers import box_sdf, reference_compose_train, ring_glyph, square_glyph
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -79,22 +80,23 @@ class TestCompose:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_median_pair_examples(self):
-        assert field.compose_train([0.2, 0.5, 0.9], "median_pair") == pytest.approx(0.35)
-        assert field.compose_train([0.0, 0.5, 1.0], "median_pair") == pytest.approx(0.25)
-        assert field.compose_train([0.2, 0.5, 0.9], "mean") == pytest.approx(
-            (0.2 + 0.5 + 0.9) / 3
-        )
+        def value(c, mode):
+            return field.compose_train_grad(c, mode)[0]
+
+        assert value([0.2, 0.5, 0.9], "median_pair") == pytest.approx(0.35)
+        assert value([0.0, 0.5, 1.0], "median_pair") == pytest.approx(0.25)
+        assert value([0.2, 0.5, 0.9], "mean") == pytest.approx((0.2 + 0.5 + 0.9) / 3)
 
     def test_single_channel_identity(self):
         c = np.array([[0.3], [0.8]])
         assert np.array_equal(field.compose_median(c), [0.3, 0.8])
-        assert np.array_equal(field.compose_train(c, "mean"), [0.3, 0.8])
-        assert np.array_equal(field.compose_train(c, "median_pair"), [0.3, 0.8])
+        assert np.array_equal(field.compose_train_grad(c, "mean")[0], [0.3, 0.8])
+        assert np.array_equal(field.compose_train_grad(c, "median_pair")[0], [0.3, 0.8])
 
     @given(st.tuples(unit, unit, unit))
     @settings(max_examples=300, deadline=None)
     def test_median_pair_between_min_and_max(self, c):
-        v = field.compose_train(list(c), "median_pair")
+        v = field.compose_train_grad(list(c), "median_pair")[0]
         assert min(c) - 1e-12 <= v <= max(c) + 1e-12
 
     @given(st.tuples(unit, unit, unit))
@@ -106,14 +108,14 @@ class TestCompose:
         rng = np.random.default_rng(5)
         c = rng.uniform(0, 1, (500, 3))
         for mode in ("mean", "median_pair"):
-            v1 = field.compose_train(c, mode)
+            v1 = reference_compose_train(c, mode)
             v2, g = field.compose_train_grad(c, mode)
             assert np.allclose(v1, v2, atol=1e-15)
             assert np.allclose(g.sum(axis=-1), 1.0, atol=1e-15)
             # linear in the active channels: directional derivative check
             h = 1e-7
             dc = rng.uniform(-1, 1, c.shape) * h
-            v3 = field.compose_train(c + dc, mode)
+            v3 = reference_compose_train(c + dc, mode)
             assert np.allclose(v3 - v1, (g * dc).sum(-1), atol=1e-9)
 
 
@@ -190,7 +192,7 @@ class TestGridContainer:
 
 
 def test_field_config_validation():
-    with pytest.raises(Exception):
-        field.FieldConfig(channels=2)
-    cfg = field.FieldConfig()
+    with pytest.raises(ConfigError):
+        FieldSettings(channels=2)
+    cfg = FieldSettings()
     assert cfg.gamma_final == pytest.approx(4 / 64)

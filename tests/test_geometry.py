@@ -13,23 +13,29 @@ from helpers import (
 )
 
 
+def nearest(p, seg):
+    """(distance, t) of one point through the batched nearest-point search."""
+    d, t = geometry.nearest_on_segment(p, seg)
+    return float(d[0]), float(t[0])
+
+
 class TestSegmentDistance:
     def test_perpendicular_foot(self):
         seg = glyphs.Segment([[0, 0], [1, 0]])
-        d, t = geometry.segment_distance((0.5, 1.0), seg)
+        d, t = nearest((0.5, 1.0), seg)
         assert d == pytest.approx(1.0, abs=1e-12)
         assert t == pytest.approx(0.5, abs=1e-12)
 
     def test_endpoint_clamp(self):
         seg = glyphs.Segment([[0, 0], [1, 0]])
-        d, t = geometry.segment_distance((2.0, 0.0), seg)
+        d, t = nearest((2.0, 0.0), seg)
         assert d == pytest.approx(1.0, abs=1e-12)
         assert t == 1.0
 
     def test_quadratic_vs_dense_sweep(self):
         ctrl = [[0, 0], [0.5, 1], [1, 0]]
         seg = glyphs.Segment(ctrl)
-        d, t = geometry.segment_distance((0.5, 0.6), seg)
+        d, t = nearest((0.5, 0.6), seg)
         d_ref, t_ref = dense_sweep_nearest(ctrl, (0.5, 0.6))
         assert d == pytest.approx(d_ref, abs=1e-6)
 
@@ -43,7 +49,7 @@ class TestSegmentDistance:
         for ctrl in curves:
             seg = glyphs.Segment(ctrl)
             for p in rng.uniform(-1.2, 1.2, size=(12, 2)):
-                d, _ = geometry.segment_distance(p, seg)
+                d, _ = nearest(p, seg)
                 d_ref, _ = dense_sweep_nearest(ctrl, p)
                 assert d == pytest.approx(d_ref, abs=1e-6)
 
@@ -51,26 +57,26 @@ class TestSegmentDistance:
         # point above the apex of a symmetric quadratic: two equidistant
         # nearest points; the smaller parameter wins
         seg = glyphs.Segment([[0, 0], [0.5, 1], [1, 0]])
-        _, t = geometry.segment_distance((0.5, 2.0), seg)
+        _, t = nearest((0.5, 2.0), seg)
         assert t <= 0.5 + 1e-9
 
 
 class TestGlyphSdf:
     def test_square_center(self):
         g = glyphs.Glyph(glyphs.parse_path("M 0 0 L 1 0 L 1 1 L 0 1 Z"))
-        assert geometry.glyph_sdf((0.5, 0.5), g) == pytest.approx(0.5, abs=1e-12)
+        assert sdf_batch((0.5, 0.5), g)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_square_outside(self):
         g = glyphs.Glyph(glyphs.parse_path("M 0 0 L 1 0 L 1 1 L 0 1 Z"))
-        assert geometry.glyph_sdf((0.5, -0.25), g) == pytest.approx(-0.25, abs=1e-12)
+        assert sdf_batch((0.5, -0.25), g)[0] == pytest.approx(-0.25, abs=1e-12)
 
     def test_point_in_ring_hole_is_negative(self):
         g = ring_glyph()
-        val = geometry.glyph_sdf((0.0, 0.0), g)
+        val = sdf_batch((0.0, 0.0), g)[0]
         assert val < 0
         # |value| equals distance to inner contour (the hole boundary)
         inner = min(
-            geometry.segment_distance((0.0, 0.0), s)[0]
+            nearest((0.0, 0.0), s)[0]
             for s in g.contours[1].segments
         )
         assert -val == pytest.approx(inner, abs=1e-9)
@@ -84,7 +90,7 @@ class TestGlyphSdf:
 
     def test_empty_glyph(self):
         g = glyphs.Glyph([])
-        assert geometry.glyph_sdf((0.0, 0.0), g) == -np.inf
+        assert sdf_batch((0.0, 0.0), g)[0] == -np.inf
 
 
 class TestSdfOracles:
@@ -194,8 +200,8 @@ class TestProperties:
         for y in np.linspace(-0.6, 0.6, 7):
             q = np.array([0.85, y])
             n = np.array([1.0, 0.0])
-            assert geometry.glyph_sdf(q + eps * n, g) < 0
-            assert geometry.glyph_sdf(q - eps * n, g) > 0
+            assert sdf_batch(q + eps * n, g)[0] < 0
+            assert sdf_batch(q - eps * n, g)[0] > 0
 
     def test_corner_count_rotation_invariant(self):
         base = l_glyph()

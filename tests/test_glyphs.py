@@ -4,6 +4,8 @@ import pytest
 from glyphsdf import glyphs
 from glyphsdf.errors import GeometryError, ManifestError, PathSyntaxError
 
+from helpers import to_path_text
+
 
 class TestParsePath:
     def test_square_with_auto_close(self):
@@ -62,7 +64,7 @@ class TestParsePath:
     def test_round_trip_exact(self):
         text = "M 0 0 Q 0.137 1.25 1 0 C 1.5 -0.5 0.25 0.125 0.1 0.7 Z"
         first = glyphs.parse_path(text)
-        second = glyphs.parse_path(glyphs.to_path_text(first))
+        second = glyphs.parse_path(to_path_text(first))
         assert len(first) == len(second)
         for c1, c2 in zip(first, second):
             assert len(c1.segments) == len(c2.segments)

@@ -152,11 +152,3 @@ class TestSampleGlyph:
         j = np.round((s.positions[edge, 0] + 1) / 2 * 64 - 0.5).astype(int)
         i = np.round((s.positions[edge, 1] + 1) / 2 * 64 - 0.5).astype(int)
         assert np.array_equal(s.targets[edge], image[i, j])
-
-    def test_sample_view(self):
-        g = square_glyph()
-        image, sdf, tpls = build_inputs(g)
-        s = sampling.sample_glyph(g, image, sdf, tpls, 4 / 64)
-        view = s.sample(0)
-        assert view.kind == sampling.KIND_EDGE
-        assert 0.0 <= view.target_opacity <= 1.0

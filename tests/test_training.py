@@ -5,12 +5,13 @@ from glyphsdf import autodecoder as ad
 from glyphsdf import field, geometry, sampling, templates, training
 from glyphsdf.config import FieldSettings, TrainSettings
 from glyphsdf.training import (
-    LossWeights, WarmupSchedule, fit_latent, loss_eikonal, loss_global,
-    prepare_glyph, total_loss, train,
+    LossWeights, WarmupSchedule, fit_latent, prepare_glyph, total_loss, train,
 )
 
 from gradcheck import relative_errors
-from helpers import square_glyph
+from helpers import (
+    reference_compose_train, reference_loss_eikonal, reference_loss_global, square_glyph,
+)
 
 LATENT = ad.LATENT_DIM
 
@@ -40,24 +41,27 @@ def small_sample_set(glyph=None, width=24, gamma=0.3, seed=0):
 
 
 class TestLossPieces:
+    """The reference loss terms against hand values, then the network's
+    eikonal term on an exactly linear field."""
+
     def test_loss_global_examples(self):
-        assert loss_global(np.array([0.2, 0.8]), np.array([0.2, 0.8])) == 0.0
-        assert loss_global(np.full(10, 0.5), np.concatenate([np.zeros(5), np.ones(5)])) == pytest.approx(0.25)
+        assert reference_loss_global(np.array([0.2, 0.8]), np.array([0.2, 0.8])) == 0.0
+        assert reference_loss_global(np.full(10, 0.5), np.concatenate([np.zeros(5), np.ones(5)])) == pytest.approx(0.25)
 
     def test_loss_global_matches_direct_recomputation(self):
         rng = np.random.default_rng(0)
         pred = rng.uniform(0, 1, 100)
         tgt = rng.uniform(0, 1, 100)
         direct = sum((p - t) ** 2 for p, t in zip(pred, tgt)) / 100
-        assert loss_global(pred, tgt) == pytest.approx(direct, abs=1e-12)
+        assert reference_loss_global(pred, tgt) == pytest.approx(direct, abs=1e-12)
 
     def test_loss_eikonal_branches(self):
         unit = np.zeros((4, 3, 2)); unit[..., 0] = 1.0
-        assert loss_eikonal(unit) == 0.0
+        assert reference_loss_eikonal(unit) == 0.0
         half = np.zeros((4, 3, 2)); half[..., 0] = 0.5
-        assert loss_eikonal(half) == pytest.approx(0.5)
+        assert reference_loss_eikonal(half) == pytest.approx(0.5)
         two = np.zeros((4, 3, 2)); two[..., 1] = 2.0
-        assert loss_eikonal(two) == 0.0
+        assert reference_loss_eikonal(two) == 0.0
 
     def test_eikonal_zero_for_exact_linear_field(self):
         # a LeakyReLU pair encodes d(x, y) = x exactly, so the stencil sees
@@ -173,10 +177,13 @@ class TestTotalLossContracts:
         # recompute each piece independently
         out = ad.evaluate(cfg, params, sample_set.positions, 0, z)
         C = field.kernel(out, 0.37)
-        composed = field.compose_train(C, "median_pair")
-        g = loss_global(composed, sample_set.targets)
+        composed = reference_compose_train(C, "median_pair")
+        g = reference_loss_global(composed, sample_set.targets)
         local = np.mean(
-            [templates.corner_loss(C[r], t, 0.37) for t, r in zip(tpls, sample_set.template_rows)]
+            [
+                templates.corner_loss_grad(C[r], t, 0.37)[0]
+                for t, r in zip(tpls, sample_set.template_rows)
+            ]
         )
         h = 1.0 / 48.0
         p = sample_set.positions[rows]
@@ -188,7 +195,7 @@ class TestTotalLossContracts:
             ad.evaluate(cfg, params, p + [0, h], 0, z)
             - ad.evaluate(cfg, params, p - [0, h], 0, z)
         ) / (2 * h)
-        eik = loss_eikonal(np.stack([gx, gy], axis=-1))
+        eik = reference_loss_eikonal(np.stack([gx, gy], axis=-1))
         expected = g + w.alpha * local + w.beta * eik + w.gamma_reg * np.linalg.norm(z)
         assert terms.total == pytest.approx(expected, abs=1e-12)
 
