@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError, NumericalError
+from .config import SUPERVISIONS, FieldSettings
+from .errors import CheckpointError, ConfigError, NumericalError
 
 LATENT_DIM = 128
 
@@ -324,7 +325,6 @@ class ModelBundle:
     params: Parameters
     latents: LatentTable
     alphabet: str
-    channels: int = 3
     aa_k: float = 4.0
     train_width: int = 64
     supervision: str = "sdf"
@@ -352,7 +352,7 @@ def save_checkpoint(path, bundle):
         "families": bundle.latents.family_ids,
         "frozen_latents": bundle.latents.frozen,
         "network": bundle.network.to_dict(),
-        "channels": bundle.channels,
+        "channels": bundle.network.out_channels,
         "aa_k": bundle.aa_k,
         "train_width": bundle.train_width,
         "supervision": bundle.supervision,
@@ -407,10 +407,22 @@ def load_checkpoint(path, expect_alphabet=None):
         raise CheckpointError(f"checkpoint {path} has no {exc.args[0]!r} entry") from None
 
 
+def _is_array_spec(spec):
+    """An array table record: a name, and a shape and byte offset of ints >= 0."""
+    if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+            and isinstance(spec.get("shape"), list)):
+        return False
+    return all(type(n) is int and n >= 0 for n in [spec.get("offset"), *spec["shape"]])
+
+
 def _bundle_from(manifest, payload, path, expect_alphabet):
     """The bundle a decoded manifest and its array payload describe; a
-    missing manifest or array entry raises KeyError."""
-    if expect_alphabet is not None and manifest["alphabet"] != expect_alphabet:
+    missing manifest or array entry raises KeyError, a bad value
+    CheckpointError."""
+    alphabet = manifest["alphabet"]
+    if not isinstance(alphabet, str):
+        raise CheckpointError(f"bad alphabet {alphabet!r} in {path}")
+    if expect_alphabet is not None and alphabet != expect_alphabet:
         raise CheckpointError(
             "checkpoint alphabet does not match the configured alphabet"
         )
@@ -418,6 +430,18 @@ def _bundle_from(manifest, payload, path, expect_alphabet):
         config = NetworkConfig(**manifest["network"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad network description in {path}: {exc}") from exc
+    channels, aa_k, train_width = manifest["channels"], manifest["aa_k"], manifest["train_width"]
+    try:
+        FieldSettings(channels=channels, aa_k=aa_k, train_width=train_width)
+    except (ConfigError, TypeError) as exc:
+        raise CheckpointError(f"bad field settings in {path}: {exc}") from None
+    if (channels, len(alphabet)) != (config.out_channels, config.alphabet_size):
+        raise CheckpointError(f"channels or alphabet in {path} do not match its network")
+    supervision = manifest.get("supervision", "sdf")
+    if supervision not in SUPERVISIONS:
+        raise CheckpointError(f"bad supervision {supervision!r} in {path}")
+    if not isinstance(manifest["arrays"], list) or not all(map(_is_array_spec, manifest["arrays"])):
+        raise CheckpointError(f"bad array table in {path}")
     arrays = {}
     for spec in manifest["arrays"]:
         size = int(np.prod(spec["shape"])) if spec["shape"] else 1
@@ -466,11 +490,10 @@ def _bundle_from(manifest, payload, path, expect_alphabet):
         network=config,
         params=Parameters(weights, biases),
         latents=latents,
-        alphabet=manifest["alphabet"],
-        channels=manifest["channels"],
-        aa_k=manifest["aa_k"],
-        train_width=manifest["train_width"],
-        supervision=manifest.get("supervision", "sdf"),
+        alphabet=alphabet,
+        aa_k=aa_k,
+        train_width=train_width,
+        supervision=supervision,
         train_config=manifest.get("train_config", {}),
         epoch=manifest.get("epoch", 0),
         adam=adam,

@@ -13,10 +13,13 @@ import os
 import sys
 from pathlib import Path
 
+# imports nothing, so numpy still loads after the thread pins
+from .errors import CheckpointError, GlyphSdfError, ImageError, NumericalError
+
 CONFIG_ENV = "GLYPHSDF_CONFIG"
 
 
-class _UsageError(Exception):
+class _UsageError(GlyphSdfError):
     pass
 
 
@@ -126,7 +129,6 @@ def _prepare_dataset(cfg, report=None):
 
     from . import field as field_mod
     from . import templates as templates_mod
-    from .errors import GlyphSdfError
     from .glyphs import glyph_from_path, load_manifest
     from .render import write_image
     from .training import PreparedGlyph, prepare_glyph
@@ -231,13 +233,15 @@ def cmd_prepare(cfg, args):
 
 def cmd_train(cfg, args):
     from . import autodecoder as ad
-    from .training import TrainingDiverged, train
+    from .training import TrainingDiverged, configured_network, train
 
     out = _out_dir(cfg)
-    dataset = _prepare_dataset(cfg, report=lambda msg: print(msg, file=sys.stderr))
     resume = None
     if args.resume:
         resume = ad.load_checkpoint(args.resume, expect_alphabet=cfg.dataset.alphabet)
+        # a checkpoint the config cannot continue fails before any work
+        configured_network(cfg.dataset.alphabet, cfg.field, cfg.train, resume)
+    dataset = _prepare_dataset(cfg, report=lambda msg: print(msg, file=sys.stderr))
     every = max(1, cfg.train.epochs // 20)
 
     def progress(epoch, row):
@@ -480,20 +484,9 @@ def main(argv=None):
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
-    from .errors import (
-        CheckpointError, ConfigError, GlyphSdfError, ImageError, ManifestError,
-        NumericalError, PathSyntaxError,
-    )
-
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg, args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ManifestError, PathSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -16,9 +16,24 @@ from .field import MIN_WIDTH
 from .glyphs import DEFAULT_ALPHABET, DEFAULT_MARGIN
 
 
+SUPERVISIONS = ("sdf", "pixel")
+
+
 def _require(ok, message):
     if not ok:
         raise ConfigError(message)
+
+
+def _require_integers(section, name):
+    """Integer fields (``int`` or ``int | None``) hold an int, not a bool
+    or a float.  The annotations are strings under the module's
+    ``from __future__ import annotations``."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if f.type == "int" or (f.type == "int | None" and value is not None):
+            _require(
+                type(value) is int, f"{name}.{f.name} must be an integer, got {value!r}"
+            )
 
 
 @dataclass
@@ -36,6 +51,7 @@ class FieldSettings:
     corner_threshold: float = 3.0
 
     def __post_init__(self):
+        _require_integers(self, "field")
         _require(self.channels in (1, 3), f"field.channels must be 1 or 3, got {self.channels!r}")
         _require(self.aa_k > 0, f"field.aa_k must be > 0, got {self.aa_k!r}")
         _require(
@@ -73,8 +89,9 @@ class TrainSettings:
     threads: int | None = None   # 1 forces the bit-reproducible mode
 
     def __post_init__(self):
+        _require_integers(self, "train")
         _require(
-            self.supervision in ("sdf", "pixel"),
+            self.supervision in SUPERVISIONS,
             f"train.supervision must be 'sdf' or 'pixel', got {self.supervision!r}",
         )
         _require(
@@ -82,6 +99,7 @@ class TrainSettings:
             "train.alpha, train.beta and train.gamma_reg must be >= 0",
         )
         _require(0.0 <= self.eikonal_ratio <= 1.0, "train.eikonal_ratio must be in [0, 1]")
+        _require(self.gamma_start > 0, f"train.gamma_start must be > 0, got {self.gamma_start!r}")
         _require(self.epochs >= 1, f"train.epochs must be >= 1, got {self.epochs!r}")
         _require(self.lr > 0 and self.fit_lr > 0, "train.lr and train.fit_lr must be > 0")
         _require(
@@ -101,8 +119,8 @@ class EvalSettings:
 
     def __post_init__(self):
         _require(
-            all(width >= MIN_WIDTH for width in self.resolutions),
-            f"eval.resolutions must all be >= {MIN_WIDTH}, got {self.resolutions!r}",
+            all(type(width) is int and width >= MIN_WIDTH for width in self.resolutions),
+            f"eval.resolutions must all be integers >= {MIN_WIDTH}, got {self.resolutions!r}",
         )
         _require(
             all(m in ("implicit", "bilateral") for m in self.methods),

@@ -1,9 +1,12 @@
-"""Exact glyph geometry: point-to-curve distance, winding numbers, corners.
+"""Exact glyph geometry: the pixel grid, point-to-curve distance, winding
+numbers, SDF grids and corners.
 
 Sign convention: positive signed distance inside the glyph (nonzero
-winding), negative outside.  All routines are pure and vectorized over
-query points where it matters; the scalar entry points simply wrap the
-batched ones.
+winding), negative outside.  All routines are pure.  The Bezier evaluators
+take a 1-D array of parameters and return one row per parameter, and the
+nearest-point search takes a batch of query points; a single point or
+parameter is a batch of one.  Every module maps between pixel indices and
+field coordinates through :func:`pixel_center` and :func:`pixel_index`.
 """
 from __future__ import annotations
 
@@ -20,6 +23,10 @@ CORNER_ANGLE_DEFAULT = 3.0  # radians
 
 _CHUNK = 1 << 17
 
+# nearest point on a curve: uniform seeds, then damped Newton steps
+_N_INIT = 32
+_N_NEWTON = 8
+
 # exact SDF grids: pixel tiles and hull pieces for distance culling, and an
 # absolute slack that covers rounding in the bounds and distances
 _TILE = 16
@@ -28,55 +35,42 @@ _SLACK = 1e-12
 
 
 def eval_segment(pts, t):
-    """Evaluate a Bezier segment (2-4 control points) at parameter(s) t."""
+    """Points of a Bezier segment (2-4 control points) at parameters t, (n, 2)."""
     t = np.asarray(t, dtype=np.float64)
     s = 1.0 - t
     if len(pts) == 2:
-        return np.outer(s, pts[0]) + np.outer(t, pts[1]) if t.ndim else s * pts[0] + t * pts[1]
+        return np.outer(s, pts[0]) + np.outer(t, pts[1])
     if len(pts) == 3:
-        b0, b1, b2 = (s * s, 2 * s * t, t * t)
-        coeffs = (b0, b1, b2)
+        coeffs = (s * s, 2 * s * t, t * t)
     else:
-        b0, b1, b2, b3 = (s * s * s, 3 * s * s * t, 3 * s * t * t, t * t * t)
-        coeffs = (b0, b1, b2, b3)
-    if t.ndim == 0:
-        return sum(c * p for c, p in zip(coeffs, pts))
+        coeffs = (s * s * s, 3 * s * s * t, 3 * s * t * t, t * t * t)
     return sum(np.outer(c, p) for c, p in zip(coeffs, pts))
 
 
 def eval_derivative(pts, t):
-    """First derivative of a Bezier segment at parameter(s) t."""
+    """First derivative of a Bezier segment at parameters t, (n, 2)."""
     t = np.asarray(t, dtype=np.float64)
     if len(pts) == 2:
-        d = pts[1] - pts[0]
-        return np.broadcast_to(d, t.shape + (2,)).copy() if t.ndim else d.copy()
+        return np.broadcast_to(pts[1] - pts[0], t.shape + (2,)).copy()
     s = 1.0 - t
     if len(pts) == 3:
-        d0, d1 = 2 * (pts[1] - pts[0]), 2 * (pts[2] - pts[1])
         coeffs = (s, t)
-        deltas = (d0, d1)
+        deltas = (2 * (pts[1] - pts[0]), 2 * (pts[2] - pts[1]))
     else:
-        d0, d1, d2 = 3 * (pts[1] - pts[0]), 3 * (pts[2] - pts[1]), 3 * (pts[3] - pts[2])
         coeffs = (s * s, 2 * s * t, t * t)
-        deltas = (d0, d1, d2)
-    if t.ndim == 0:
-        return sum(c * d for c, d in zip(coeffs, deltas))
+        deltas = (3 * (pts[1] - pts[0]), 3 * (pts[2] - pts[1]), 3 * (pts[3] - pts[2]))
     return sum(np.outer(c, d) for c, d in zip(coeffs, deltas))
 
 
 def eval_second_derivative(pts, t):
+    """Second derivative of a quadratic or cubic segment at parameters t, (n, 2)."""
     t = np.asarray(t, dtype=np.float64)
-    if len(pts) == 2:
-        return np.zeros(t.shape + (2,)) if t.ndim else np.zeros(2)
     if len(pts) == 3:
         dd = 2 * (pts[2] - 2 * pts[1] + pts[0])
-        return np.broadcast_to(dd, t.shape + (2,)).copy() if t.ndim else dd.copy()
+        return np.broadcast_to(dd, t.shape + (2,)).copy()
     a = 6 * (pts[2] - 2 * pts[1] + pts[0])
     b = 6 * (pts[3] - 2 * pts[2] + pts[1])
-    s = 1.0 - t
-    if t.ndim == 0:
-        return s * a + t * b
-    return np.outer(s, a) + np.outer(t, b)
+    return np.outer(1.0 - t, a) + np.outer(t, b)
 
 
 def _nearest_line(pts, P):
@@ -91,15 +85,15 @@ def _nearest_line(pts, P):
     return np.sqrt(np.einsum("ij,ij->i", diff, diff)), t
 
 
-def _nearest_curve(pts, P, n_init, n_newton):
+def _nearest_curve(pts, P):
     """Nearest parameter on a quadratic/cubic for every row of P.
 
     Seeds from a uniform parameter sweep, then polishes with damped Newton
     on f(t) = (P - B(t)) . B'(t), clamped to the seed's bracketing interval
     so the iteration cannot escape its basin.
     """
-    ts = np.linspace(0.0, 1.0, n_init)
-    C = eval_segment(pts, ts)  # (n_init, 2)
+    ts = np.linspace(0.0, 1.0, _N_INIT)
+    C = eval_segment(pts, ts)  # (_N_INIT, 2)
     best_t = np.empty(len(P))
     best_d2 = np.full(len(P), np.inf)
     # distance to every sample; chunk the point axis to bound memory
@@ -112,11 +106,11 @@ def _nearest_curve(pts, P, n_init, n_newton):
         j = np.argmin(d2, axis=1)
         best_t[s : s + _CHUNK] = ts[j]
         best_d2[s : s + _CHUNK] = d2[np.arange(len(block)), j]
-    h = 1.0 / (n_init - 1)
+    h = 1.0 / (_N_INIT - 1)
     lo = np.clip(best_t - h, 0.0, 1.0)
     hi = np.clip(best_t + h, 0.0, 1.0)
     t = best_t.copy()
-    for _ in range(n_newton):
+    for _ in range(_N_NEWTON):
         B = eval_segment(pts, t)
         B1 = eval_derivative(pts, t)
         B2 = eval_second_derivative(pts, t)
@@ -134,13 +128,12 @@ def _nearest_curve(pts, P, n_init, n_newton):
     return np.sqrt(d2), t
 
 
-def nearest_on_segment(points, segment, n_init=32, n_newton=8):
+def nearest_on_segment(points, segment):
     """Unsigned distance and nearest parameter for a batch of points."""
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    pts = segment.points if hasattr(segment, "points") else np.asarray(segment, float)
-    if len(pts) == 2:
-        return _nearest_line(pts, P)
-    return _nearest_curve(pts, P, n_init, n_newton)
+    if len(segment.points) == 2:
+        return _nearest_line(segment.points, P)
+    return _nearest_curve(segment.points, P)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +195,7 @@ def monotone_pieces(glyph):
         for seg in contour.segments:
             pts = seg.points
             knots = [0.0] + _derivative_roots_y(pts) + [1.0]
-            ys = [float(eval_segment(pts, np.float64(t))[1]) for t in knots]
+            ys = eval_segment(pts, knots)[:, 1].tolist()
             for (ta, tb), (ya, yb) in zip(zip(knots, knots[1:]), zip(ys, ys[1:])):
                 if ya != yb:
                     pieces.append(_MonotonePiece(pts, ta, tb, ya, yb))
@@ -215,13 +208,9 @@ def _piece_crossing_x(piece, y):
     if len(pts) == 2:
         t = (y - pts[0, 1]) / (pts[1, 1] - pts[0, 1])
         return pts[0, 0] + t * (pts[1, 0] - pts[0, 0])
-    if piece.upward:
-        a = np.full(len(y), piece.t0)
-        b = np.full(len(y), piece.t1)
-    else:
-        a = np.full(len(y), piece.t1)
-        b = np.full(len(y), piece.t0)
     # y(t) is monotone increasing from a to b
+    t_lo, t_hi = (piece.t0, piece.t1) if piece.upward else (piece.t1, piece.t0)
+    a, b = np.full(len(y), t_lo), np.full(len(y), t_hi)
     for _ in range(52):
         m = 0.5 * (a + b)
         ym = eval_segment(pts, m)[:, 1]
@@ -232,65 +221,15 @@ def _piece_crossing_x(piece, y):
     return eval_segment(pts, t)[:, 0]
 
 
-def winding_batch(points, glyph, pieces=None):
-    """Nonzero-rule winding number for a batch of points.
-
-    Each y-monotone piece counts a crossing when the query height lies in
-    the half-open interval [min(y), max(y)) of the piece and the crossing
-    sits strictly right of the query.  The half-open rule makes junction
-    hits exact: pass-throughs count once, tangential touches cancel.
-    """
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pieces is None:
-        pieces = monotone_pieces(glyph)
-    w = np.zeros(len(P), dtype=np.int64)
-    for piece in pieces:
-        ylo, yhi = (piece.y0, piece.y1) if piece.upward else (piece.y1, piece.y0)
-        sel = (P[:, 1] >= ylo) & (P[:, 1] < yhi)
-        if not sel.any():
-            continue
-        x = _piece_crossing_x(piece, P[sel, 1])
-        direction = 1 if piece.upward else -1
-        hits = x > P[sel, 0]
-        idx = np.flatnonzero(sel)[hits]
-        w[idx] += direction
-    return w
-
-
-def winding_number(p, glyph, pieces=None):
-    return int(winding_batch(np.asarray(p, float)[None, :], glyph, pieces)[0])
-
-
-# ---------------------------------------------------------------------------
-# signed distance
-
-
-def _all_segments(glyph):
-    return [seg for contour in glyph.contours for seg in contour.segments]
-
-
-def pixel_centers(width, height=None):
-    """Pixel-center grid over [-1, 1]^2: x_j=(j+.5)/W*2-1, y_i=(i+.5)/H*2-1.
-
-    Returns an (H, W, 2) array; row i corresponds to y_i (row 0 at the
-    bottom of the field domain).
-    """
-    if height is None:
-        height = width
-    xs = (np.arange(width) + 0.5) / width * 2.0 - 1.0
-    ys = (np.arange(height) + 0.5) / height * 2.0 - 1.0
-    grid = np.empty((height, width, 2))
-    grid[..., 0] = xs[None, :]
-    grid[..., 1] = ys[:, None]
-    return grid
-
-
 def _winding_grid(pieces, xs, ys):
     """Nonzero-rule winding number at every (ys[i], xs[j]), by scanlines.
 
-    The crossing of a piece depends only on the row height, so each piece
-    is bisected once per row, with the same floats as ``winding_batch``;
-    the pixels strictly left of the crossing (sorted ``xs``) count it.
+    Each y-monotone piece counts a crossing for the rows whose height lies
+    in the half-open interval [min(y), max(y)) of the piece, at the pixels
+    strictly left of the crossing (``xs`` sorted).  The half-open rule
+    makes junction hits exact: pass-throughs count once, tangential touches
+    cancel.  The crossing depends only on the row height, so each piece is
+    bisected once per row.
     """
     w = np.zeros((len(ys), len(xs) + 1), dtype=np.int64)
     for piece in pieces:
@@ -303,6 +242,46 @@ def _winding_grid(pieces, xs, ys):
         w[rows, 0] += direction
         w[rows, hits] -= direction
     return np.cumsum(w[:, :-1], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the pixel grid
+
+
+def pixel_center(index, n):
+    """Field coordinate of pixel ``index`` on an axis of ``n`` pixels that
+    spans [-1, 1]: (index + 0.5) / n * 2 - 1."""
+    return (np.asarray(index) + 0.5) / n * 2.0 - 1.0
+
+
+def pixel_index(coord, n):
+    """The pixel of an ``n``-pixel axis whose cell holds field coordinate
+    ``coord``, clamped to the axis; the inverse of :func:`pixel_center`."""
+    return int(np.clip(np.floor((coord + 1.0) / 2.0 * n), 0, n - 1))
+
+
+def pixel_points(ij, width):
+    """Centers (x, y) of the (row, col) pixels ``ij`` of a width x width grid."""
+    return np.stack([pixel_center(ij[:, 1], width), pixel_center(ij[:, 0], width)], axis=1)
+
+
+def pixel_centers(width, height=None):
+    """Pixel-center grid over [-1, 1]^2, shape (H, W, 2); row i holds
+    y = pixel_center(i, H) (row 0 at the bottom of the field domain)."""
+    if height is None:
+        height = width
+    grid = np.empty((height, width, 2))
+    grid[..., 0] = pixel_center(np.arange(width), width)[None, :]
+    grid[..., 1] = pixel_center(np.arange(height), height)[:, None]
+    return grid
+
+
+# ---------------------------------------------------------------------------
+# signed distance
+
+
+def _all_segments(glyph):
+    return [seg for contour in glyph.contours for seg in contour.segments]
 
 
 def _halve(pts):
@@ -391,8 +370,7 @@ def sdf_grid(glyph, width, band=None):
     where it is below ``band`` and clamped to +-band elsewhere, which is all
     an anti-aliased raster with gamma = band reads.
     """
-    centers = pixel_centers(width)
-    xs, ys = centers[0, :, 0], centers[:, 0, 1]
+    xs = ys = pixel_center(np.arange(width), width)
     d = _distance_grid(_all_segments(glyph), xs, ys, band)
     if band is not None:
         d = np.minimum(d, band)
@@ -425,7 +403,7 @@ class Corner:
 
 
 def _unit_tangent(seg, t, contour_index, seg_index):
-    d = eval_derivative(seg.points, np.float64(t))
+    d = eval_derivative(seg.points, [t])[0]
     norm = float(np.hypot(d[0], d[1]))
     if norm < 1e-12:
         raise GeometryError(
@@ -435,11 +413,11 @@ def _unit_tangent(seg, t, contour_index, seg_index):
     return d / norm
 
 
-def _contour_ink_side(glyph, contour, pieces):
+def _contour_ink_side(contour, pieces):
     """+1 when ink lies to the left of the travel direction, else -1.
 
-    Probes the winding number a small step to the left of the midpoint of
-    the longest segment (by control-polygon length).
+    Probes the glyph's winding number a small step to the left of the
+    midpoint of the longest segment (by control-polygon length).
     """
     lengths = [
         float(np.sum(np.hypot(*(np.diff(s.points, axis=0).T)))) for s in contour.segments
@@ -447,14 +425,14 @@ def _contour_ink_side(glyph, contour, pieces):
     order = np.argsort(lengths)[::-1]
     for idx in order:
         seg = contour.segments[idx]
-        mid = eval_segment(seg.points, np.float64(0.5))
-        d = eval_derivative(seg.points, np.float64(0.5))
+        mid = eval_segment(seg.points, [0.5])[0]
+        d = eval_derivative(seg.points, [0.5])[0]
         norm = float(np.hypot(d[0], d[1]))
         if norm < 1e-12:
             continue
         left = np.array([-d[1], d[0]]) / norm
-        probe = mid + 1e-4 * left
-        return 1 if winding_number(probe, glyph, pieces) != 0 else -1
+        x, y = mid + 1e-4 * left
+        return 1 if _winding_grid(pieces, np.array([x]), np.array([y]))[0, 0] != 0 else -1
     raise GeometryError("cannot determine ink side: contour has no usable tangent")
 
 
@@ -482,7 +460,7 @@ def detect_corners(glyph, threshold=CORNER_ANGLE_DEFAULT):
             if interior >= threshold:
                 continue
             if ink_side is None:
-                ink_side = _contour_ink_side(glyph, contour, pieces)
+                ink_side = _contour_ink_side(contour, pieces)
             cross = u[0] * v[1] - u[1] * v[0]
             corners.append(
                 Corner(

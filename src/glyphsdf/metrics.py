@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .templates import template_window_size
+from .templates import build_template
 
 
 def _check_shapes(a, b):
@@ -40,15 +40,11 @@ class CornerRegionResult:
 
 
 def corner_mask(templates, width):
-    """Union of corner windows scaled to the evaluation resolution."""
+    """Union of the templates' corner windows at the evaluation resolution."""
     mask = np.zeros((width, width), dtype=bool)
-    w_t = template_window_size(width)
-    h = w_t // 2
     for tpl in templates:
-        cx, cy = float(tpl.corner.position[0]), float(tpl.corner.position[1])
-        jc = int(np.clip(np.floor((cx + 1.0) / 2.0 * width), 0, width - 1))
-        ic = int(np.clip(np.floor((cy + 1.0) / 2.0 * width), 0, width - 1))
-        mask[max(ic - h, 0) : ic + h + 1, max(jc - h, 0) : jc + h + 1] = True
+        i, j = build_template(tpl.corner, width).pixel_ij.T
+        mask[i, j] = True
     return mask
 
 

@@ -130,15 +130,14 @@ def extract_zero_level(grid):
     if h < 2 or w < 2:
         return []
     inside = f > 0.0
-
-    def node_xy(i, j):
-        return ((j + 0.5) / w * 2.0 - 1.0, (i + 0.5) / h * 2.0 - 1.0)
+    xs = geometry.pixel_center(np.arange(w), w).tolist()
+    ys = geometry.pixel_center(np.arange(h), h).tolist()
 
     def interp(i0, j0, i1, j1):
         va, vb = f[i0, j0], f[i1, j1]
         t = va / (va - vb)
-        xa, ya = node_xy(i0, j0)
-        xb, yb = node_xy(i1, j1)
+        xa, ya = xs[j0], ys[i0]
+        xb, yb = xs[j1], ys[i1]
         return (xa + t * (xb - xa), ya + t * (yb - ya))
 
     # a cell is crossed unless its four corners agree; classify all cells at

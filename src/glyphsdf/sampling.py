@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .geometry import pixel_points
 
 KIND_EDGE = 0
 KIND_CORNER = 1
@@ -59,12 +60,6 @@ def _dilate3x3(mask):
     return out
 
 
-def _centers(ij, width):
-    x = (ij[:, 1] + 0.5) / width * 2.0 - 1.0
-    y = (ij[:, 0] + 0.5) / width * 2.0 - 1.0
-    return np.stack([x, y], axis=1)
-
-
 def sample_glyph(glyph, image, sdf, templates, gamma, config=None):
     """Build the deterministic sample set for one glyph.
 
@@ -89,7 +84,7 @@ def sample_glyph(glyph, image, sdf, templates, gamma, config=None):
     edge_ij = np.argwhere(_dilate3x3(aa))
     n_edge = len(edge_ij)
 
-    positions = [_centers(edge_ij, width)] if n_edge else []
+    positions = [pixel_points(edge_ij, width)] if n_edge else []
     targets = [image[edge_ij[:, 0], edge_ij[:, 1]]] if n_edge else []
     kinds = [np.full(n_edge, KIND_EDGE, dtype=np.uint8)] if n_edge else []
     row_of = {(int(i), int(j)): k for k, (i, j) in enumerate(edge_ij)}
@@ -110,7 +105,7 @@ def sample_glyph(glyph, image, sdf, templates, gamma, config=None):
             rows[k] = row_of[key]
         if new_ij:
             new_ij = np.asarray(new_ij)
-            positions.append(_centers(new_ij, width))
+            positions.append(pixel_points(new_ij, width))
             targets.append(np.asarray(new_t, dtype=np.float64))
             kinds.append(np.full(len(new_ij), KIND_CORNER, dtype=np.uint8))
         template_rows.append(rows)
@@ -129,7 +124,7 @@ def sample_glyph(glyph, image, sdf, templates, gamma, config=None):
         if want == 0:
             continue
         pick = cand[rng.choice(len(cand), want, replace=False)]
-        positions.append(_centers(pick, width))
+        positions.append(pixel_points(pick, width))
         targets.append(np.full(want, value))
         kinds.append(np.full(want, KIND_HOMOGENEOUS, dtype=np.uint8))
 

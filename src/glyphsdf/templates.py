@@ -84,8 +84,7 @@ def build_template(corner, width):
     w_t = template_window_size(width)
     h = w_t // 2
     cx, cy = float(corner.position[0]), float(corner.position[1])
-    jc = int(np.clip(np.floor((cx + 1.0) / 2.0 * width), 0, width - 1))
-    ic = int(np.clip(np.floor((cy + 1.0) / 2.0 * width), 0, width - 1))
+    jc, ic = geometry.pixel_index(cx, width), geometry.pixel_index(cy, width)
     i_lo, i_hi = ic - h, ic + h
     j_lo, j_hi = jc - h, jc + h
     rows = np.arange(max(i_lo, 0), min(i_hi, width - 1) + 1)
@@ -94,9 +93,7 @@ def build_template(corner, width):
 
     ii, jj = np.meshgrid(rows, cols, indexing="ij")
     pixel_ij = np.stack([ii.ravel(), jj.ravel()], axis=1)
-    xs = (pixel_ij[:, 1] + 0.5) / width * 2.0 - 1.0
-    ys = (pixel_ij[:, 0] + 0.5) / width * 2.0 - 1.0
-    points = np.stack([xs, ys], axis=1)
+    points = geometry.pixel_points(pixel_ij, width)
 
     rel = points - np.array([cx, cy])
     h1 = rel @ n1

@@ -13,6 +13,7 @@ prediction and target always share the same blur scale.
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import autodecoder as ad
 from . import geometry, templates as templates_mod
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .field import compose_train_grad, kernel, kernel_grad
 from .sampling import SampleConfig, SampleSet, sample_glyph
 
@@ -198,10 +199,6 @@ class PreparedGlyph:
     sdf: np.ndarray              # exact signed distance at train resolution
     templates: list
 
-    @property
-    def corners(self):
-        return [t.corner for t in self.templates]
-
 
 def prepare_glyph(glyph, family_id, family_index, label, field_settings):
     # training always sees the float32 precision the prepared cache stores,
@@ -262,6 +259,23 @@ def _capped_view(samples, cap, rng):
     )
 
 
+def configured_network(alphabet, field_settings, train_settings, resume):
+    """The network the settings describe.  A ``resume`` bundle (None for a
+    fresh run) must carry that same network, else :class:`ConfigError`."""
+    net = ad.NetworkConfig(
+        alphabet_size=len(alphabet),
+        out_channels=field_settings.channels,
+        hidden_layers=train_settings.hidden_layers,
+        width=train_settings.hidden_width,
+        skip_layer=min(3, train_settings.hidden_layers - 1),
+    )
+    if resume is not None and resume.network != net:
+        have, want = resume.network.to_dict(), net.to_dict()
+        diff = ", ".join(f"{k} {have[k]!r} (config: {want[k]!r})" for k in want if have[k] != want[k])
+        raise ConfigError(f"cannot resume: the checkpoint network has {diff}")
+    return net
+
+
 def train(
     dataset,
     alphabet,
@@ -274,9 +288,10 @@ def train(
     """Fit the network (and latent table) to a prepared dataset.
 
     Returns (bundle, log_rows).  ``resume`` continues from a loaded
-    :class:`~glyphsdf.autodecoder.ModelBundle`; the schedule and all RNG
-    streams are stateless functions of (seed, epoch, glyph), so a resumed
-    run is bit-identical to an uninterrupted one.
+    :class:`~glyphsdf.autodecoder.ModelBundle` whose network must be the
+    one the settings describe (:func:`configured_network`); the schedule
+    and all RNG streams are stateless functions of (seed, epoch, glyph), so
+    a resumed run is bit-identical to an uninterrupted one.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -295,27 +310,28 @@ def train(
     )
     weights = LossWeights(ts.alpha, ts.beta, ts.gamma_reg)
 
-    if resume is not None:
-        bundle = resume
-        net = bundle.network
-        params = bundle.params
-        latents = bundle.latents
-        adam = bundle.adam or ad.AdamState(lr=ts.lr)
-        start_epoch = bundle.epoch
-    else:
-        net = ad.NetworkConfig(
-            alphabet_size=len(alphabet),
-            out_channels=fs.channels,
-            hidden_layers=ts.hidden_layers,
-            width=ts.hidden_width,
-            skip_layer=min(3, ts.hidden_layers - 1),
-        )
+    net = configured_network(alphabet, fs, ts, resume)
+    if resume is None:
         params = ad.init_parameters(net, np.random.default_rng(np.random.SeedSequence([ts.seed, 10])))
         latents = ad.init_latents(
             family_ids, np.random.default_rng(np.random.SeedSequence([ts.seed, 11]))
         )
-        adam = ad.AdamState(lr=ts.lr)
-        start_epoch = 0
+        adam, start_epoch = ad.AdamState(lr=ts.lr), 0
+    else:
+        params, latents, start_epoch = resume.params, resume.latents, resume.epoch
+        adam = resume.adam or ad.AdamState(lr=ts.lr)
+    # the bundle the run ends with; params, latents and adam update in place
+    bundle = ad.ModelBundle(
+        network=net,
+        params=params,
+        latents=latents,
+        alphabet=alphabet,
+        aa_k=fs.aa_k,
+        train_width=fs.train_width,
+        supervision=ts.supervision,
+        epoch=ts.epochs,
+        adam=adam,
+    )
 
     deterministic = ts.threads == 1
     log_rows = []
@@ -400,32 +416,15 @@ def train(
                 "wall_ms": wall_ms,
             }
         )
-        last_good = ad.ModelBundle(
-            network=net,
+        last_good = dataclasses.replace(
+            bundle,
             params=params.copy(),
             latents=ad.LatentTable(latents.codes.copy(), list(latents.family_ids), latents.frozen),
-            alphabet=alphabet,
-            channels=fs.channels,
-            aa_k=fs.aa_k,
-            train_width=fs.train_width,
-            supervision=ts.supervision,
             epoch=epoch + 1,
+            adam=None,
         )
         if progress is not None:
             progress(epoch, log_rows[-1])
-
-    bundle = ad.ModelBundle(
-        network=net,
-        params=params,
-        latents=latents,
-        alphabet=alphabet,
-        channels=fs.channels,
-        aa_k=fs.aa_k,
-        train_width=fs.train_width,
-        supervision=ts.supervision,
-        epoch=ts.epochs,
-        adam=adam,
-    )
     return bundle, log_rows
 
 

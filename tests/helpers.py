@@ -82,9 +82,9 @@ def ring_glyph(label=0, family_id="fam"):
     return glyphs.glyph_from_path(RING_PATH, label=label, family_id=family_id)
 
 
-def drop_checkpoint_entry(path, entry):
-    """Rewrite a checkpoint file without one manifest key, or without the
-    array table's record of the array named ``entry``."""
+def edit_checkpoint_manifest(path, edit):
+    """Rewrite a checkpoint file's manifest with ``edit(manifest)`` applied
+    in place; the array payload is kept as it is."""
     import json
     import struct
     from pathlib import Path
@@ -92,13 +92,23 @@ def drop_checkpoint_entry(path, entry):
     raw = Path(path).read_bytes()
     n = struct.unpack_from("<I", raw, 8)[0]
     manifest = json.loads(raw[12 : 12 + n])
-    names = [spec["name"] for spec in manifest["arrays"]]
-    if entry in names:
-        del manifest["arrays"][names.index(entry)]
-    else:
-        del manifest[entry]
+    edit(manifest)
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     Path(path).write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n :])
+
+
+def drop_checkpoint_entry(path, entry):
+    """Rewrite a checkpoint file without one manifest key, or without the
+    array table's record of the array named ``entry``."""
+
+    def drop(manifest):
+        names = [spec["name"] for spec in manifest["arrays"]]
+        if entry in names:
+            del manifest["arrays"][names.index(entry)]
+        else:
+            del manifest[entry]
+
+    edit_checkpoint_manifest(path, drop)
 
 
 def box_sdf(points, half):
@@ -230,6 +240,33 @@ def edt_sdf_oracle(glyph, width, holes=None):
     return sdf_px * (2.0 / width)
 
 
+def winding_batch(points, glyph):
+    """Nonzero-rule winding number for a batch of points, point by point:
+    the reference that the scanline ``geometry._winding_grid`` must equal.
+
+    Each y-monotone piece counts a crossing when the query height lies in
+    the half-open interval [min(y), max(y)) of the piece and the crossing
+    sits strictly right of the query.
+    """
+    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    w = np.zeros(len(P), dtype=np.int64)
+    for piece in geometry.monotone_pieces(glyph):
+        ylo, yhi = (piece.y0, piece.y1) if piece.upward else (piece.y1, piece.y0)
+        sel = (P[:, 1] >= ylo) & (P[:, 1] < yhi)
+        if not sel.any():
+            continue
+        x = geometry._piece_crossing_x(piece, P[sel, 1])
+        direction = 1 if piece.upward else -1
+        hits = x > P[sel, 0]
+        idx = np.flatnonzero(sel)[hits]
+        w[idx] += direction
+    return w
+
+
+def winding_number(p, glyph):
+    return int(winding_batch(np.asarray(p, float)[None, :], glyph)[0])
+
+
 def sdf_batch(points, glyph):
     """Per-point signed distance (positive inside): the minimum of
     ``nearest_on_segment`` over every segment, signed by ``winding_batch``.
@@ -242,7 +279,7 @@ def sdf_batch(points, glyph):
     for contour in glyph.contours:
         for seg in contour.segments:
             np.minimum(d, geometry.nearest_on_segment(P, seg)[0], out=d)
-    return np.where(geometry.winding_batch(P, glyph) != 0, d, -d)
+    return np.where(winding_batch(P, glyph) != 0, d, -d)
 
 
 def _snap(p):

@@ -250,7 +250,6 @@ class TestCheckpoint:
             params=params,
             latents=latents,
             alphabet="AB",
-            channels=3,
             train_config={"note": "test"},
             epoch=7,
             adam=adam,
@@ -302,17 +301,9 @@ class TestCheckpoint:
 
     def test_shape_mismatch_detected(self, tmp_path):
         # corrupt the manifest's network config: width changes, arrays stay
-        import json, struct
-
-        bundle = self._bundle(with_adam=False)
         path = tmp_path / "x.ckpt"
-        ad.save_checkpoint(path, bundle)
-        raw = path.read_bytes()
-        n = struct.unpack_from("<I", raw, 8)[0]
-        manifest = json.loads(raw[12 : 12 + n])
-        manifest["network"]["width"] = 32
-        blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n :])
+        ad.save_checkpoint(path, self._bundle(with_adam=False))
+        helpers.edit_checkpoint_manifest(path, lambda m: m["network"].update(width=32))
         with pytest.raises(CheckpointError):
             ad.load_checkpoint(path)
 
@@ -326,17 +317,9 @@ class TestCheckpoint:
         ],
     )
     def test_bad_network_description(self, tmp_path, corrupt):
-        import json, struct
-
-        bundle = self._bundle(with_adam=False)
         path = tmp_path / "x.ckpt"
-        ad.save_checkpoint(path, bundle)
-        raw = path.read_bytes()
-        n = struct.unpack_from("<I", raw, 8)[0]
-        manifest = json.loads(raw[12 : 12 + n])
-        corrupt(manifest)
-        blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n :])
+        ad.save_checkpoint(path, self._bundle(with_adam=False))
+        helpers.edit_checkpoint_manifest(path, corrupt)
         with pytest.raises(CheckpointError, match="bad network description"):
             ad.load_checkpoint(path)
 
@@ -347,6 +330,26 @@ class TestCheckpoint:
         ad.save_checkpoint(path, self._bundle(with_adam=False))
         helpers.drop_checkpoint_entry(path, entry)
         with pytest.raises(CheckpointError, match=f"no '{entry}' entry"):
+            ad.load_checkpoint(path)
+
+    BAD_VALUES = [
+        ("negative offset", lambda m: m["arrays"][1].update(offset=-8)),
+        ("negative shape", lambda m: m["arrays"][0].update(shape=[-1, 16])),
+        ("aa_k 0", lambda m: m.update(aa_k=0)),
+        ("aa_k x", lambda m: m.update(aa_k="x")),
+        ("train_width 4", lambda m: m.update(train_width=4)),
+        ("alphabet 5", lambda m: m.update(alphabet=5)),
+        ("arrays [1]", lambda m: m.update(arrays=[1])),
+        ("supervision bogus", lambda m: m.update(supervision="bogus")),
+        ("channels 1 on a 3-channel network", lambda m: m.update(channels=1)),
+    ]
+
+    @pytest.mark.parametrize("corrupt", [c[1] for c in BAD_VALUES], ids=[c[0] for c in BAD_VALUES])
+    def test_bad_manifest_value(self, tmp_path, corrupt):
+        path = tmp_path / "x.ckpt"
+        ad.save_checkpoint(path, self._bundle(with_adam=False))
+        helpers.edit_checkpoint_manifest(path, corrupt)
+        with pytest.raises(CheckpointError):
             ad.load_checkpoint(path)
 
 

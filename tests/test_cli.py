@@ -160,7 +160,7 @@ class TestTrain:
         from glyphsdf import autodecoder as ad
 
         bundle = ad.load_checkpoint(workspace / "out" / "checkpoint.ckpt")
-        assert bundle.channels == 1
+        # loading checks that the manifest's channel count is the network's
         assert bundle.network.out_channels == 1
 
 
@@ -381,6 +381,15 @@ BAD_INPUTS = [
     ("train.samples_cap=0", _with_set("train.samples_cap=0"), 1),
     ("train.supervision=bogus", _with_set('train.supervision="bogus"'), 1),
     ("train.alpha=-1", _with_set("train.alpha=-1"), 1),
+    ("train.epochs=1.5", _with_set("train.epochs=1.5"), 1),
+    ("field.channels=true", _with_set("field.channels=true"), 1),
+    ("train.gamma_start=0", _with_set("train.gamma_start=0"), 1),
+    ("train --resume --mode n1 on 3 channels", _command(
+        "train", "--resume", CKPT, "--mode", "n1"), 1),
+    ("train --resume with other hidden_layers", _command(
+        "--set", "train.hidden_layers=2", "train", "--resume", CKPT), 1),
+    ("train --resume with other hidden_width", _command(
+        "--set", "train.hidden_width=8", "train", "--resume", CKPT), 1),
     ("render --res 4", _command(
         "render", "--checkpoint", CKPT, "--family", "fam", "--label", "A", "--res", "4"), 1),
     ("interpolate --res 0", _command(

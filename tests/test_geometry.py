@@ -9,7 +9,7 @@ from glyphsdf.errors import GeometryError
 
 from helpers import (
     box_sdf, dense_sweep_nearest, edt_sdf_oracle, l_glyph, outlines, ring_glyph,
-    sdf_batch, square_glyph,
+    sdf_batch, square_glyph, winding_batch, winding_number,
 )
 
 
@@ -152,34 +152,43 @@ class TestExactGrid:
         w = geometry._winding_grid(
             geometry.monotone_pieces(glyph), centers[0, :, 0], centers[:, 0, 1]
         )
-        assert np.array_equal(w.reshape(-1), geometry.winding_batch(centers.reshape(-1, 2), glyph))
+        assert np.array_equal(w.reshape(-1), winding_batch(centers.reshape(-1, 2), glyph))
+
+
+def winding(p, glyph):
+    """Winding number of one point by the scanline rule on a 1x1 grid (the
+    corner ink-side probe), checked against the per-point reference."""
+    x, y = np.array([p[0]], float), np.array([p[1]], float)
+    w = int(geometry._winding_grid(geometry.monotone_pieces(glyph), x, y)[0, 0])
+    assert w == winding_number(p, glyph)
+    return w
 
 
 class TestWinding:
     def test_square_inside_outside(self):
         g = square_glyph()
-        assert geometry.winding_number((0.0, 0.0), g) == 1
-        assert geometry.winding_number((0.99, 0.99), g) == 0
+        assert winding((0.0, 0.0), g) == 1
+        assert winding((0.99, 0.99), g) == 0
 
     def test_ring(self):
         g = ring_glyph()
-        assert geometry.winding_number((0.0, 0.0), g) == 0       # in the hole
-        assert geometry.winding_number((0.0, -0.6), g) != 0      # in the ring
-        assert geometry.winding_number((0.0, -0.95), g) == 0     # outside
+        assert winding((0.0, 0.0), g) == 0       # in the hole
+        assert winding((0.0, -0.6), g) != 0      # in the ring
+        assert winding((0.0, -0.95), g) == 0     # outside
 
     def test_horizontal_edge_on_query_height(self):
         # query exactly at a horizontal edge's height, outside the shape
         g = glyphs.Glyph(glyphs.parse_path("M 0 0 L 1 0 L 1 1 L 0 1 Z"))
-        assert geometry.winding_number((-0.5, 0.0), g) == 0
-        assert geometry.winding_number((-0.5, 1.0), g) == 0
-        assert geometry.winding_number((0.5, 0.5), g) == 1
+        assert winding((-0.5, 0.0), g) == 0
+        assert winding((-0.5, 1.0), g) == 0
+        assert winding((0.5, 0.5), g) == 1
 
     def test_vertex_on_query_height(self):
         # diamond: ray through the left/right vertices
         g = glyphs.Glyph(glyphs.parse_path("M 0 -1 L 1 0 L 0 1 L -1 0 Z"))
-        assert geometry.winding_number((0.0, 0.0), g) == 1
-        assert geometry.winding_number((-2.0, 0.0), g) == 0
-        assert geometry.winding_number((2.0, 0.0), g) == 0
+        assert winding((0.0, 0.0), g) == 1
+        assert winding((-2.0, 0.0), g) == 0
+        assert winding((2.0, 0.0), g) == 0
 
 
 class TestProperties:
