@@ -33,12 +33,13 @@ against.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SUPERVISIONS, FieldSettings
+from .config import SUPERVISIONS, FieldSettings, require_types
 from .errors import CheckpointError, ConfigError, NumericalError
 
 LATENT_DIM = 128
@@ -55,6 +56,7 @@ class NetworkConfig:
     latent_dim: int = LATENT_DIM
 
     def __post_init__(self):
+        require_types(self, "network")
         if self.hidden_layers < 1 or self.width < 1:
             raise ValueError("network needs at least one hidden unit/layer")
         if not 0 <= self.skip_layer < self.hidden_layers:
@@ -121,7 +123,6 @@ def init_parameters(config, rng):
 class LatentTable:
     codes: np.ndarray            # (families, latent_dim) float64
     family_ids: list
-    frozen: bool = False
 
     def mean_code(self):
         return self.codes.mean(axis=0)
@@ -350,7 +351,6 @@ def save_checkpoint(path, bundle):
         "version": CKPT_VERSION,
         "alphabet": bundle.alphabet,
         "families": bundle.latents.family_ids,
-        "frozen_latents": bundle.latents.frozen,
         "network": bundle.network.to_dict(),
         "channels": bundle.network.out_channels,
         "aa_k": bundle.aa_k,
@@ -397,6 +397,8 @@ def load_checkpoint(path, expect_alphabet=None):
         manifest = json.loads(raw[start : start + blob_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint manifest in {path}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"corrupt checkpoint manifest in {path}")
     if manifest.get("version") != CKPT_VERSION:
         raise CheckpointError(
             f"checkpoint version {manifest.get('version')} unsupported (want {CKPT_VERSION})"
@@ -415,44 +417,72 @@ def _is_array_spec(spec):
     return all(type(n) is int and n >= 0 for n in [spec.get("offset"), *spec["shape"]])
 
 
+def _check(ok, entry, value, path):
+    if not ok:
+        raise CheckpointError(f"bad {entry} {value!r} in {path}")
+
+
 def _bundle_from(manifest, payload, path, expect_alphabet):
     """The bundle a decoded manifest and its array payload describe; a
     missing manifest or array entry raises KeyError, a bad value
-    CheckpointError."""
+    CheckpointError.  Entries this loader does not know, such as the
+    ``frozen_latents`` flag older checkpoints carry, are ignored."""
     alphabet = manifest["alphabet"]
-    if not isinstance(alphabet, str):
-        raise CheckpointError(f"bad alphabet {alphabet!r} in {path}")
+    _check(isinstance(alphabet, str), "alphabet", alphabet, path)
     if expect_alphabet is not None and alphabet != expect_alphabet:
         raise CheckpointError(
             "checkpoint alphabet does not match the configured alphabet"
         )
     try:
         config = NetworkConfig(**manifest["network"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"bad network description in {path}: {exc}") from exc
     channels, aa_k, train_width = manifest["channels"], manifest["aa_k"], manifest["train_width"]
     try:
         FieldSettings(channels=channels, aa_k=aa_k, train_width=train_width)
-    except (ConfigError, TypeError) as exc:
+    except ConfigError as exc:
         raise CheckpointError(f"bad field settings in {path}: {exc}") from None
     if (channels, len(alphabet)) != (config.out_channels, config.alphabet_size):
         raise CheckpointError(f"channels or alphabet in {path} do not match its network")
     supervision = manifest.get("supervision", "sdf")
-    if supervision not in SUPERVISIONS:
-        raise CheckpointError(f"bad supervision {supervision!r} in {path}")
+    _check(supervision in SUPERVISIONS, "supervision", supervision, path)
+    families = manifest["families"]
+    _check(
+        isinstance(families, list) and all(isinstance(f, str) for f in families),
+        "families", families, path,
+    )
+    epoch = manifest.get("epoch", 0)
+    _check(type(epoch) is int and epoch >= 0, "epoch", epoch, path)
+    train_config = manifest.get("train_config", {})
+    _check(isinstance(train_config, dict), "train_config", train_config, path)
+    adam_meta = manifest.get("adam")
+    _check(
+        adam_meta is None or (
+            isinstance(adam_meta, dict)
+            and all(type(v) in (int, float) for v in adam_meta.values())
+            and type(adam_meta.get("step_count")) is int and adam_meta["step_count"] >= 0
+        ),
+        "adam", adam_meta, path,
+    )
     if not isinstance(manifest["arrays"], list) or not all(map(_is_array_spec, manifest["arrays"])):
         raise CheckpointError(f"bad array table in {path}")
     arrays = {}
     for spec in manifest["arrays"]:
-        size = int(np.prod(spec["shape"])) if spec["shape"] else 1
+        size = math.prod(spec["shape"])
         end = spec["offset"] + size * 8
         if end > len(payload):
             raise CheckpointError(f"truncated checkpoint payload in {path}")
-        arrays[spec["name"]] = (
-            np.frombuffer(payload, dtype="<f8", count=size, offset=spec["offset"])
-            .reshape(spec["shape"])
-            .copy()
-        )
+        try:
+            arrays[spec["name"]] = (
+                np.frombuffer(payload, dtype="<f8", count=size, offset=spec["offset"])
+                .reshape(spec["shape"])
+                .copy()
+            )
+        except ValueError as exc:  # an empty array with a huge dimension
+            raise CheckpointError(f"bad array {spec['name']!r} in {path}: {exc}") from None
+    # two arrays per layer: checked before a huge hidden_layers is expanded
+    if 2 * (config.hidden_layers + 1) > len(arrays):
+        raise CheckpointError(f"checkpoint {path} has fewer arrays than its network has layers")
     dims = config.layer_dims()
     weights, biases = [], []
     for l, (fan_in, fan_out) in enumerate(dims):
@@ -467,34 +497,36 @@ def _bundle_from(manifest, payload, path, expect_alphabet):
         weights.append(w)
         biases.append(b)
     codes = arrays["latents"]
-    if codes.shape != (len(manifest["families"]), config.latent_dim):
+    if codes.shape != (len(families), config.latent_dim):
         raise CheckpointError("latent table shape does not match config")
-    latents = LatentTable(
-        codes=codes,
-        family_ids=list(manifest["families"]),
-        frozen=bool(manifest.get("frozen_latents", False)),
-    )
     adam = None
-    if manifest.get("adam") is not None:
-        a = manifest["adam"]
+    if adam_meta is not None:
         adam = AdamState(
-            lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"],
-            step_count=a["step_count"],
+            lr=adam_meta["lr"], beta1=adam_meta["beta1"], beta2=adam_meta["beta2"],
+            eps=adam_meta["eps"], step_count=adam_meta["step_count"],
         )
         for name, arr in arrays.items():
             if name.startswith("adam.m."):
                 adam.m[name[len("adam.m."):]] = arr
             elif name.startswith("adam.v."):
                 adam.v[name[len("adam.v."):]] = arr
+        # adam_step updates each moment pair in place with its tensor's gradient
+        shapes = {name: w.shape for name, w in Parameters(weights, biases).named()}
+        shapes.update((f"z{i}", (config.latent_dim,)) for i in range(len(families)))
+        if adam.m.keys() != adam.v.keys() or any(
+            shapes.get(name) != m.shape or adam.v[name].shape != m.shape
+            for name, m in adam.m.items()
+        ):
+            raise CheckpointError(f"ADAM moments in {path} do not match the parameters")
     return ModelBundle(
         network=config,
         params=Parameters(weights, biases),
-        latents=latents,
+        latents=LatentTable(codes=codes, family_ids=families),
         alphabet=alphabet,
         aa_k=aa_k,
         train_width=train_width,
         supervision=supervision,
-        train_config=manifest.get("train_config", {}),
-        epoch=manifest.get("epoch", 0),
+        train_config=train_config,
+        epoch=epoch,
         adam=adam,
     )

@@ -7,7 +7,6 @@ bit-reproducible mode used by the determinism tests.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -109,94 +108,27 @@ def _safe_name(family, label_char):
     return f"{keep}__{label_char}"
 
 
-def _glyph_hash(text, cfg):
-    payload = json.dumps(
-        [
-            text,
-            cfg.field.train_width,
-            cfg.field.aa_k,
-            cfg.field.corner_threshold,
-            cfg.dataset.margin,
-        ],
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _prepare_dataset(cfg, report=None):
-    """Idempotent dataset preparation; returns the prepared glyph list."""
-    import numpy as np
-
-    from . import field as field_mod
-    from . import templates as templates_mod
+def _prepare_dataset(cfg):
+    """Every manifest glyph, prepared in memory at the training width."""
     from .glyphs import glyph_from_path, load_manifest
-    from .render import write_image
-    from .training import PreparedGlyph, prepare_glyph
+    from .training import prepare_glyph
 
     if not cfg.dataset.manifest:
         raise _UsageError("config has no dataset.manifest")
-    entries = load_manifest(cfg.dataset.manifest, cfg.dataset.alphabet)
-    prep_dir = _out_dir(cfg) / "prepared"
-    prep_dir.mkdir(parents=True, exist_ok=True)
     prepared = []
-    rebuilt = skipped = 0
-    for entry in entries:
-        text = entry.path.read_text(encoding="utf-8")
-        digest = _glyph_hash(text, cfg)
-        stem = prep_dir / _safe_name(entry.family_id, entry.label_char)
-        meta_path = stem.with_suffix(".json")
-        cached = None
-        if meta_path.is_file():
-            try:
-                cached = json.loads(meta_path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError:
-                cached = None
+    for entry in load_manifest(cfg.dataset.manifest, cfg.dataset.alphabet):
         try:
             glyph = glyph_from_path(
-                text, label=entry.label, family_id=entry.family_id,
-                margin=cfg.dataset.margin,
+                entry.path.read_text(encoding="utf-8"), label=entry.label,
+                family_id=entry.family_id, margin=cfg.dataset.margin,
             )
         except GlyphSdfError as exc:
             raise GlyphSdfError(
                 f"glyph {entry.family_id}/{entry.label_char} ({entry.path}): {exc}"
             ) from exc
-        if cached is not None and cached.get("hash") == digest:
-            sdf = field_mod.read_grid(stem.with_suffix(".sdf.grid"))[0].astype(np.float64)
-            templates = templates_mod.templates_from_arrays(
-                cached["corners"], cfg.field.train_width
-            )
-            item = PreparedGlyph(
-                entry.family_id, entry.family_index, entry.label, glyph, sdf, templates
-            )
-            skipped += 1
-        else:
-            item = prepare_glyph(
-                glyph, entry.family_id, entry.family_index, entry.label, cfg.field
-            )
-            field_mod.write_grid(stem.with_suffix(".sdf.grid"), item.sdf)
-            write_image(
-                stem.with_suffix(".pgm"),
-                field_mod.kernel(item.sdf, cfg.field.gamma_final),
-            )
-            meta = {
-                "hash": digest,
-                "family": entry.family_id,
-                "label": entry.label_char,
-                "train_width": cfg.field.train_width,
-                "corners": templates_mod.templates_to_arrays(item.templates),
-                "sampling": {
-                    "rho": cfg.train.rho,
-                    "min_homogeneous": cfg.train.min_homogeneous,
-                    "seed": cfg.train.seed,
-                },
-            }
-            meta_path.write_text(
-                json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-            rebuilt += 1
-        prepared.append(item)
-    if report:
-        report(f"prepared {len(entries)} glyphs: {rebuilt} rebuilt, {skipped} skipped")
+        prepared.append(
+            prepare_glyph(glyph, entry.family_id, entry.family_index, entry.label, cfg.field)
+        )
     return prepared
 
 
@@ -226,7 +158,29 @@ def _label_index(bundle, label_char):
 
 
 def cmd_prepare(cfg, args):
-    _prepare_dataset(cfg, report=lambda msg: print(msg))
+    """Write each prepared glyph for inspection; nothing reads these back."""
+    from . import field as field_mod
+    from .render import write_image
+    from .templates import templates_to_arrays
+
+    dataset = _prepare_dataset(cfg)
+    prep_dir = _out_dir(cfg) / "prepared"
+    prep_dir.mkdir(exist_ok=True)
+    for item in dataset:
+        label_char = cfg.dataset.alphabet[item.label]
+        stem = prep_dir / _safe_name(item.family_id, label_char)
+        field_mod.write_grid(stem.with_suffix(".sdf.grid"), item.sdf)
+        write_image(stem.with_suffix(".pgm"), field_mod.kernel(item.sdf, cfg.field.gamma_final))
+        meta = {
+            "family": item.family_id,
+            "label": label_char,
+            "train_width": cfg.field.train_width,
+            "corners": templates_to_arrays(item.templates),
+        }
+        stem.with_suffix(".json").write_text(
+            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    print(f"prepared {len(dataset)} glyphs: {len(dataset)} rebuilt")
     cfg.echo(_out_dir(cfg) / "config.echo.json")
     return 0
 
@@ -241,7 +195,7 @@ def cmd_train(cfg, args):
         resume = ad.load_checkpoint(args.resume, expect_alphabet=cfg.dataset.alphabet)
         # a checkpoint the config cannot continue fails before any work
         configured_network(cfg.dataset.alphabet, cfg.field, cfg.train, resume)
-    dataset = _prepare_dataset(cfg, report=lambda msg: print(msg, file=sys.stderr))
+    dataset = _prepare_dataset(cfg)
     every = max(1, cfg.train.epochs // 20)
 
     def progress(epoch, row):
@@ -420,7 +374,7 @@ def cmd_eval(cfg, args):
     from .render import field_grid, render_bilateral, render_implicit
 
     bundle = ad.load_checkpoint(args.checkpoint)
-    dataset = _prepare_dataset(cfg, report=lambda msg: print(msg, file=sys.stderr))
+    dataset = _prepare_dataset(cfg)
     out = _out_dir(cfg)
     rows = []
     for prepared in dataset:

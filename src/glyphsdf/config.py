@@ -24,16 +24,25 @@ def _require(ok, message):
         raise ConfigError(message)
 
 
-def _require_integers(section, name):
-    """Integer fields (``int`` or ``int | None``) hold an int, not a bool
-    or a float.  The annotations are strings under the module's
-    ``from __future__ import annotations``."""
-    for f in dataclasses.fields(section):
-        value = getattr(section, f.name)
-        if f.type == "int" or (f.type == "int | None" and value is not None):
-            _require(
-                type(value) is int, f"{name}.{f.name} must be an integer, got {value!r}"
-            )
+_KINDS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "list": ((list,), "a list"),
+}
+
+
+def require_types(obj, name):
+    """Each ``int``, ``float``, ``str`` or ``list`` field of the dataclass
+    ``obj`` (or ``T | None`` field) holds a value of that type; a float
+    field also takes an int, and no field takes a bool.  The annotations
+    are strings under the module's ``from __future__ import annotations``."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        kind = f.type.removesuffix(" | None")
+        if kind in _KINDS and not (value is None and kind != f.type):
+            types, what = _KINDS[kind]
+            _require(type(value) in types, f"{name}.{f.name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -41,6 +50,9 @@ class DatasetSettings:
     manifest: str | None = None
     alphabet: str = DEFAULT_ALPHABET
     margin: float = DEFAULT_MARGIN
+
+    def __post_init__(self):
+        require_types(self, "dataset")
 
 
 @dataclass
@@ -51,7 +63,7 @@ class FieldSettings:
     corner_threshold: float = 3.0
 
     def __post_init__(self):
-        _require_integers(self, "field")
+        require_types(self, "field")
         _require(self.channels in (1, 3), f"field.channels must be 1 or 3, got {self.channels!r}")
         _require(self.aa_k > 0, f"field.aa_k must be > 0, got {self.aa_k!r}")
         _require(
@@ -89,7 +101,7 @@ class TrainSettings:
     threads: int | None = None   # 1 forces the bit-reproducible mode
 
     def __post_init__(self):
-        _require_integers(self, "train")
+        require_types(self, "train")
         _require(
             self.supervision in SUPERVISIONS,
             f"train.supervision must be 'sdf' or 'pixel', got {self.supervision!r}",
@@ -118,6 +130,7 @@ class EvalSettings:
     methods: list = dc_field(default_factory=lambda: ["implicit", "bilateral"])
 
     def __post_init__(self):
+        require_types(self, "eval")
         _require(
             all(type(width) is int and width >= MIN_WIDTH for width in self.resolutions),
             f"eval.resolutions must all be integers >= {MIN_WIDTH}, got {self.resolutions!r}",
@@ -131,6 +144,9 @@ class EvalSettings:
 @dataclass
 class PathsSettings:
     output_dir: str = "out"
+
+    def __post_init__(self):
+        require_types(self, "paths")
 
 
 def _build_section(name, section_cls, values):

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
 from . import geometry
 
 
@@ -115,22 +114,3 @@ def write_grid(path, grid):
     header = _GRID_HEADER.pack(GRID_MAGIC, GRID_VERSION, n, h, w)
     payload = np.ascontiguousarray(g, dtype="<f4").tobytes()
     Path(path).write_bytes(header + payload)
-
-
-def read_grid(path):
-    """Read a grid container back as a (n, H, W) float32 array."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _GRID_HEADER.size:
-        raise CheckpointError(f"grid file too short: {path}")
-    magic, version, n, h, w = _GRID_HEADER.unpack_from(raw)
-    if magic != GRID_MAGIC:
-        raise CheckpointError(f"not a grid container: {path}")
-    if version != GRID_VERSION:
-        raise CheckpointError(f"unsupported grid version {version} in {path}")
-    expected = _GRID_HEADER.size + 4 * n * h * w
-    if len(raw) != expected:
-        raise CheckpointError(
-            f"grid payload size mismatch in {path}: {len(raw)} != {expected}"
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=_GRID_HEADER.size)
-    return data.reshape(n, h, w).copy()

@@ -258,9 +258,10 @@ def load_manifest(path, alphabet=DEFAULT_ALPHABET):
     family_index = {}
     seen = set()
     for k, rec in enumerate(records):
-        if not isinstance(rec, dict) or set(rec) != {"family", "label", "file"}:
+        if not (isinstance(rec, dict) and set(rec) == {"family", "label", "file"}
+                and all(isinstance(v, str) for v in rec.values())):
             raise ManifestError(
-                f"manifest record {k} must have exactly the keys family/label/file"
+                f"manifest record {k} must have exactly the keys family/label/file, as strings"
             )
         family = rec["family"]
         label_char = rec["label"]

@@ -29,14 +29,10 @@ def template_window_size(width):
 @dataclass
 class CornerTemplate:
     corner: geometry.Corner
-    width: int              # image width the window was built for
-    window_size: int        # w_t
-    origin: tuple           # (i0, j0) of the window's low corner in the full grid
     pixel_ij: np.ndarray    # (m, 2) int, full-grid (row, col) per window point
     points: np.ndarray      # (m, 2) pixel-center coordinates
     halfplane: np.ndarray   # (m, 2) signed distances to the two boundary lines
     quadrant: np.ndarray    # (m,) uint8 in {1, 2, 3, 4}
-    clipped: int            # window points lost to the domain boundary
 
     @property
     def convex(self):
@@ -68,8 +64,7 @@ def build_template(corner, width):
     """Build the window, quadrant labels and half-plane fields for a corner.
 
     Targets are derived on demand via :meth:`CornerTemplate.targets`.
-    Windows that would leave [-1, 1]^2 are clipped and the lost point count
-    recorded.
+    Windows that would leave [-1, 1]^2 are clipped to it.
     """
     u = corner.tangent_in
     v = corner.tangent_out
@@ -85,11 +80,8 @@ def build_template(corner, width):
     h = w_t // 2
     cx, cy = float(corner.position[0]), float(corner.position[1])
     jc, ic = geometry.pixel_index(cx, width), geometry.pixel_index(cy, width)
-    i_lo, i_hi = ic - h, ic + h
-    j_lo, j_hi = jc - h, jc + h
-    rows = np.arange(max(i_lo, 0), min(i_hi, width - 1) + 1)
-    cols = np.arange(max(j_lo, 0), min(j_hi, width - 1) + 1)
-    clipped = w_t * w_t - len(rows) * len(cols)
+    rows = np.arange(max(ic - h, 0), min(ic + h, width - 1) + 1)
+    cols = np.arange(max(jc - h, 0), min(jc + h, width - 1) + 1)
 
     ii, jj = np.meshgrid(rows, cols, indexing="ij")
     pixel_ij = np.stack([ii.ravel(), jj.ravel()], axis=1)
@@ -108,14 +100,10 @@ def build_template(corner, width):
 
     return CornerTemplate(
         corner=corner,
-        width=width,
-        window_size=w_t,
-        origin=(i_lo, j_lo),
         pixel_ij=pixel_ij,
         points=points,
         halfplane=np.stack([h1, h2], axis=1),
         quadrant=quadrant,
-        clipped=clipped,
     )
 
 
@@ -166,13 +154,8 @@ def corner_loss_grad(pred, template, gamma):
     return best_sse / denom, grad
 
 
-# ---------------------------------------------------------------------------
-# serialization: the prepared JSON stores each corner; the templates are
-# rebuilt from it
-
-
 def templates_to_arrays(templates):
-    """JSON-ready metadata, one dict per template."""
+    """JSON-ready corner metadata, one dict per template."""
     meta = []
     for tpl in templates:
         c = tpl.corner
@@ -185,25 +168,6 @@ def templates_to_arrays(templates):
                 "convex": bool(c.convex),
                 "contour_index": int(c.contour_index),
                 "junction_index": int(c.junction_index),
-                "origin": [int(tpl.origin[0]), int(tpl.origin[1])],
-                "clipped": int(tpl.clipped),
             }
         )
     return meta
-
-
-def templates_from_arrays(meta, width):
-    """Rebuild templates from :func:`templates_to_arrays` metadata."""
-    templates = []
-    for info in meta:
-        corner = geometry.Corner(
-            position=np.array(info["position"]),
-            tangent_in=np.array(info["tangent_in"]),
-            tangent_out=np.array(info["tangent_out"]),
-            interior_angle=info["interior_angle"],
-            convex=info["convex"],
-            contour_index=info["contour_index"],
-            junction_index=info["junction_index"],
-        )
-        templates.append(build_template(corner, width))
-    return templates

@@ -201,8 +201,9 @@ class PreparedGlyph:
 
 
 def prepare_glyph(glyph, family_id, family_index, label, field_settings):
-    # training always sees the float32 precision the prepared cache stores,
-    # so runs are identical whether the cache was hit or rebuilt
+    # the float32 round trip is part of the training data: it is the
+    # precision of the written .sdf.grid, and dropping it would change
+    # every trained byte
     sdf = geometry.sdf_grid(glyph, field_settings.train_width)
     sdf = sdf.astype(np.float32).astype(np.float64)
     templates = templates_mod.build_templates(
@@ -349,7 +350,6 @@ def train(
                 )
             last_gamma = gamma
         frozen = ts.freeze_epoch is not None and epoch >= ts.freeze_epoch
-        latents.frozen = frozen
 
         order = np.random.default_rng(
             np.random.SeedSequence([ts.seed, 2, epoch])
@@ -419,7 +419,7 @@ def train(
         last_good = dataclasses.replace(
             bundle,
             params=params.copy(),
-            latents=ad.LatentTable(latents.codes.copy(), list(latents.family_ids), latents.frozen),
+            latents=ad.LatentTable(latents.codes.copy(), list(latents.family_ids)),
             epoch=epoch + 1,
             adam=None,
         )

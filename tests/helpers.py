@@ -111,6 +111,30 @@ def drop_checkpoint_entry(path, entry):
     edit_checkpoint_manifest(path, drop)
 
 
+def read_grid(path):
+    """Read a grid container back as a (n, H, W) float32 array, from the
+    documented format (16-byte header: magic ``MIFG``, u32 version 1, u16
+    channels/height/width, 2 pad bytes; then little-endian float32)."""
+    import struct
+    from pathlib import Path
+
+    raw = Path(path).read_bytes()
+    magic, version, n, h, w = struct.unpack_from("<4sIHHH2x", raw)
+    assert (magic, version) == (b"MIFG", 1), f"{path} is not a grid container"
+    assert len(raw) == 16 + 4 * n * h * w, f"{path} has a payload of the wrong size"
+    return np.frombuffer(raw, dtype="<f4", offset=16).reshape(n, h, w).copy()
+
+
+# any value a JSON document can hold, NaN and the infinities included
+# (Python's json module reads and writes them)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+
+
 def box_sdf(points, half):
     """Closed-form signed distance to an origin-centered axis-aligned square
     of half-width ``half``; positive inside."""

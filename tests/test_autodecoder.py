@@ -1,10 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 from glyphsdf import autodecoder as ad
-from glyphsdf.errors import CheckpointError, NumericalError
+from glyphsdf.errors import CheckpointError, GlyphSdfError, NumericalError
 
 
 def tiny_config(alphabet_size=2, out_channels=3):
@@ -236,6 +239,16 @@ class TestLatents:
         assert np.array_equal(table.mean_code(), [2.0, 4.0])
 
 
+def _edit_arrays(changes):
+    """A manifest edit that updates each array record ``changes`` names."""
+
+    def edit(m):
+        for spec in m["arrays"]:
+            spec.update(changes.get(spec["name"], {}))
+
+    return edit
+
+
 class TestCheckpoint:
     def _bundle(self, seed=0, with_adam=True):
         cfg, params = make_net(seed=seed)
@@ -299,6 +312,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             ad.load_checkpoint(path)
 
+    def test_manifest_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(ad.CKPT_MAGIC + (2).to_bytes(4, "little") + b"[]")
+        with pytest.raises(CheckpointError, match="corrupt checkpoint manifest"):
+            ad.load_checkpoint(path)
+
     def test_shape_mismatch_detected(self, tmp_path):
         # corrupt the manifest's network config: width changes, arrays stay
         path = tmp_path / "x.ckpt"
@@ -342,6 +361,17 @@ class TestCheckpoint:
         ("arrays [1]", lambda m: m.update(arrays=[1])),
         ("supervision bogus", lambda m: m.update(supervision="bogus")),
         ("channels 1 on a 3-channel network", lambda m: m.update(channels=1)),
+        ("families 5", lambda m: m.update(families=5)),
+        ("families [1]", lambda m: m.update(families=[1, "fam1"])),
+        ("adam 5", lambda m: m.update(adam=5)),
+        ("adam step_count 1.5", lambda m: m.update(
+            adam={"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step_count": 1.5})),
+        ("epoch x", lambda m: m.update(epoch="x")),
+        ("epoch -1", lambda m: m.update(epoch=-1)),
+        ("train_config 5", lambda m: m.update(train_config=5)),
+        ("network hidden_layers 2.0", lambda m: m["network"].update(hidden_layers=2.0)),
+        ("network hidden_layers 10**9", lambda m: m["network"].update(hidden_layers=10**9)),
+        ("empty array with a huge dimension", lambda m: m["arrays"][0].update(shape=[0, 2**70])),
     ]
 
     @pytest.mark.parametrize("corrupt", [c[1] for c in BAD_VALUES], ids=[c[0] for c in BAD_VALUES])
@@ -351,6 +381,79 @@ class TestCheckpoint:
         helpers.edit_checkpoint_manifest(path, corrupt)
         with pytest.raises(CheckpointError):
             ad.load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        _edit_arrays({"adam.m.b0": {"shape": [8]}}),
+        _edit_arrays({"adam.v.w1": {"name": "adam.v.w9"}}),
+        _edit_arrays({"adam.m.b2": {"name": "adam.m.z5"}, "adam.v.b2": {"name": "adam.v.z5"}}),
+    ], ids=["short moment", "moment without its pair", "moment of no parameter"])
+    def test_adam_moments_must_fit_the_parameters(self, tmp_path, corrupt):
+        # a moment that fits no parameter would fail only later, inside
+        # adam_step on `train --resume`
+        path = tmp_path / "x.ckpt"
+        ad.save_checkpoint(path, self._bundle())
+        helpers.edit_checkpoint_manifest(path, corrupt)
+        with pytest.raises(CheckpointError, match="ADAM moments"):
+            ad.load_checkpoint(path)
+
+    def test_frozen_latents_of_older_checkpoints_ignored(self, tmp_path):
+        # checkpoints written before the flag was dropped still load, and
+        # saving them again writes the current manifest
+        path = tmp_path / "x.ckpt"
+        ad.save_checkpoint(path, self._bundle())
+        current = path.read_bytes()
+        helpers.edit_checkpoint_manifest(path, lambda m: m.update(frozen_latents=True))
+        ad.save_checkpoint(path, ad.load_checkpoint(path))
+        assert path.read_bytes() == current
+
+
+DELETE = object()  # an edit that removes the entry
+
+
+def _manifest_edits():
+    """Edits of manifest entries: every top-level key, every key of the
+    network and ADAM records and of one array record."""
+    keys = ["format", "version", "alphabet", "families", "network", "channels", "aa_k",
+            "train_width", "supervision", "train_config", "epoch", "adam", "arrays"]
+    paths = [(k,) for k in keys]
+    paths += [("network", k) for k in ad.NetworkConfig(alphabet_size=2).to_dict()]
+    paths += [("adam", k) for k in ("lr", "beta1", "beta2", "eps", "step_count")]
+    paths += [("arrays", 1, k) for k in ("name", "shape", "offset", "dtype")]
+    return st.lists(
+        st.tuples(st.sampled_from(paths), st.just(DELETE) | helpers.json_values),
+        min_size=1, max_size=3,
+    )
+
+
+def _apply(manifest, edits):
+    """Set or remove each edited entry whose record an earlier edit left
+    in place."""
+    for path, value in edits:
+        parent = manifest
+        for key in path[:-1]:
+            try:
+                parent = parent[key]
+            except (KeyError, IndexError, TypeError):
+                parent = None
+        if isinstance(parent, dict):
+            if value is DELETE:
+                parent.pop(path[-1], None)
+            else:
+                parent[path[-1]] = value
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(edits=_manifest_edits())
+    def test_edited_manifest_loads_or_raises_package_error(self, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.ckpt"
+            ad.save_checkpoint(path, TestCheckpoint()._bundle())
+            helpers.edit_checkpoint_manifest(path, lambda m: _apply(m, edits))
+            try:
+                ad.load_checkpoint(path)
+            except GlyphSdfError:
+                pass
 
 
 def test_assemble_inputs_layout():

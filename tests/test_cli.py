@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import L_PATH, SQUARE_PATH, drop_checkpoint_entry
+from helpers import L_PATH, SQUARE_PATH, drop_checkpoint_entry, edit_checkpoint_manifest
 
 
 def run_cli(*args, cwd=None):
@@ -73,17 +73,43 @@ class TestPrepare:
     def test_outputs_and_idempotency(self, workspace):
         res = run_cli("--config", workspace / "config.json", "prepare")
         assert res.returncode == 0, res.stderr
-        assert "2 rebuilt, 0 skipped" in res.stdout
+        assert "prepared 2 glyphs: 2 rebuilt" in res.stdout
         prep = workspace / "out" / "prepared"
         assert (prep / "fam__A.pgm").is_file()
         assert (prep / "fam__A.sdf.grid").is_file()
-        # templates are rebuilt from the corners in the JSON; no payload file
         assert not (prep / "fam__A.templates.grid").exists()
         meta = json.loads((prep / "fam__A.json").read_text())
+        assert sorted(meta) == ["corners", "family", "label", "train_width"]
         assert len(meta["corners"]) == 4  # square corners -> 4 templates
+        first = {p.name: p.read_bytes() for p in prep.iterdir()}
+        # a second prepare rewrites every file with the same bytes
         res2 = run_cli("--config", workspace / "config.json", "prepare")
         assert res2.returncode == 0
-        assert "0 rebuilt, 2 skipped" in res2.stdout
+        assert "prepared 2 glyphs: 2 rebuilt" in res2.stdout
+        assert {p.name: p.read_bytes() for p in prep.iterdir()} == first
+
+    def test_train_reads_nothing_from_prepared(self, workspace):
+        # prepare's files are inspection output: train rebuilds every glyph
+        # in memory, so damaged or edited files change nothing
+        cfg = workspace / "config.json"
+        out = workspace / "out"
+        res = run_cli("--config", cfg, "train")
+        assert res.returncode == 0, res.stderr
+        assert not (out / "prepared").exists()
+        assert "prepared" not in res.stdout + res.stderr
+        fresh = (out / "checkpoint.ckpt").read_bytes()
+        assert run_cli("--config", cfg, "prepare").returncode == 0
+        prep = out / "prepared"
+        (prep / "fam__A.sdf.grid").unlink()
+        meta_a = json.loads((prep / "fam__A.json").read_text())
+        del meta_a["corners"]
+        (prep / "fam__A.json").write_text(json.dumps(meta_a))
+        meta_b = json.loads((prep / "fam__B.json").read_text())
+        meta_b["corners"][0]["position"] = [0.0, 0.0]
+        (prep / "fam__B.json").write_text(json.dumps(meta_b))
+        res = run_cli("--config", cfg, "train")
+        assert res.returncode == 0, res.stderr
+        assert (out / "checkpoint.ckpt").read_bytes() == fresh
 
     def test_corrupted_path_file_names_the_glyph(self, workspace):
         (workspace / "sq.path").write_text("M 0 0 X 1 1 Z")
@@ -358,11 +384,13 @@ def _command(*command):
     ]
 
 
-def _render_without(entry):
+def _render_edited(name, edit):
+    """argv rendering from a copy of the checkpoint that ``edit(path)`` changed."""
+
     def argv(ws, ckpt):
-        path = ws / f"no_{entry}.ckpt"
+        path = ws / f"{name}.ckpt"
         path.write_bytes(ckpt.read_bytes())
-        drop_checkpoint_entry(path, entry)
+        edit(path)
         return ["--config", ws / "config.json", "render", "--checkpoint", path,
                 "--family", "fam", "--label", "A"]
 
@@ -395,7 +423,14 @@ BAD_INPUTS = [
     ("interpolate --res 0", _command(
         "interpolate", "--checkpoint", CKPT, "--family-a", "fam", "--family-b", "fam",
         "--label", "A", "--steps", "2", "--res", "0"), 1),
-    ("checkpoint without latents", _render_without("latents"), 3),
+    ("field.aa_k=true", _with_set("field.aa_k=true"), 1),
+    ('train.lr="x"', _with_set('train.lr="x"'), 1),
+    ("dataset.manifest=5", _with_set("dataset.manifest=5"), 1),
+    ("paths.output_dir=5", _with_set("paths.output_dir=5"), 1),
+    ("checkpoint without latents", _render_edited(
+        "no_latents", lambda p: drop_checkpoint_entry(p, "latents")), 3),
+    ("checkpoint with families 5", _render_edited(
+        "families_5", lambda p: edit_checkpoint_manifest(p, lambda m: m.update(families=5))), 3),
 ]
 
 

@@ -166,6 +166,12 @@ class TestManifest:
         with pytest.raises(ManifestError, match="exactly the keys"):
             glyphs.load_manifest(path)
 
+    @pytest.mark.parametrize("key", ["family", "label", "file"])
+    def test_non_string_value_rejected(self, tmp_path, key):
+        record = {"family": "f", "label": "A", "file": "a.txt", key: 1}
+        with pytest.raises(ManifestError, match="as strings"):
+            glyphs.load_manifest(self._write(tmp_path, [record]))
+
 
 def test_segment_invariants():
     with pytest.raises(GeometryError):
