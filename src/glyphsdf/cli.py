@@ -122,7 +122,7 @@ def _prepare_dataset(cfg):
                 entry.path.read_text(encoding="utf-8"), label=entry.label,
                 family_id=entry.family_id, margin=cfg.dataset.margin,
             )
-        except GlyphSdfError as exc:
+        except (GlyphSdfError, UnicodeDecodeError) as exc:
             raise GlyphSdfError(
                 f"glyph {entry.family_id}/{entry.label_char} ({entry.path}): {exc}"
             ) from exc
@@ -164,11 +164,25 @@ def cmd_prepare(cfg, args):
     from .templates import templates_to_arrays
 
     dataset = _prepare_dataset(cfg)
-    prep_dir = _out_dir(cfg) / "prepared"
-    prep_dir.mkdir(exist_ok=True)
+    named = []  # (file name stem, label character, glyph)
+    owners = {}  # casefolded stem -> "family/label" written under it
     for item in dataset:
         label_char = cfg.dataset.alphabet[item.label]
-        stem = prep_dir / _safe_name(item.family_id, label_char)
+        name = _safe_name(item.family_id, label_char)
+        glyph = f"{item.family_id}/{label_char}"
+        # casefolded, because "A" and "a" name one file where the
+        # filesystem ignores case
+        key = name.casefold()
+        if key in owners:
+            raise _UsageError(
+                f"glyphs {owners[key]!r} and {glyph!r} would both be written as prepared/{name}.*"
+            )
+        owners[key] = glyph
+        named.append((name, label_char, item))
+    prep_dir = _out_dir(cfg) / "prepared"
+    prep_dir.mkdir(exist_ok=True)
+    for name, label_char, item in named:
+        stem = prep_dir / name
         field_mod.write_grid(stem.with_suffix(".sdf.grid"), item.sdf)
         write_image(stem.with_suffix(".pgm"), field_mod.kernel(item.sdf, cfg.field.gamma_final))
         meta = {

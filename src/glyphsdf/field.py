@@ -44,11 +44,23 @@ def kernel_grad(d, gamma):
 
 
 def compose_median(channels, axis=-1):
-    """Median across channels (identity for a single channel)."""
+    """Median across one or three channels (identity for a single channel).
+
+    Three channels take max(min(a, b), min(max(a, b), c)) + 0.0, the value
+    ``np.median`` returns bit for bit: the same element, NaN wherever a
+    channel is NaN, and +0.0 for a zero of either sign (its mean of one
+    element adds it to +0.0).
+    """
     c = np.asarray(channels, dtype=np.float64)
     if c.shape[axis] == 1:
         return np.take(c, 0, axis=axis)
-    return np.median(c, axis=axis)
+    a, b, third = np.moveaxis(c, axis, 0)
+    lo = np.minimum(a, b, out=np.empty(a.shape))
+    hi = np.maximum(a, b, out=np.empty(a.shape))
+    np.minimum(hi, third, out=hi)
+    np.maximum(lo, hi, out=lo)
+    lo += 0.0
+    return lo[()]
 
 
 def compose_train_grad(channels, mode):

@@ -250,7 +250,8 @@ def load_manifest(path, alphabet=DEFAULT_ALPHABET):
     path = Path(path)
     try:
         records = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deeply to decode
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(records, list):
         raise ManifestError("manifest must be a JSON array")
@@ -275,8 +276,13 @@ def load_manifest(path, alphabet=DEFAULT_ALPHABET):
                 f"duplicate (family, label) pair ({family!r}, {label_char!r})"
             )
         seen.add((family, label_char))
-        glyph_path = (path.parent / rec["file"]).resolve()
-        if not glyph_path.is_file():
+        try:
+            glyph_path = (path.parent / rec["file"]).resolve()
+            found = glyph_path.is_file()
+        except (OSError, ValueError) as exc:
+            # ValueError: a NUL byte; OSError: a name too long, among others
+            raise ManifestError(f"manifest record {k}: bad file name: {exc}") from exc
+        if not found:
             raise ManifestError(f"glyph file not found: {glyph_path}")
         if family not in family_index:
             family_index[family] = len(family_index)

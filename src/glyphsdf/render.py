@@ -78,13 +78,25 @@ def bilinear_resample(grid, width):
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     fx = np.clip(xt - x0, 0.0, 1.0)
-    fy = np.clip(yt - y0, 0.0, 1.0)
+    fy = np.clip(yt - y0, 0.0, 1.0)[:, None]
+    gx, gy = 1 - fx, 1 - fy
+    # each source row is interpolated along x once, into (h, width) rows;
+    # an output row blends two of them, the same products and sums as
+    # gathering the four corners of every output pixel
+    rows, rows_x1 = np.empty((h, width)), np.empty((h, width))
+    bot = np.empty((width, width))
     out = np.empty((n, width, width))
     for c in range(n):
-        ch = g[c]
-        top = ch[np.ix_(y0, x0)] * (1 - fx) + ch[np.ix_(y0, x1)] * fx
-        bot = ch[np.ix_(y1, x0)] * (1 - fx) + ch[np.ix_(y1, x1)] * fx
-        out[c] = top * (1 - fy[:, None]) + bot * fy[:, None]
+        np.take(g[c], x0, axis=1, out=rows)
+        rows *= gx
+        np.take(g[c], x1, axis=1, out=rows_x1)
+        rows_x1 *= fx
+        rows += rows_x1
+        top = np.take(rows, y0, axis=0, out=out[c])
+        top *= gy
+        np.take(rows, y1, axis=0, out=bot)
+        bot *= fy
+        top += bot
     return out
 
 
@@ -260,7 +272,8 @@ def read_image(path):
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
-        if not raw[start:pos].isdigit():
+        # more than 18 digits is no real size, and int() refuses past 4300
+        if not raw[start:pos].isdigit() or pos - start > 18:
             raise ImageError(f"bad PGM header in {path}")
         fields.append(int(raw[start:pos]))
     pos += 1  # the single whitespace after maxval

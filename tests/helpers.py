@@ -349,8 +349,9 @@ def outlines(draw):
 
 # ---------------------------------------------------------------------------
 # straightforward references for the loss terms, the allocation-lean network
-# and ADAM code and the vectorized marching squares; the package must equal
-# the network, ADAM and marching-squares references byte for byte
+# and ADAM code, the channel median, bilinear resampling and the vectorized
+# marching squares; the package must equal the network, ADAM, median,
+# resampling and marching-squares references byte for byte
 
 
 def reference_compose_train(channels, mode, axis=-1):
@@ -471,6 +472,51 @@ def reference_adam_step(state, arrays, grads):
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def reference_compose_median(channels, axis=-1):
+    """Channel median through ``np.median``."""
+    c = np.asarray(channels, dtype=np.float64)
+    if c.shape[axis] == 1:
+        return np.take(c, 0, axis=axis)
+    return np.median(c, axis=axis)
+
+
+def reference_bilinear_resample(grid, width):
+    """Bilinear resampling that gathers the four corners of every output
+    pixel with ``np.ix_``."""
+    g = np.asarray(grid, dtype=np.float64)
+    if g.ndim == 2:
+        g = g[None]
+    n, h, w = g.shape
+    xt = ((np.arange(width) + 0.5) / width) * w - 0.5
+    yt = ((np.arange(width) + 0.5) / width) * h - 0.5
+    x0 = np.clip(np.floor(xt).astype(int), 0, w - 1)
+    y0 = np.clip(np.floor(yt).astype(int), 0, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = np.clip(xt - x0, 0.0, 1.0)
+    fy = np.clip(yt - y0, 0.0, 1.0)
+    out = np.empty((n, width, width))
+    for c in range(n):
+        ch = g[c]
+        top = ch[np.ix_(y0, x0)] * (1 - fx) + ch[np.ix_(y0, x1)] * fx
+        bot = ch[np.ix_(y1, x0)] * (1 - fx) + ch[np.ix_(y1, x1)] * fx
+        out[c] = top * (1 - fy[:, None]) + bot * fy[:, None]
+    return out
+
+
+# any float64, with signed zeros, infinities and NaN drawn often
+edge_floats = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]) | st.floats()
+
+
+def assert_same_floats(got, want):
+    """Equal shapes, values and zero signs; NaN where the other has NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    nan = np.isnan(want)
+    assert np.array_equal(np.signbit(got)[~nan], np.signbit(want)[~nan])
 
 
 def reference_extract_zero_level(grid):

@@ -501,8 +501,14 @@ def _assert_params_equal(a, b):
 
 class TestReferenceEquality:
     @settings(max_examples=60, deadline=None)
-    @given(networks(), st.integers(1, 40), st.booleans())
-    def test_forward_backward(self, net, rows, need_param_grads):
+    @given(networks(), st.integers(1, 40), st.booleans(), st.integers(1, 5))
+    def test_forward_backward(self, net, rows, need_param_grads, block_rows):
+        # blocks of 1-5 rows: the elementwise passes cross block edges
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "BLOCK_ROWS", block_rows)
+            self._forward_backward(net, rows, need_param_grads)
+
+    def _forward_backward(self, net, rows, need_param_grads):
         cfg, params, rng = net
         X = rng.normal(size=(rows, cfg.in_dim))
         X[rng.random(X.shape) < 0.1] = 0.0

@@ -118,6 +118,44 @@ class TestPrepare:
         assert "sq.path" in res.stderr
         assert "unknown command" in res.stderr
 
+    def test_undecodable_path_file_names_the_glyph(self, workspace):
+        (workspace / "sq.path").write_bytes(b"M 0 0 L \xff 1 Z")
+        res = run_cli("--config", workspace / "config.json", "prepare")
+        assert res.returncode == 1
+        assert len(res.stderr.splitlines()) == 1
+        assert "sq.path" in res.stderr and "can't decode" in res.stderr
+
+    def test_families_sharing_a_file_name_rejected(self, workspace):
+        # "a b" and "a_b" both become the file stem a_b__A
+        manifest = [
+            {"family": "a b", "label": "A", "file": "sq.path"},
+            {"family": "a_b", "label": "A", "file": "l.path"},
+        ]
+        (workspace / "manifest.json").write_text(json.dumps(manifest))
+        res = run_cli("--config", workspace / "config.json", "prepare")
+        assert res.returncode == 1
+        assert res.stderr.splitlines() == [
+            "error: glyphs 'a b/A' and 'a_b/A' would both be written as prepared/a_b__A.*"
+        ]
+        assert not (workspace / "out" / "prepared").exists()
+
+    def test_labels_differing_in_case_rejected(self, workspace):
+        # fam__A and fam__a are one file where the filesystem ignores case
+        manifest = [
+            {"family": "fam", "label": "A", "file": "sq.path"},
+            {"family": "fam", "label": "a", "file": "l.path"},
+        ]
+        (workspace / "manifest.json").write_text(json.dumps(manifest))
+        res = run_cli(
+            "--config", workspace / "config.json",
+            "--set", 'dataset.alphabet="Aa"', "prepare",
+        )
+        assert res.returncode == 1
+        assert res.stderr.splitlines() == [
+            "error: glyphs 'fam/A' and 'fam/a' would both be written as prepared/fam__a.*"
+        ]
+        assert not (workspace / "out" / "prepared").exists()
+
     def test_missing_manifest(self, workspace):
         res = run_cli(
             "--config", workspace / "config.json",

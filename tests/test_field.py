@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from glyphsdf import field, geometry
 from glyphsdf.config import FieldSettings
 from glyphsdf.errors import ConfigError
 
-from helpers import box_sdf, read_grid, reference_compose_train, ring_glyph, square_glyph
+from helpers import (
+    assert_same_floats, box_sdf, edge_floats, read_grid, reference_compose_median,
+    reference_compose_train, ring_glyph, square_glyph,
+)
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -60,6 +64,8 @@ class TestCompose:
     def test_median_basics(self):
         assert field.compose_median([0.0, 0.0, 1.0]) == 0.0
         assert field.compose_median([0.2, 0.9, 0.4]) == pytest.approx(0.4)
+        got = field.compose_median([-0.0, 2.0, -0.0])
+        assert type(got) is np.float64 and not np.signbit(got)
 
     def test_median_permutation_invariant_exact(self):
         from itertools import permutations
@@ -78,6 +84,23 @@ class TestCompose:
         lhs = field.compose_median(field.kernel(d, gamma))
         rhs = field.kernel(field.compose_median(d), gamma)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), max_size=3), st.sampled_from([1, 3]),
+        st.integers(0, 3), st.data(),
+    )
+    def test_median_equals_np_median(self, shape, n, at, data):
+        # the channel axis anywhere, alone (a 0-d result) or among others
+        at = min(at, len(shape))
+        shape = shape[:at] + [n] + shape[at:]
+        c = data.draw(hnp.arrays(np.float64, shape, elements=edge_floats))
+        for axis in (at, at - len(shape)):
+            with np.errstate(invalid="ignore"):
+                got = field.compose_median(c, axis=axis)
+                want = reference_compose_median(c, axis=axis)
+            assert type(got) is type(want)
+            assert_same_floats(got, want)
 
     def test_median_pair_examples(self):
         def value(c, mode):

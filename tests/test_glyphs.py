@@ -1,10 +1,41 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glyphsdf import glyphs
-from glyphsdf.errors import GeometryError, ManifestError, PathSyntaxError
+from glyphsdf.errors import GeometryError, GlyphSdfError, ManifestError, PathSyntaxError
 
-from helpers import to_path_text
+from helpers import json_values, to_path_text
+
+_NUMBERS_PER_COMMAND = {"M": 2, "L": 2, "Q": 4, "C": 6, "Z": 0, "m": 2, "x": 1}
+
+
+@st.composite
+def _path_texts(draw):
+    """Subpaths of M, lines, curves and Z, where now and then a command is
+    wrong, a number is missing or extra, or a number is not one, is not
+    finite or is out of range."""
+    def now_and_then():
+        return draw(st.integers(0, 19)) == 0
+
+    good_number = st.integers(-2, 2).map(str) | st.floats(-2, 2).map(repr)
+    bad_number = st.sampled_from(["nan", "-inf", "1e309", "1e308", "1e-320"]) | st.text(max_size=3)
+    tokens = []
+    for _ in range(draw(st.integers(0, 3))):
+        for command in ["M", *draw(st.lists(st.sampled_from("LQC"), max_size=4)), "Z"]:
+            if now_and_then():
+                command = draw(st.sampled_from(sorted(_NUMBERS_PER_COMMAND)))
+            count = _NUMBERS_PER_COMMAND[command]
+            if now_and_then():
+                count += draw(st.sampled_from([-1, 1]))
+            tokens.append(command)
+            tokens += [draw(bad_number if now_and_then() else good_number) for _ in range(count)]
+    seps = st.sampled_from([" ", "\n", "\r\n", "\t", ""] if now_and_then() else [" "])
+    return "".join(t + draw(seps) for t in tokens)
 
 
 class TestParsePath:
@@ -60,6 +91,15 @@ class TestParsePath:
     def test_multiple_subpaths(self):
         contours = glyphs.parse_path("M 0 0 L 1 0 L 1 1 Z M 2 2 L 3 2 L 3 3 Z")
         assert len(contours) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_path_texts() | st.text(max_size=40))
+    def test_any_text_parses_or_raises_package_error(self, text):
+        # glyph_from_path is parse_path followed by normalize
+        try:
+            glyphs.glyph_from_path(text)
+        except GlyphSdfError:
+            pass
 
     def test_round_trip_exact(self):
         text = "M 0 0 Q 0.137 1.25 1 0 C 1.5 -0.5 0.25 0.125 0.1 0.7 Z"
@@ -155,6 +195,17 @@ class TestManifest:
         with pytest.raises(ManifestError, match="duplicate"):
             glyphs.load_manifest(path)
 
+    def test_nul_in_file_name(self, tmp_path):
+        path = self._write(tmp_path, [{"family": "f", "label": "A", "file": "a\x00.txt"}])
+        with pytest.raises(ManifestError, match="bad file name"):
+            glyphs.load_manifest(path)
+
+    def test_overlong_file_name(self, tmp_path):
+        # one path component past the 255 bytes a file name may have
+        path = self._write(tmp_path, [{"family": "f", "label": "A", "file": "a" * 300}])
+        with pytest.raises(ManifestError, match="bad file name|not found"):
+            glyphs.load_manifest(path)
+
     def test_empty_manifest_ok(self, tmp_path):
         path = self._write(tmp_path, [])
         assert glyphs.load_manifest(path) == []
@@ -171,6 +222,37 @@ class TestManifest:
         record = {"family": "f", "label": "A", "file": "a.txt", key: 1}
         with pytest.raises(ManifestError, match="as strings"):
             glyphs.load_manifest(self._write(tmp_path, [record]))
+
+
+_manifest_strings = st.sampled_from(["f", "g", "A", "B", "", "a.txt", "gone.txt", "..", "a\x00b"])
+
+
+@st.composite
+def _manifest_docs(draw):
+    """Manifest text: a list of records that mostly have the right keys,
+    holding names, files that exist or not, or any JSON value."""
+    value = _manifest_strings | json_values
+    record = st.fixed_dictionaries(dict.fromkeys(["family", "label", "file"], value)) | (
+        st.dictionaries(st.sampled_from(["family", "label", "file"]) | st.text(max_size=3),
+                        value, max_size=4)
+    )
+    doc = draw(st.lists(record | json_values, max_size=4) | json_values)
+    return json.dumps(doc).encode()
+
+
+class TestManifestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_manifest_docs() | st.binary(max_size=30)
+           | st.integers(1, 5000).map(lambda k: b"[" * k + b"]" * k))
+    def test_any_manifest_loads_or_raises_package_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "a.txt").write_text("M 0 0 L 1 0 L 1 1 Z")
+            path = Path(tmp) / "manifest.json"
+            path.write_bytes(raw)
+            try:
+                glyphs.load_manifest(path)
+            except GlyphSdfError:
+                pass
 
 
 def test_segment_invariants():

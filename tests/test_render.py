@@ -1,13 +1,16 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import helpers
 from glyphsdf import autodecoder as ad
 from glyphsdf import field, geometry, render
-from glyphsdf.errors import ImageError
+from glyphsdf.errors import GlyphSdfError, ImageError
 from glyphsdf.config import FieldSettings, TrainSettings
 from glyphsdf.training import prepare_glyph, train
 
@@ -53,6 +56,21 @@ class TestBilinear:
         xt = (np.arange(64) + 0.5) / 64 * 2 - 1
         inner = slice(4, 60)
         assert np.allclose(up[0][32, inner], xt[inner], atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3), st.integers(1, 12), st.integers(1, 12), st.integers(1, 40),
+        st.booleans(), st.data(),
+    )
+    def test_equals_four_corner_reference(self, n, h, w, width, flat, data):
+        # widths above and below h and w: upsampling and downsampling
+        grid = data.draw(hnp.arrays(np.float64, (n, h, w), elements=helpers.edge_floats))
+        if flat:
+            grid = grid[0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = render.bilinear_resample(grid, width)
+            want = helpers.reference_bilinear_resample(grid, width)
+        helpers.assert_same_floats(got, want)
 
     def test_render_bilateral_equals_median_kernel_at_grid_width(self):
         rng = np.random.default_rng(2)
@@ -203,6 +221,19 @@ class TestZeroLevelReference:
                 assert np.array_equal(c, r)
 
 
+@st.composite
+def _pgm_bytes(draw):
+    """A P5 magic, header fields of digits, signs, comments and junk, and a
+    payload of any bytes."""
+    field = st.integers(0, 70000).map(lambda k: str(k).encode()) | st.sampled_from(
+        [b"-1", b"x", b"#c\n", b"#", b"255", b"65535", b"9" * 30]
+    ) | st.binary(max_size=3)
+    sep = st.sampled_from([b" ", b"\n", b"\t", b"", b"\r\n"])
+    header = b"".join(draw(sep) + draw(field) for _ in range(draw(st.integers(0, 4))))
+    magic = draw(st.sampled_from([b"P5", b"P2", b""]))
+    return magic + header + draw(sep) + draw(st.binary(max_size=40))
+
+
 class TestPgm:
     def test_all_white(self, tmp_path):
         p = tmp_path / "w.pgm"
@@ -269,6 +300,7 @@ class TestPgm:
             b"P5\n2 2\n70000\n" + bytes(8),
             b"P5\n2",
             b"P5 -2 2 255 " + bytes(4),
+            pytest.param(b"P5 " + b"9" * 5000 + b" 2 255\n" + bytes(4), id="5000-digit width"),
         ],
     )
     def test_bad_header(self, tmp_path, raw):
@@ -276,6 +308,18 @@ class TestPgm:
         p.write_bytes(raw)
         with pytest.raises(ImageError, match="PGM header"):
             render.read_image(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_pgm_bytes() | st.binary(max_size=40))
+    def test_any_bytes_load_or_raise_package_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.pgm"
+            path.write_bytes(raw)
+            try:
+                img = render.read_image(path)
+            except GlyphSdfError:
+                return
+            assert img.ndim == 2 and np.all((img >= 0.0) & (img <= 1.0))
 
     def test_sample_above_maxval(self, tmp_path):
         p = tmp_path / "m.pgm"
