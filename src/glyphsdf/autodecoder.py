@@ -424,7 +424,8 @@ def load_checkpoint(path, expect_alphabet=None):
     start = len(CKPT_MAGIC) + 4
     try:
         manifest = json.loads(raw[start : start + blob_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deeply to decode
         raise CheckpointError(f"corrupt checkpoint manifest in {path}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"corrupt checkpoint manifest in {path}")

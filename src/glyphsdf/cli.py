@@ -1,8 +1,9 @@
 """Command-line pipeline: prepare, train, render, interpolate, fit, eval.
 
 Exit codes: 0 ok, 1 usage/config error, 2 numerical failure, 3 I/O error.
-``--threads 1`` pins the BLAS pools before numpy loads, which is the
-bit-reproducible mode used by the determinism tests.
+``train.threads`` (from the config file, ``--set`` or ``--threads``) pins
+the BLAS pools before numpy loads; 1 is the bit-reproducible mode used by
+the determinism tests.
 """
 from __future__ import annotations
 
@@ -108,14 +109,13 @@ def _safe_name(family, label_char):
     return f"{keep}__{label_char}"
 
 
-def _prepare_dataset(cfg):
-    """Every manifest glyph, prepared in memory at the training width."""
+def _manifest_glyphs(cfg):
+    """Every manifest entry with its parsed glyph, as (entry, glyph) pairs."""
     from .glyphs import glyph_from_path, load_manifest
-    from .training import prepare_glyph
 
     if not cfg.dataset.manifest:
         raise _UsageError("config has no dataset.manifest")
-    prepared = []
+    pairs = []
     for entry in load_manifest(cfg.dataset.manifest, cfg.dataset.alphabet):
         try:
             glyph = glyph_from_path(
@@ -126,10 +126,18 @@ def _prepare_dataset(cfg):
             raise GlyphSdfError(
                 f"glyph {entry.family_id}/{entry.label_char} ({entry.path}): {exc}"
             ) from exc
-        prepared.append(
-            prepare_glyph(glyph, entry.family_id, entry.family_index, entry.label, cfg.field)
-        )
-    return prepared
+        pairs.append((entry, glyph))
+    return pairs
+
+
+def _prepare_dataset(cfg):
+    """Every manifest glyph, prepared in memory at the training width."""
+    from .training import prepare_glyph
+
+    return [
+        prepare_glyph(glyph, entry.family_id, entry.family_index, entry.label, cfg.field)
+        for entry, glyph in _manifest_glyphs(cfg)
+    ]
 
 
 def _write_log_csv(path, rows):
@@ -249,7 +257,7 @@ def cmd_train(cfg, args):
 
 
 def _check_width(width):
-    from .field import MIN_WIDTH
+    from .config import MIN_WIDTH
 
     if width < MIN_WIDTH:
         raise _UsageError(f"--res width {width} is below the minimum of {MIN_WIDTH}")
@@ -270,7 +278,7 @@ def cmd_render(cfg, args):
     from . import autodecoder as ad
     from . import field as field_mod
     from .render import (
-        compose_image, extract_zero_level, field_grid, opacity, render_bilateral,
+        bilinear_resample, compose_image, extract_zero_level, field_grid, opacity,
         write_contours, write_image, zero_level_field,
     )
 
@@ -284,18 +292,18 @@ def cmd_render(cfg, args):
         train_grid = field_grid(bundle, z, label, bundle.train_width)
     for width in widths:
         name = f"render_{_safe_name(args.family, args.label)}_{args.method}_{width}"
-        # one network evaluation per width serves the image, the channel
-        # images and the contours
+        # one grid per width serves the image, the channel images and the
+        # contours: the network evaluated at that width, or for bilateral
+        # the training-width grid upsampled.  The previous width's grid is
+        # released first, so it is not held while the next one is built.
         grid = None
-        if args.method == "implicit" or args.channels or args.contours:
-            grid = field_grid(bundle, z, label, width)
         if args.method == "implicit":
-            img = compose_image(grid, width, bundle.aa_k, bundle.supervision)
+            grid = field_grid(bundle, z, label, width)
         else:
-            img = render_bilateral(
-                train_grid, width, bundle.aa_k, bundle.supervision
-            )
-        write_image(out / f"{name}.pgm", img)
+            grid = bilinear_resample(train_grid, width)
+        write_image(
+            out / f"{name}.pgm", compose_image(grid, width, bundle.aa_k, bundle.supervision)
+        )
         if args.channels:
             for c, channel in enumerate(grid):
                 write_image(
@@ -384,31 +392,32 @@ def cmd_fit(cfg, args):
 def cmd_eval(cfg, args):
     from . import autodecoder as ad
     from .field import compose_median, rasterize_ground_truth
+    from .geometry import detect_corners
     from .metrics import corner_region_metrics, laplacian_smoothness, mse, soft_iou
     from .render import field_grid, render_bilateral, render_implicit
 
     bundle = ad.load_checkpoint(args.checkpoint)
-    dataset = _prepare_dataset(cfg)
     out = _out_dir(cfg)
     rows = []
-    for prepared in dataset:
-        if prepared.family_id not in bundle.latents.family_ids:
+    for entry, glyph in _manifest_glyphs(cfg):
+        if entry.family_id not in bundle.latents.family_ids:
             continue
-        z = bundle.latents.codes[bundle.latents.family_ids.index(prepared.family_id)]
-        grid = field_grid(bundle, z, prepared.label, bundle.train_width)
+        z = bundle.latents.codes[bundle.latents.family_ids.index(entry.family_id)]
+        grid = field_grid(bundle, z, entry.label, bundle.train_width)
         lap = laplacian_smoothness(compose_median(grid, axis=0))
+        corners = detect_corners(glyph, cfg.field.corner_threshold)
         truths = {
-            width: rasterize_ground_truth(prepared.glyph, width, bundle.aa_k / width)
+            width: rasterize_ground_truth(glyph, width, bundle.aa_k / width)
             for width in cfg.eval.resolutions
         }
         for method in cfg.eval.methods:
             for width in cfg.eval.resolutions:
                 truth = truths[width]
                 if method == "implicit":
-                    img = render_implicit(bundle, z, prepared.label, width)
+                    img = render_implicit(bundle, z, entry.label, width)
                 else:
                     img = render_bilateral(grid, width, bundle.aa_k, bundle.supervision)
-                corner = corner_region_metrics(img, truth, prepared.templates, width)
+                corner = corner_region_metrics(img, truth, corners, width)
                 rows.append(
                     {
                         "method": method,
@@ -418,8 +427,8 @@ def cmd_eval(cfg, args):
                         "c_mse": corner.mse,
                         "c_siou": corner.siou,
                         "lap": lap,
-                        "family": prepared.family_id,
-                        "label": prepared.glyph.label,
+                        "family": entry.family_id,
+                        "label": glyph.label,
                     }
                 )
     cols = ["method", "res", "mse", "siou", "c_mse", "c_siou", "lap", "family", "label"]
@@ -448,12 +457,12 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.threads is not None and args.threads > 0:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
     try:
+        # the config module loads no numpy, so the pins still take effect
         cfg = _load_config(args)
+        if cfg.train.threads is not None and cfg.train.threads > 0:
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = str(cfg.train.threads)
         return _COMMANDS[args.command](cfg, args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -8,13 +8,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import string
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
+# imports nothing that loads numpy, so the CLI reads the thread count from
+# the config before numpy starts its BLAS pools
 from .errors import ConfigError
-from .field import MIN_WIDTH
-from .glyphs import DEFAULT_ALPHABET, DEFAULT_MARGIN
 
+# smallest grid width a field is trained or rendered at
+MIN_WIDTH = 8
+DEFAULT_ALPHABET = string.ascii_uppercase + string.ascii_lowercase
+DEFAULT_MARGIN = 0.15
 
 SUPERVISIONS = ("sdf", "pixel")
 
@@ -199,7 +204,8 @@ class RunConfig:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested too deeply to decode
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 
@@ -222,7 +228,7 @@ class RunConfig:
                 raise ConfigError(f"unknown key {key!r} in section {section_name!r}")
             try:
                 value = json.loads(raw)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 value = raw  # bare strings are convenient on the command line
             values = {**dataclasses.asdict(section), key: value}
             setattr(self, section_name, _build_section(section_name, type(section), values))

@@ -21,10 +21,6 @@ import numpy as np
 from . import geometry
 
 
-# smallest grid width a field is trained or rendered at
-MIN_WIDTH = 8
-
-
 def kernel(d, gamma):
     """Opacity of signed distance(s) d for anti-alias range gamma."""
     if gamma <= 0:

@@ -19,16 +19,13 @@ from __future__ import annotations
 
 import json
 import re
-import string
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import DEFAULT_ALPHABET, DEFAULT_MARGIN
 from .errors import GeometryError, ManifestError, PathSyntaxError
-
-DEFAULT_ALPHABET = string.ascii_uppercase + string.ascii_lowercase
-DEFAULT_MARGIN = 0.15
 
 LINE = "line"
 QUADRATIC = "quadratic"

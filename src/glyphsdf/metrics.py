@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .templates import build_template
+from .templates import window_pixels
 
 
 def _check_shapes(a, b):
@@ -39,21 +39,20 @@ class CornerRegionResult:
     pixels: int          # 0 flags "no corners"
 
 
-def corner_mask(templates, width):
-    """Union of the templates' corner windows at the evaluation resolution."""
+def corner_mask(corners, width):
+    """Union of the corners' template windows at the evaluation resolution."""
     mask = np.zeros((width, width), dtype=bool)
-    for tpl in templates:
-        i, j = build_template(tpl.corner, width).pixel_ij.T
-        mask[i, j] = True
+    for corner in corners:
+        mask[tuple(window_pixels(corner.position, width).T)] = True
     return mask
 
 
-def corner_region_metrics(a, b, templates, width):
+def corner_region_metrics(a, b, corners, width):
     """MSE and soft IoU restricted to the union of scaled corner windows."""
     a, b = _check_shapes(a, b)
     if a.shape != (width, width):
         raise ValueError(f"images must be {width}x{width}")
-    mask = corner_mask(templates, width)
+    mask = corner_mask(corners, width)
     n = int(mask.sum())
     if n == 0:
         return CornerRegionResult(float("nan"), float("nan"), 0)

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import autodecoder as ad
 from . import geometry
+from .config import MIN_WIDTH
 from .errors import ImageError
-from .field import MIN_WIDTH, compose_median, kernel
+from .field import compose_median, kernel
 
 
 def field_grid(bundle, z, label, width):
@@ -109,117 +110,89 @@ def render_bilateral(grid, width, aa_k=4.0, supervision="sdf"):
 # ---------------------------------------------------------------------------
 # zero-level-set extraction (marching squares, linear interpolation)
 
-# segment endpoints per corner-sign case, oriented with the positive region
-# on the left of travel so adjacent cells chain head-to-tail
-_MS_LUT = {
-    (True, False, False, False): [("t", "l")],
-    (False, True, False, False): [("r", "t")],
-    (False, False, True, False): [("b", "r")],
-    (False, False, False, True): [("l", "b")],
-    (True, True, False, False): [("r", "l")],
-    (False, True, True, False): [("b", "t")],
-    (False, False, True, True): [("l", "r")],
-    (True, False, False, True): [("t", "b")],
-    (True, True, True, False): [("b", "l")],
-    (True, True, False, True): [("r", "b")],
-    (True, False, True, True): [("t", "r")],
-    (False, True, True, True): [("l", "t")],
-}
+# a cell's edges, top, right, bottom, left: the (row, col) offset of the
+# edge's first node and the step to its second
+_T, _R, _B, _L = range(4)
+_EDGE_NODE = np.array([[0, 0], [0, 1], [1, 0], [0, 0]])
+_EDGE_STEP = np.array([[0, 1], [1, 0], [0, 1], [1, 0]])
+_NO = (-1, -1)
+# the (start edge, end edge) of a cell's segments, indexed by its corner case
+# tl + 2 tr + 4 br + 8 bl (bit set = corner inside).  Each segment keeps the
+# positive region on its left, so adjacent cells chain head-to-tail.  The
+# saddles 5 and 10 join the corners around a negative center; rows 16 and
+# 17 are the same saddles with a positive center.
+_CASES = np.array([
+    (_NO, _NO), ((_T, _L), _NO), ((_R, _T), _NO), ((_R, _L), _NO),
+    ((_B, _R), _NO), ((_T, _L), (_B, _R)), ((_B, _T), _NO), ((_B, _L), _NO),
+    ((_L, _B), _NO), ((_T, _B), _NO), ((_R, _T), (_L, _B)), ((_R, _B), _NO),
+    ((_L, _R), _NO), ((_T, _R), _NO), ((_L, _T), _NO), (_NO, _NO),
+    ((_T, _R), (_B, _L)), ((_R, _B), (_L, _T)),
+])
 
 
 def extract_zero_level(grid):
     """Piecewise-linear contours of the zero level set of a scalar grid.
 
     Marching squares over pixel-center nodes with linear interpolation on
-    the crossing edges.  The two ambiguous saddle cases are resolved by the
-    sign of the cell-center sample (mean of the four corners), which is
-    deterministic.  Returns a list of (m, 2) arrays in field coordinates;
-    closed loops repeat their first vertex at the end, and an open contour
-    comes back as one polyline from the domain border to the border.
+    the crossing edges, driven by one case table.  The two ambiguous saddle
+    cases are resolved by the sign of the cell-center sample (mean of the
+    four corners), which is deterministic.  Segments chain through integer
+    edge ids, so loops close exactly with no coordinate tolerance.  Returns
+    a list of (m, 2) arrays in field coordinates; closed loops repeat their
+    first vertex at the end, and an open contour comes back as one polyline
+    from the domain border to the border.
     """
     f = np.asarray(grid, dtype=np.float64)
     h, w = f.shape
     if h < 2 or w < 2:
         return []
-    inside = f > 0.0
-    xs = geometry.pixel_center(np.arange(w), w).tolist()
-    ys = geometry.pixel_center(np.arange(h), h).tolist()
+    inside = (f > 0.0).view(np.uint8)
+    case = inside[:-1, :-1] | inside[:-1, 1:] << 1 | inside[1:, 1:] << 2 | inside[1:, :-1] << 3
+    i, j = np.nonzero((case != 0) & (case != 15))
+    case = case[i, j]
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    si, sj = i[saddle], j[saddle]
+    center = f[si, sj] + f[si, sj + 1] + f[si + 1, sj] + f[si + 1, sj + 1]
+    positive = saddle[center > 0]
+    case[positive] = np.where(case[positive] == 5, 16, 17)
 
-    def interp(i0, j0, i1, j1):
-        va, vb = f[i0, j0], f[i1, j1]
-        t = va / (va - vb)
-        xa, ya = xs[j0], ys[i0]
-        xb, yb = xs[j1], ys[i1]
-        return (xa + t * (xb - xa), ya + t * (yb - ya))
+    # (segment, start/end) local edges, in row-major cell order
+    seg = _CASES[case]
+    has = seg[:, :, 0] >= 0
+    edge = seg[has]
+    cell = np.nonzero(has)[0]
+    ia = i[cell, None] + _EDGE_NODE[edge, 0]
+    ja = j[cell, None] + _EDGE_NODE[edge, 1]
+    ib = ia + _EDGE_STEP[edge, 0]
+    jb = ja + _EDGE_STEP[edge, 1]
+    va, vb = f[ia, ja], f[ib, jb]
+    t = va / (va - vb)
+    xs = geometry.pixel_center(np.arange(w), w)
+    ys = geometry.pixel_center(np.arange(h), h)
+    points = np.stack([xs[ja] + t * (xs[jb] - xs[ja]), ys[ia] + t * (ys[ib] - ys[ia])], axis=-1)
+    # a grid edge is its first node and its direction
+    starts, ends = (2 * (ia * w + ja) + _EDGE_STEP[edge, 0]).T.tolist()
 
-    # a cell is crossed unless its four corners agree; classify all cells at
-    # once and visit only the crossed ones, in row-major order
-    tl, tr, br, bl = inside[:-1, :-1], inside[:-1, 1:], inside[1:, 1:], inside[1:, :-1]
-    crossed = (tl != tr) | (tr != br) | (br != bl)
-    # segments are (start_edge_id, end_edge_id, start_xy, end_xy); edge ids
-    # name grid edges, so loops chain exactly with no coordinate tolerance
-    segments = []
-    for i, j in np.argwhere(crossed).tolist():
-        key = (
-            bool(inside[i, j]),
-            bool(inside[i, j + 1]),
-            bool(inside[i + 1, j + 1]),
-            bool(inside[i + 1, j]),
-        )
-        eid = {
-            "t": ("h", i, j),
-            "r": ("v", i, j + 1),
-            "b": ("h", i + 1, j),
-            "l": ("v", i, j),
-        }
-        # interpolate lazily: only crossing edges have a valid divisor
-        corners_of = {
-            "t": (i, j, i, j + 1),
-            "r": (i, j + 1, i + 1, j + 1),
-            "b": (i + 1, j, i + 1, j + 1),
-            "l": (i, j, i + 1, j),
-        }
-        if key in _MS_LUT:
-            pairs = _MS_LUT[key]
-        else:
-            center = f[i, j] + f[i, j + 1] + f[i + 1, j] + f[i + 1, j + 1]
-            if key == (True, False, True, False):
-                pairs = [("t", "r"), ("b", "l")] if center > 0 else [("t", "l"), ("b", "r")]
-            else:  # (False, True, False, True)
-                pairs = [("r", "b"), ("l", "t")] if center > 0 else [("r", "t"), ("l", "b")]
-        for a, b in pairs:
-            segments.append(
-                (eid[a], eid[b], interp(*corners_of[a]), interp(*corners_of[b]))
-            )
-
-    starts, ends = {}, {}
-    for k, seg in enumerate(segments):
-        starts.setdefault(seg[0], []).append(k)
-        ends.setdefault(seg[1], []).append(k)
-    used = [False] * len(segments)
-
-    def unused(index, edge):
-        return next((k for k in index.get(edge, ()) if not used[k]), None)
-
+    # each crossed edge starts at most one segment and ends at most one
+    start_of = {e: k for k, e in enumerate(starts)}
+    end_of = {e: k for k, e in enumerate(ends)}
+    used = [False] * len(starts)
     contours = []
-    for k0 in range(len(segments)):
+    for k0 in range(len(starts)):
         if used[k0]:
             continue
         used[k0] = True
-        first_edge, cur_edge, pa, pb = segments[k0]
-        chain = [pa, pb]
-        while (nxt := unused(starts, cur_edge)) is not None:
-            used[nxt] = True
-            _, cur_edge, _, pb = segments[nxt]
-            chain.append(pb)
+        chain = [k0]
+        while (k := start_of.get(ends[chain[-1]])) is not None and not used[k]:
+            used[k] = True
+            chain.append(k)
         # an open chain may have started mid-way: extend it backward through
         # the segments that end on its first edge (a closed loop has none left)
-        head = []
-        while (prv := unused(ends, first_edge)) is not None:
-            used[prv] = True
-            first_edge, _, pa, _ = segments[prv]
-            head.append(pa)
-        contours.append(np.asarray(head[::-1] + chain))
+        head = [k0]
+        while (k := end_of.get(starts[head[-1]])) is not None and not used[k]:
+            used[k] = True
+            head.append(k)
+        contours.append(np.concatenate([points[head[::-1], 0], points[chain, 1]]))
     return contours
 
 

@@ -9,9 +9,11 @@ Three strata per glyph:
   split evenly inside/outside when possible.
 
 A position is listed once; when it plays several roles the kind follows
-the priority edge > corner > homogeneous.  Corner templates keep index
-arrays into the sample list, so the local loss sees all window points no
-matter which kind claimed them.
+the priority edge > corner > homogeneous.  The build keeps one (W, W)
+grid of sample rows (-1 = not sampled): edge pixels take the first rows,
+each template's unsampled window pixels the next ones in window order.
+Corner templates keep their window's rows from that grid, so the local
+loss sees all window points no matter which kind claimed them.
 """
 from __future__ import annotations
 
@@ -83,37 +85,28 @@ def sample_glyph(glyph, image, sdf, templates, gamma, config=None):
         )
     edge_ij = np.argwhere(_dilate3x3(aa))
     n_edge = len(edge_ij)
-
-    positions = [pixel_points(edge_ij, width)] if n_edge else []
-    targets = [image[edge_ij[:, 0], edge_ij[:, 1]]] if n_edge else []
-    kinds = [np.full(n_edge, KIND_EDGE, dtype=np.uint8)] if n_edge else []
-    row_of = {(int(i), int(j)): k for k, (i, j) in enumerate(edge_ij)}
+    # sample row of every pixel, -1 where the pixel is not sampled
+    row_of = np.full((width, width), -1, dtype=np.int64)
+    row_of[tuple(edge_ij.T)] = np.arange(n_edge)
     n_rows = n_edge
+    ij = [edge_ij]
+    targets = [image[tuple(edge_ij.T)]]
+    kinds = [np.full(n_edge, KIND_EDGE, dtype=np.uint8)]
 
     template_rows = []
     for tpl in templates:
-        composed = tpl.composed_target(gamma)
-        rows = np.empty(len(tpl.pixel_ij), dtype=np.int64)
-        new_ij, new_t = [], []
-        for k, (i, j) in enumerate(tpl.pixel_ij):
-            key = (int(i), int(j))
-            if key not in row_of:
-                row_of[key] = n_rows
-                n_rows += 1
-                new_ij.append(key)
-                new_t.append(composed[k])
-            rows[k] = row_of[key]
-        if new_ij:
-            new_ij = np.asarray(new_ij)
-            positions.append(pixel_points(new_ij, width))
-            targets.append(np.asarray(new_t, dtype=np.float64))
-            kinds.append(np.full(len(new_ij), KIND_CORNER, dtype=np.uint8))
-        template_rows.append(rows)
+        window = tuple(tpl.pixel_ij.T)
+        new = row_of[window] < 0
+        fresh = tpl.pixel_ij[new]
+        row_of[tuple(fresh.T)] = np.arange(n_rows, n_rows + len(fresh))
+        n_rows += len(fresh)
+        ij.append(fresh)
+        targets.append(tpl.composed_target(gamma)[new])
+        kinds.append(np.full(len(fresh), KIND_CORNER, dtype=np.uint8))
+        template_rows.append(row_of[window])
 
     n_h = max(round(config.rho * n_edge), config.min_homogeneous)
-    used = np.zeros_like(sdf, dtype=bool)
-    for (i, j) in row_of:
-        used[i, j] = True
+    used = row_of >= 0
     off = np.abs(sdf) > gamma
     cand_in = np.argwhere(off & (sdf > 0) & ~used)
     cand_out = np.argwhere(off & (sdf < 0) & ~used)
@@ -123,24 +116,14 @@ def sample_glyph(glyph, image, sdf, templates, gamma, config=None):
     for cand, want, value in ((cand_in, want_in, 1.0), (cand_out, want_out, 0.0)):
         if want == 0:
             continue
-        pick = cand[rng.choice(len(cand), want, replace=False)]
-        positions.append(pixel_points(pick, width))
+        ij.append(cand[rng.choice(len(cand), want, replace=False)])
         targets.append(np.full(want, value))
         kinds.append(np.full(want, KIND_HOMOGENEOUS, dtype=np.uint8))
 
-    if positions:
-        positions = np.concatenate(positions, axis=0)
-        targets = np.concatenate(targets, axis=0)
-        kinds = np.concatenate(kinds, axis=0)
-    else:
-        positions = np.zeros((0, 2))
-        targets = np.zeros(0)
-        kinds = np.zeros(0, dtype=np.uint8)
-
     return SampleSet(
-        positions=positions,
-        targets=targets,
-        kinds=kinds,
+        positions=pixel_points(np.concatenate(ij), width),
+        targets=np.concatenate(targets),
+        kinds=np.concatenate(kinds),
         template_rows=template_rows,
         rng_seed=config.seed,
         gamma=gamma,

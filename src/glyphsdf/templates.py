@@ -60,6 +60,18 @@ def _rot90ccw(v):
     return np.array([-v[1], v[0]])
 
 
+def window_pixels(position, width):
+    """(row, col) of the window pixels around a corner at ``position`` on a
+    width x width grid, row-major; windows leaving the grid are clipped."""
+    h = template_window_size(width) // 2
+    jc = geometry.pixel_index(float(position[0]), width)
+    ic = geometry.pixel_index(float(position[1]), width)
+    rows = np.arange(max(ic - h, 0), min(ic + h, width - 1) + 1)
+    cols = np.arange(max(jc - h, 0), min(jc + h, width - 1) + 1)
+    ii, jj = np.meshgrid(rows, cols, indexing="ij")
+    return np.stack([ii.ravel(), jj.ravel()], axis=1)
+
+
 def build_template(corner, width):
     """Build the window, quadrant labels and half-plane fields for a corner.
 
@@ -76,18 +88,10 @@ def build_template(corner, width):
     n1 = ink_side * _rot90ccw(u)
     n2 = ink_side * _rot90ccw(v)
 
-    w_t = template_window_size(width)
-    h = w_t // 2
-    cx, cy = float(corner.position[0]), float(corner.position[1])
-    jc, ic = geometry.pixel_index(cx, width), geometry.pixel_index(cy, width)
-    rows = np.arange(max(ic - h, 0), min(ic + h, width - 1) + 1)
-    cols = np.arange(max(jc - h, 0), min(jc + h, width - 1) + 1)
-
-    ii, jj = np.meshgrid(rows, cols, indexing="ij")
-    pixel_ij = np.stack([ii.ravel(), jj.ravel()], axis=1)
+    pixel_ij = window_pixels(corner.position, width)
     points = geometry.pixel_points(pixel_ij, width)
 
-    rel = points - np.array([cx, cy])
+    rel = points - corner.position
     h1 = rel @ n1
     h2 = rel @ n2
     quadrant = np.empty(len(points), dtype=np.uint8)

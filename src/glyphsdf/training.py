@@ -99,14 +99,10 @@ def total_loss(
     h = 1.0 / (2.0 * train_width)
     pts = sample_set.positions
     if k:
-        stencil = np.concatenate(
-            [
-                pts[eik] + np.array([h, 0.0]),
-                pts[eik] - np.array([h, 0.0]),
-                pts[eik] + np.array([0.0, h]),
-                pts[eik] - np.array([0.0, h]),
-            ]
-        )
+        # adding -0.0 keeps a coordinate's bits, as subtracting 0.0 does;
+        # adding 0.0 would turn -0.0 into 0.0
+        steps = np.array([[h, 0.0], [-h, -0.0], [0.0, h], [-0.0, -h]])
+        stencil = (pts[eik] + steps[:, None]).reshape(4 * k, 2)
         all_pts = np.concatenate([pts, stencil])
     else:
         all_pts = pts
@@ -149,10 +145,7 @@ def total_loss(
     # gradient-norm term via the central stencil
     grad_term = 0.0
     if k:
-        px = out[N : N + k]
-        mx = out[N + k : N + 2 * k]
-        py = out[N + 2 * k : N + 3 * k]
-        my = out[N + 3 * k : N + 4 * k]
+        px, mx, py, my = out[N:].reshape(4, k, n_ch)
         gx = (px - mx) / (2.0 * h)
         gy = (py - my) / (2.0 * h)
         norm = np.sqrt(gx * gx + gy * gy)
@@ -163,10 +156,11 @@ def total_loss(
         dgx = scale * gx / safe
         dgy = scale * gy / safe
         coeff = weights.beta / (2.0 * h)
-        d_out[N : N + k] += coeff * dgx
-        d_out[N + k : N + 2 * k] -= coeff * dgx
-        d_out[N + 2 * k : N + 3 * k] += coeff * dgy
-        d_out[N + 3 * k : N + 4 * k] -= coeff * dgy
+        dpx, dmx, dpy, dmy = d_out[N:].reshape(4, k, n_ch)
+        dpx += coeff * dgx
+        dmx -= coeff * dgx
+        dpy += coeff * dgy
+        dmy -= coeff * dgy
 
     latent_norm = float(np.linalg.norm(z))
     total = (
@@ -235,21 +229,15 @@ def _capped_view(samples, cap, rng):
     Returns a SampleSet sharing no rows semantics with the original (the
     template row indices are remapped into the subset).
     """
-    n = len(samples)
-    window_rows = (
-        np.unique(np.concatenate(samples.template_rows))
-        if samples.template_rows
-        else np.zeros(0, dtype=np.int64)
-    )
-    in_window = np.zeros(n, dtype=bool)
-    in_window[window_rows] = True
-    free = np.flatnonzero(~in_window)
+    keep_mask = np.zeros(len(samples), dtype=bool)
+    for rows in samples.template_rows:
+        keep_mask[rows] = True
+    free = np.flatnonzero(~keep_mask)
     if len(free) <= cap:
         return samples
-    keep_free = free[np.sort(rng.choice(len(free), cap, replace=False))]
-    keep = np.sort(np.concatenate([window_rows, keep_free]))
-    remap = np.full(n, -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
+    keep_mask[free[rng.choice(len(free), cap, replace=False)]] = True
+    keep = np.flatnonzero(keep_mask)
+    remap = np.cumsum(keep_mask) - 1
     return SampleSet(
         positions=samples.positions[keep],
         targets=samples.targets[keep],

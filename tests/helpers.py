@@ -519,11 +519,27 @@ def assert_same_floats(got, want):
     assert np.array_equal(np.signbit(got)[~nan], np.signbit(want)[~nan])
 
 
-def reference_extract_zero_level(grid):
-    """Marching squares visiting every cell in a Python loop, with the
-    package's segment table and chaining."""
-    from glyphsdf.render import _MS_LUT
+# segment endpoints per corner-sign case (tl, tr, br, bl), oriented with the
+# positive region on the left of travel; the saddles are handled apart
+_MS_LUT = {
+    (True, False, False, False): [("t", "l")],
+    (False, True, False, False): [("r", "t")],
+    (False, False, True, False): [("b", "r")],
+    (False, False, False, True): [("l", "b")],
+    (True, True, False, False): [("r", "l")],
+    (False, True, True, False): [("b", "t")],
+    (False, False, True, True): [("l", "r")],
+    (True, False, False, True): [("t", "b")],
+    (True, True, True, False): [("b", "l")],
+    (True, True, False, True): [("r", "b")],
+    (True, False, True, True): [("t", "r")],
+    (False, True, True, True): [("l", "t")],
+}
 
+
+def reference_extract_zero_level(grid):
+    """Marching squares visiting every cell in a Python loop, with a
+    dict-keyed segment table and chaining through lists of segments."""
     f = np.asarray(grid, dtype=np.float64)
     h, w = f.shape
     if h < 2 or w < 2:
@@ -603,3 +619,113 @@ def reference_extract_zero_level(grid):
             head.append(pa)
         contours.append(np.asarray(head[::-1] + chain))
     return contours
+
+
+# ---------------------------------------------------------------------------
+# references for the sample-set build and its per-step cap; the package must
+# equal them byte for byte
+
+
+def reference_sample_glyph(glyph, image, sdf, templates, gamma, config=None):
+    """Sample-set build that tracks sampled pixels in a dict keyed by
+    (row, col) and fills the template rows one window pixel at a time."""
+    from glyphsdf import sampling
+    from glyphsdf.errors import ConfigError
+
+    config = config or sampling.SampleConfig()
+    width = image.shape[0]
+    if image.shape != sdf.shape:
+        raise ConfigError("raster and sdf grid shapes differ")
+    aa = (image > 0.0) & (image < 1.0)
+    if not aa.any() and glyph.contours:
+        raise ConfigError(f"no anti-alias pixels at width {width} with gamma {gamma}")
+    edge_ij = np.argwhere(sampling._dilate3x3(aa))
+    n_edge = len(edge_ij)
+    positions = [geometry.pixel_points(edge_ij, width)] if n_edge else []
+    targets = [image[edge_ij[:, 0], edge_ij[:, 1]]] if n_edge else []
+    kinds = [np.full(n_edge, sampling.KIND_EDGE, dtype=np.uint8)] if n_edge else []
+    row_of = {(int(i), int(j)): k for k, (i, j) in enumerate(edge_ij)}
+    n_rows = n_edge
+
+    template_rows = []
+    for tpl in templates:
+        composed = tpl.composed_target(gamma)
+        rows = np.empty(len(tpl.pixel_ij), dtype=np.int64)
+        new_ij, new_t = [], []
+        for k, (i, j) in enumerate(tpl.pixel_ij):
+            key = (int(i), int(j))
+            if key not in row_of:
+                row_of[key] = n_rows
+                n_rows += 1
+                new_ij.append(key)
+                new_t.append(composed[k])
+            rows[k] = row_of[key]
+        if new_ij:
+            new_ij = np.asarray(new_ij)
+            positions.append(geometry.pixel_points(new_ij, width))
+            targets.append(np.asarray(new_t, dtype=np.float64))
+            kinds.append(np.full(len(new_ij), sampling.KIND_CORNER, dtype=np.uint8))
+        template_rows.append(rows)
+
+    n_h = max(round(config.rho * n_edge), config.min_homogeneous)
+    used = np.zeros_like(sdf, dtype=bool)
+    for (i, j) in row_of:
+        used[i, j] = True
+    off = np.abs(sdf) > gamma
+    cand_in = np.argwhere(off & (sdf > 0) & ~used)
+    cand_out = np.argwhere(off & (sdf < 0) & ~used)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    want_in = min(n_h // 2, len(cand_in))
+    want_out = min(n_h - want_in, len(cand_out))
+    for cand, want, value in ((cand_in, want_in, 1.0), (cand_out, want_out, 0.0)):
+        if want == 0:
+            continue
+        pick = cand[rng.choice(len(cand), want, replace=False)]
+        positions.append(geometry.pixel_points(pick, width))
+        targets.append(np.full(want, value))
+        kinds.append(np.full(want, sampling.KIND_HOMOGENEOUS, dtype=np.uint8))
+
+    if positions:
+        positions = np.concatenate(positions, axis=0)
+        targets = np.concatenate(targets, axis=0)
+        kinds = np.concatenate(kinds, axis=0)
+    else:
+        positions, targets, kinds = np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=np.uint8)
+    return sampling.SampleSet(positions, targets, kinds, template_rows, config.seed, gamma)
+
+
+def reference_capped_view(samples, cap, rng):
+    """Per-step subset by ``np.unique`` of the window rows, sorts and an
+    explicit remap table."""
+    from glyphsdf import sampling
+
+    n = len(samples)
+    window_rows = (
+        np.unique(np.concatenate(samples.template_rows))
+        if samples.template_rows
+        else np.zeros(0, dtype=np.int64)
+    )
+    in_window = np.zeros(n, dtype=bool)
+    in_window[window_rows] = True
+    free = np.flatnonzero(~in_window)
+    if len(free) <= cap:
+        return samples
+    keep_free = free[np.sort(rng.choice(len(free), cap, replace=False))]
+    keep = np.sort(np.concatenate([window_rows, keep_free]))
+    remap = np.full(n, -1, dtype=np.int64)
+    remap[keep] = np.arange(len(keep))
+    return sampling.SampleSet(
+        samples.positions[keep], samples.targets[keep], samples.kinds[keep],
+        [remap[rows] for rows in samples.template_rows], samples.rng_seed, samples.gamma,
+    )
+
+
+def assert_same_sample_sets(got, want):
+    """Every field equal in bytes, dtype and shape."""
+    for name in ("positions", "targets", "kinds"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert len(got.template_rows) == len(want.template_rows)
+    for a, b in zip(got.template_rows, want.template_rows):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (got.rng_seed, got.gamma) == (want.rng_seed, want.gamma)

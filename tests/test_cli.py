@@ -1,5 +1,6 @@
 """End-to-end command-line tests (subprocess, tiny configs)."""
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -269,6 +270,39 @@ class TestRenderCommand:
         assert (out / "channels_fam__B.grid").is_file()
         assert (out / "render_fam__B_bilateral_32_contours.json").is_file()
 
+    def test_bilateral_outputs_read_the_upsampled_training_grid(self, trained, monkeypatch):
+        from glyphsdf import autodecoder as ad, cli, field, render
+
+        ws, ckpt = trained
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)  # restored after the test
+        field_grid, evaluated = render.field_grid, []
+
+        def counting_field_grid(bundle, z, label, width):
+            evaluated.append(width)
+            return field_grid(bundle, z, label, width)
+
+        monkeypatch.setattr(render, "field_grid", counting_field_grid)
+        assert cli.main([
+            "--config", str(ws / "config.json"), "render", "--checkpoint", str(ckpt),
+            "--family", "fam", "--label", "B", "--res", "24,40",
+            "--method", "bilateral", "--channels", "--contours",
+        ]) == 0
+        bundle = ad.load_checkpoint(ckpt)
+        assert evaluated == [bundle.train_width]
+        train_grid = field_grid(bundle, bundle.latents.codes[0], 1, bundle.train_width)
+        out = ws / "out"
+        for width in (24, 40):
+            up = render.bilinear_resample(train_grid, width)
+            name = f"render_fam__B_bilateral_{width}"
+            want = render.extract_zero_level(field.compose_median(up, axis=0))
+            got = json.loads((out / f"{name}_contours.json").read_text())
+            assert got == [c.tolist() for c in want]
+            for c in range(3):
+                want_c = render.opacity(up[c], width, bundle.aa_k, bundle.supervision)
+                render.write_image(out / "want.pgm", want_c)
+                assert (out / f"{name}_c{c}.pgm").read_bytes() == (out / "want.pgm").read_bytes()
+
     def test_unknown_family(self, trained):
         ws, ckpt = trained
         res = run_cli(
@@ -435,6 +469,19 @@ def _render_edited(name, edit):
     return argv
 
 
+def _nested_config(ws, ckpt):
+    (ws / "nest.json").write_text("[" * 100_000)
+    return ["--config", ws / "nest.json", "prepare"]
+
+
+def _nest_manifest(path):
+    """Replace a checkpoint's manifest blob by 100,000 opening brackets."""
+    raw = path.read_bytes()
+    n = struct.unpack_from("<I", raw, 8)[0]
+    blob = b"[" * 100_000
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n :])
+
+
 BAD_INPUTS = [
     # (case, argv from (workspace, checkpoint), documented exit code)
     ("field.channels=2", _in_file("field", "channels", 2, "train"), 1),
@@ -469,6 +516,9 @@ BAD_INPUTS = [
         "no_latents", lambda p: drop_checkpoint_entry(p, "latents")), 3),
     ("checkpoint with families 5", _render_edited(
         "families_5", lambda p: edit_checkpoint_manifest(p, lambda m: m.update(families=5))), 3),
+    ("config nested 100,000 deep", _nested_config, 1),
+    ("--set nested 100,000 deep", _with_set("train.epochs=" + "[" * 100_000), 1),
+    ("checkpoint manifest nested 100,000 deep", _render_edited("nested", _nest_manifest), 3),
 ]
 
 
@@ -479,6 +529,29 @@ def test_bad_input_is_one_line_error(trained, case, argv, code):
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+
+_PIN_SCRIPT = """
+import os, sys
+from glyphsdf import cli
+argv = ["--config", sys.argv[1], "prepare"]
+cli._load_config(cli._build_parser().parse_args(argv))
+assert "numpy" not in sys.modules, "the config loaded numpy"
+assert cli.main(argv) == 0
+print(os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+def test_config_threads_pin_blas_before_numpy_loads(workspace):
+    # the workspace config sets "threads": 1 and no flag repeats it
+    import os
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    res = subprocess.run(
+        [sys.executable, "-c", _PIN_SCRIPT, str(workspace / "config.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "1"
 
 
 def test_env_var_config(workspace, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glyphsdf import metrics, templates
+from glyphsdf import geometry, metrics, templates
 
 from helpers import l_glyph
 
@@ -73,17 +73,15 @@ class TestSoftIou:
 
 
 class TestCornerRegion:
-    def _templates(self, width=64):
-        return templates.build_templates(l_glyph(), width)
+    def _corners(self):
+        return geometry.detect_corners(l_glyph())
 
     def test_full_image_mask_reduces_to_plain_metrics(self):
-        # one synthetic template window covering everything: use a tiny
-        # image so the scaled window spans it
-        tpls = self._templates()
+        corners = self._corners()
         a = np.random.default_rng(4).uniform(0, 1, (64, 64))
         b = np.random.default_rng(5).uniform(0, 1, (64, 64))
-        mask = metrics.corner_mask(tpls, 64)
-        res = metrics.corner_region_metrics(a, b, tpls, 64)
+        mask = metrics.corner_mask(corners, 64)
+        res = metrics.corner_region_metrics(a, b, corners, 64)
         assert res.pixels == int(mask.sum())
         assert res.mse == pytest.approx(metrics.mse(a[mask], b[mask]), abs=1e-15)
         assert res.siou == pytest.approx(metrics.soft_iou(a[mask], b[mask]), abs=1e-15)
@@ -97,30 +95,30 @@ class TestCornerRegion:
     def test_mask_area_matches_enumeration(self):
         # for the L-glyph at 128 the six 7x7 windows are disjoint except
         # where clipping or proximity merges them; enumerate directly
-        tpls = self._templates()
+        corners = self._corners()
         width = 128
-        mask = metrics.corner_mask(tpls, width)
+        mask = metrics.corner_mask(corners, width)
         ref = np.zeros((width, width), dtype=bool)
         w_t = templates.template_window_size(width)
         h = w_t // 2
-        for tpl in tpls:
-            cx, cy = tpl.corner.position
+        for corner in corners:
+            cx, cy = corner.position
             jc = int(np.clip(np.floor((cx + 1) / 2 * width), 0, width - 1))
             ic = int(np.clip(np.floor((cy + 1) / 2 * width), 0, width - 1))
             ref[max(ic - h, 0) : ic + h + 1, max(jc - h, 0) : jc + h + 1] = True
         assert np.array_equal(mask, ref)
-        assert int(mask.sum()) <= len(tpls) * w_t * w_t
+        assert int(mask.sum()) <= len(corners) * w_t * w_t
 
     def test_scales_with_resolution(self):
-        tpls = self._templates()
-        m64 = metrics.corner_mask(tpls, 64)
-        m256 = metrics.corner_mask(tpls, 256)
+        corners = self._corners()
+        m64 = metrics.corner_mask(corners, 64)
+        m256 = metrics.corner_mask(corners, 256)
         assert m256.sum() > m64.sum()
 
     def test_identical_images_score_one(self):
-        tpls = self._templates()
+        corners = self._corners()
         img = np.random.default_rng(6).uniform(0.2, 1, (64, 64))
-        res = metrics.corner_region_metrics(img, img, tpls, 64)
+        res = metrics.corner_region_metrics(img, img, corners, 64)
         assert res.mse == 0.0
         assert res.siou <= 1.0
 

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from glyphsdf import field, geometry, glyphs, sampling, templates
-from glyphsdf.errors import ConfigError
+from glyphsdf import field, geometry, glyphs, sampling, templates, training
+from glyphsdf.errors import ConfigError, GeometryError
 
-from helpers import box_sdf, square_glyph
+from helpers import (
+    assert_same_sample_sets, box_sdf, outlines, reference_capped_view,
+    reference_sample_glyph, square_glyph,
+)
 
 
 def build_inputs(glyph, width=64, gamma=4 / 64):
@@ -152,3 +156,45 @@ class TestSampleGlyph:
         j = np.round((s.positions[edge, 0] + 1) / 2 * 64 - 0.5).astype(int)
         i = np.round((s.positions[edge, 1] + 1) / 2 * 64 - 0.5).astype(int)
         assert np.array_equal(s.targets[edge], image[i, j])
+
+
+class TestAgainstDictReference:
+    """The row-grid build and the keep-mask cap equal the dict-keyed build
+    and the unique/sort cap in every byte, dtype and shape."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        glyph=outlines(),
+        width=st.integers(8, 40),
+        aa_k=st.sampled_from([0.5, 2.0, 4.0, 12.0]),
+        rho=st.sampled_from([0.0, 0.25, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+        cap=st.none() | st.integers(0, 600),
+    )
+    def test_sample_set_and_capped_view(self, glyph, width, aa_k, rho, seed, cap):
+        try:
+            tpls = templates.build_templates(glyph, width)
+        except GeometryError:
+            assume(False)
+        sdf = geometry.sdf_grid(glyph, width)
+        gamma = aa_k / width
+        image = field.kernel(sdf, gamma)
+        cfg = sampling.SampleConfig(rho=rho, min_homogeneous=16, seed=seed)
+        try:
+            want = reference_sample_glyph(glyph, image, sdf, tpls, gamma, cfg)
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                sampling.sample_glyph(glyph, image, sdf, tpls, gamma, cfg)
+            return
+        got = sampling.sample_glyph(glyph, image, sdf, tpls, gamma, cfg)
+        assert_same_sample_sets(got, want)
+        if cap is not None:
+            assert_same_sample_sets(
+                training._capped_view(got, cap, np.random.default_rng(seed)),
+                reference_capped_view(want, cap, np.random.default_rng(seed)),
+            )
+
+    def test_empty_glyph(self):
+        sdf = np.full((16, 16), -np.inf)
+        args = (glyphs.Glyph([]), np.zeros((16, 16)), sdf, [], 0.25)
+        assert_same_sample_sets(sampling.sample_glyph(*args), reference_sample_glyph(*args))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,29 @@ class TestTotalLossContracts:
             train_width=24,
         )
         assert terms.latent_norm == 0.0
+
+    def test_stencil_keeps_the_bits_of_the_unmoved_coordinate(self, monkeypatch):
+        # each stencil point moves one coordinate by h; the other keeps the
+        # bits that subtracting (h, 0) or (0, h) leaves, signed zeros included
+        cfg, params = tiny_net(seed=6)
+        sample_set, tpls = small_sample_set()
+        pos = sample_set.positions.copy()
+        pos[:4] = [[-0.0, 0.5], [0.5, -0.0], [0.0, -0.0], [-0.0, 0.0]]
+        sample_set = dataclasses.replace(sample_set, positions=pos)
+        seen = []
+        assemble = ad.assemble_inputs
+        monkeypatch.setattr(
+            ad, "assemble_inputs", lambda pts, *rest: seen.append(pts) or assemble(pts, *rest)
+        )
+        total_loss(
+            cfg, params, np.zeros(LATENT), 0, sample_set, tpls,
+            gamma=0.3, composer="mean", weights=LossWeights(), train_width=24,
+        )
+        h = 1.0 / 48.0
+        want = np.concatenate(
+            [pos, pos + [h, 0.0], pos - [h, 0.0], pos + [0.0, h], pos - [0.0, h]]
+        )
+        assert seen[0].tobytes() == want.tobytes()
 
     def test_terms_sum_matches_independent_evaluation(self):
         cfg, params = tiny_net(seed=4)
