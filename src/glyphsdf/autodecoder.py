@@ -12,18 +12,30 @@ in-place bias add and an in-place leaky ReLU; the activation feeding the
 skip layer is written straight into the left block of one ``[a | X]``
 buffer.
 
-Only the elementwise passes run per block of ``BLOCK_ROWS`` rows: in
-:func:`forward` the bias add and the leaky ReLU, in :func:`backward` the
+The elementwise passes run per block of ``BLOCK_ROWS`` rows: the bias
+add and the leaky ReLU of the hidden layers, and in :func:`backward` the
 slope mask and its product with the incoming gradient.  A block stays in
 L2 cache from one pass to the next, where a whole 8192-row activation
 would stream through L3 three times, and the scratch these passes need
-shrinks to one block.  Every BLAS call still covers the whole batch, since
-the GEMM shapes choose OpenBLAS's kernel and with it the output bits, and
-so does the column sum that gives a bias gradient, since splitting it
+shrinks to one block.  In training every BLAS call covers the whole batch,
+and so does the column sum that gives a bias gradient, since splitting it
 would change its summation order.
 
-The cache of ``forward(..., need_cache=True)`` is the tuple
-``(X, acts, skip_in)``:
+:func:`evaluate` (rendering, no gradients) bounds its memory instead.  It
+takes the points in chunks of 8192 rows; each chunk runs its hidden
+layers in sub-blocks of ``SUB_ROWS`` rows, the last taking the remainder,
+which write their last activation into one chunk-sized buffer, and then
+its head as one GEMM over the whole chunk.  At 8x384 that holds about
+37 MB of buffers where whole chunks held about 93 MB.  The bits stay those
+of whole chunks, since OpenBLAS gives a row of a GEMM the same bits at any
+row count, except that it sends a GEMM with M*N*K at or below
+``SMALL_GEMM`` to a small-matrix kernel with other bits.  So the head
+keeps the chunk's rows (a 3-channel head on 868 rows or fewer already
+takes that kernel), and a network whose hidden GEMM on ``SUB_ROWS`` rows
+would fall to it (with two hidden layers or more, any width under 32)
+runs each chunk whole.  Tests compare both against whole-chunk evaluation.
+
+The cache of :func:`forward` is the tuple ``(X, acts, skip_in)``:
 
 * ``X``: the input rows;
 * ``acts``: one post-activation array per hidden layer.  Since the slope
@@ -59,6 +71,12 @@ LATENT_DIM = 128
 # rows per block of the elementwise passes: 128 rows of a 384-wide float64
 # activation are 384 KB, which stays in a core's L2 between passes
 BLOCK_ROWS = 128
+
+# rows per sub-block of evaluate's hidden layers
+SUB_ROWS = 1024
+# OpenBLAS runs a GEMM with M*N*K at or below this through its small-matrix
+# kernel, whose output bits differ from the blocked kernel's
+SMALL_GEMM = 10**6
 
 
 @dataclass
@@ -165,11 +183,13 @@ def assemble_inputs(points, label, z, alphabet_size):
     return X
 
 
-def forward(config, params, X, need_cache=True):
-    """Evaluate the network on rows of X; returns (out, cache).
+def _hidden_layers(config, params, X, skip_in, buffer):
+    """Run the hidden layers on the rows X; returns their outputs.
 
-    With ``need_cache`` the cache ``(X, acts, skip_in)`` holds what
-    :func:`backward` needs (see the module docstring); otherwise it is None.
+    Layer l writes into ``buffer(l)``, an (m, width) array, except the layer
+    feeding the skip, which writes into the left block of ``skip_in``, the
+    (m, width + in_dim) input of the skip layer.  The last output is the
+    head's input.
     """
     if X.shape[1] != config.in_dim:
         raise ValueError(f"input width {X.shape[1]} != expected {config.in_dim}")
@@ -177,21 +197,12 @@ def forward(config, params, X, need_cache=True):
     width, skip = config.width, config.skip_layer
     m = len(X)
     scratch = np.empty((min(m, BLOCK_ROWS), width))
-    skip_in = None
     if skip:
-        skip_in = np.empty((m, width + config.in_dim))
         skip_in[:, width:] = X
-    if not need_cache:
-        pair = (np.empty((m, width)), np.empty((m, width)))
     acts = []
     a = X
     for l in range(config.hidden_layers):
-        if skip and l == skip - 1:
-            h = skip_in[:, :width]
-        elif need_cache:
-            h = np.empty((m, width))
-        else:
-            h = pair[l % 2]
+        h = skip_in[:, :width] if skip and l == skip - 1 else buffer(l)
         np.matmul(a, params.weights[l], out=h)
         for rows in _row_blocks(m):
             hb = h[rows]
@@ -201,12 +212,22 @@ def forward(config, params, X, need_cache=True):
             # bit for bit when 0 < slope <= 1
             np.multiply(hb, slope, out=sb)
             np.maximum(hb, sb, out=hb)
-        if need_cache:
-            acts.append(h)
+        acts.append(h)
         a = skip_in if skip and l == skip - 1 else h
-    out = a @ params.weights[-1] + params.biases[-1]
-    cache = (X, acts, skip_in) if need_cache else None
-    return out, cache
+    return acts
+
+
+def forward(config, params, X):
+    """Evaluate the network on rows of X; returns (out, cache).
+
+    The cache ``(X, acts, skip_in)`` holds what :func:`backward` needs (see
+    the module docstring).
+    """
+    m, width = len(X), config.width
+    skip_in = np.empty((m, width + config.in_dim)) if config.skip_layer else None
+    acts = _hidden_layers(config, params, X, skip_in, lambda l: np.empty((m, width)))
+    out = acts[-1] @ params.weights[-1] + params.biases[-1]
+    return out, (X, acts, skip_in)
 
 
 def backward(config, params, cache, d_out, need_param_grads=True):
@@ -270,13 +291,53 @@ def backward(config, params, cache, d_out, need_param_grads=True):
     return grads, dX
 
 
+def _sub_blocks(config, m):
+    """Row slices of an m-row evaluate chunk for its hidden layers.
+
+    Blocks of SUB_ROWS rows, the last taking the remainder, when every
+    hidden layer's GEMM on SUB_ROWS rows stays above SMALL_GEMM; otherwise
+    the whole chunk.
+    """
+    if any(SUB_ROWS * k * n <= SMALL_GEMM for k, n in config.layer_dims()[:-1]):
+        return [slice(0, m)]
+    starts = [i * SUB_ROWS for i in range(max(1, m // SUB_ROWS))]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
+
+
 def evaluate(config, params, points, label, z, chunk=8192):
-    """Forward without caching, chunked over points; returns (N, n)."""
+    """Forward without caching, chunked over points; returns (N, n).
+
+    The head runs once per chunk, the hidden layers once per sub-block of
+    the chunk (see the module docstring).
+    """
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    out = np.empty((len(P), config.out_channels))
-    for s in range(0, len(P), chunk):
-        X = assemble_inputs(P[s : s + chunk], label, z, config.alphabet_size)
-        out[s : s + chunk], _ = forward(config, params, X, need_cache=False)
+    n, width = len(P), config.width
+    out = np.empty((n, config.out_channels))
+    if n == 0:
+        return out
+    chunks = [slice(s, min(s + chunk, n)) for s in range(0, n, chunk)]
+    # the buffers fit the largest chunk and the largest sub-block of any
+    # chunk: all chunks but the last have the first one's size
+    rows = max(b.stop - b.start for c in (chunks[0], chunks[-1])
+               for b in _sub_blocks(config, c.stop - c.start))
+    pair = (np.empty((rows, width)), np.empty((rows, width)))
+    skip_in = np.empty((rows, width + config.in_dim)) if config.skip_layer else None
+    # the one-hot and latent columns are the same on every row
+    X = assemble_inputs(np.zeros((rows, 2)), label, z, config.alphabet_size)
+    # allocated after the sub-block buffers: on glibc's heap the other order
+    # left the benchmark's peak RSS about 8 MB higher
+    last = np.empty((chunks[0].stop, width))
+    for c in chunks:
+        m = c.stop - c.start
+        for b in _sub_blocks(config, m):
+            k = b.stop - b.start
+            X[:k, :2] = P[c][b]
+            _hidden_layers(
+                config, params, X[:k], None if skip_in is None else skip_in[:k],
+                lambda l: last[b] if l == config.hidden_layers - 1 else pair[l % 2][:k],
+            )
+        np.matmul(last[:m], params.weights[-1], out=out[c])
+        out[c] += params.biases[-1]
     return out
 
 
@@ -434,7 +495,8 @@ def load_checkpoint(path, expect_alphabet=None):
             f"checkpoint version {manifest.get('version')} unsupported (want {CKPT_VERSION})"
         )
     try:
-        return _bundle_from(manifest, raw[start + blob_len :], path, expect_alphabet)
+        # a view, not a copy: each array is copied out of it once
+        return _bundle_from(manifest, memoryview(raw)[start + blob_len :], path, expect_alphabet)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path} has no {exc.args[0]!r} entry") from None
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodecoder as ad
 from . import geometry
 from .config import MIN_WIDTH
-from .errors import ImageError
+from .errors import ImageError, NumericalError
 from .field import compose_median, kernel
 
 
@@ -31,6 +31,8 @@ def field_grid(bundle, z, label, width):
         raise ValueError(f"render width must be >= {MIN_WIDTH}, got {width}")
     pts = geometry.pixel_centers(width).reshape(-1, 2)
     out = ad.evaluate(bundle.network, bundle.params, pts, label, z)
+    if not np.isfinite(out).all():
+        raise NumericalError(f"the network returned non-finite values at width {width}")
     n = bundle.network.out_channels
     return out.T.reshape(n, width, width)
 
@@ -140,9 +142,12 @@ def extract_zero_level(grid):
     edge ids, so loops close exactly with no coordinate tolerance.  Returns
     a list of (m, 2) arrays in field coordinates; closed loops repeat their
     first vertex at the end, and an open contour comes back as one polyline
-    from the domain border to the border.
+    from the domain border to the border.  A non-finite value raises
+    :class:`NumericalError`.
     """
     f = np.asarray(grid, dtype=np.float64)
+    if not np.isfinite(f).all():
+        raise NumericalError("zero level set of a field with non-finite values")
     h, w = f.shape
     if h < 2 or w < 2:
         return []
@@ -208,11 +213,15 @@ def write_image(path, image):
     """Write a [0,1] image as binary PGM (P5), value = round(v * 255).
 
     Rounding is IEEE round-half-to-even via ``np.rint`` so output is
-    bit-exact across platforms.
+    bit-exact across platforms.  A non-finite value raises
+    :class:`NumericalError`.
     """
-    img = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
+    img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
+    if not np.isfinite(img).all():
+        raise NumericalError(f"non-finite value in image {path}")
+    img = np.clip(img, 0.0, 1.0)
     data = np.rint(img * 255.0).astype(np.uint8)
     h, w = data.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")

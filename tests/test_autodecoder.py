@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="ADAM moments"):
             ad.load_checkpoint(path)
 
+    def test_load_copies_the_payload_once(self, tmp_path):
+        # the arrays are copied out of the file's bytes, not out of a copy of them
+        cfg = ad.NetworkConfig(alphabet_size=2)
+        params = ad.init_parameters(cfg, np.random.default_rng(0))
+        adam = ad.AdamState()
+        for name, p in params.named():
+            adam.ensure(name, p)
+        path = tmp_path / "big.ckpt"
+        ad.save_checkpoint(path, ad.ModelBundle(
+            network=cfg, params=params, alphabet="AB", adam=adam,
+            latents=ad.init_latents(["fam"], np.random.default_rng(1)),
+        ))
+        tracemalloc.start()
+        try:
+            ad.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * path.stat().st_size
+
     def test_frozen_latents_of_older_checkpoints_ignored(self, tmp_path):
         # checkpoints written before the flag was dropped still load, and
         # saving them again writes the current manifest
@@ -515,7 +536,6 @@ class TestReferenceEquality:
         out, cache = ad.forward(cfg, params, X)
         ref_out, ref_cache = helpers.reference_forward(cfg, params, X)
         assert np.array_equal(out, ref_out)
-        assert np.array_equal(ad.forward(cfg, params, X, need_cache=False)[0], ref_out)
         assert len(cache[0]) == rows
         for act, z in zip(cache[1], ref_cache[1]):
             assert np.array_equal(act >= 0, z >= 0)
@@ -557,3 +577,57 @@ class TestReferenceEquality:
         for name in ref_state.m:
             assert np.array_equal(state.m[name], ref_state.m[name])
             assert np.array_equal(state.v[name], ref_state.v[name])
+
+
+def _evaluate_case(cfg, rows, seed=0, chunk=8192):
+    """evaluate and the reference on the same random parameters and points."""
+    rng = np.random.default_rng(seed)
+    params = ad.init_parameters(cfg, rng)
+    for b in params.biases:
+        b[:] = rng.normal(scale=0.1, size=b.shape)
+    pts = rng.uniform(-1.0, 1.0, size=(rows, 2))
+    z = rng.normal(scale=0.1, size=cfg.latent_dim)
+    label = cfg.alphabet_size - 1
+    return (
+        ad.evaluate(cfg, params, pts, label, z, chunk=chunk),
+        helpers.reference_evaluate(cfg, params, pts, label, z, chunk=chunk),
+    )
+
+
+class TestEvaluateSubBlocks:
+    """evaluate runs the hidden layers per sub-block and the head per chunk;
+    every output must keep the bits of whole-chunk evaluation."""
+
+    # 868 rows is the largest 3-channel head GEMM that OpenBLAS's
+    # small-matrix kernel takes; 8192 + 89 and 2 * 8192 + 1030 end in a
+    # short chunk; 2047 rows are one sub-block that takes the remainder
+    @pytest.mark.parametrize("rows", [5, 868, 869, 2047, 8192 + 89, 2 * 8192 + 1030])
+    @pytest.mark.parametrize("alphabet_size, channels", [(52, 3), (2, 1)])
+    def test_production_network(self, alphabet_size, channels, rows):
+        cfg = ad.NetworkConfig(alphabet_size=alphabet_size, out_channels=channels)
+        assert len(ad._sub_blocks(cfg, 8192)) == 8192 // ad.SUB_ROWS
+        out, ref = _evaluate_case(cfg, rows)
+        assert np.array_equal(out, ref)
+
+    # below width 32 a hidden GEMM on SUB_ROWS rows falls to the small-matrix
+    # kernel, so those networks run each chunk whole
+    @pytest.mark.parametrize("width", [*range(1, 34), 64])
+    def test_hidden_width_sweep(self, width):
+        cfg = ad.NetworkConfig(alphabet_size=2, hidden_layers=3, width=width, skip_layer=1)
+        assert (len(ad._sub_blocks(cfg, 3100)) > 1) == (width >= 32)
+        for rows, chunk in [(1, 8192), (900, 8192), (2100, 8192), (3100, 8192), (3100, 2500)]:
+            out, ref = _evaluate_case(cfg, rows, seed=width, chunk=chunk)
+            assert np.array_equal(out, ref), (rows, chunk)
+
+    def test_peak_memory(self):
+        # whole 8192-row chunks peak at about 100 MB of buffers here
+        cfg = ad.NetworkConfig(alphabet_size=52)
+        params = ad.init_parameters(cfg, np.random.default_rng(0))
+        pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(16384, 2))
+        tracemalloc.start()
+        try:
+            ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45e6

@@ -303,6 +303,37 @@ class TestRenderCommand:
                 render.write_image(out / "want.pgm", want_c)
                 assert (out / f"{name}_c{c}.pgm").read_bytes() == (out / "want.pgm").read_bytes()
 
+    def test_implicit_render_keeps_whole_chunk_bits(self, trained, monkeypatch):
+        # 91 px is 8192 + 89 rows: a chunk whose hidden layers run in
+        # sub-blocks, then one whose head GEMM is small enough for OpenBLAS's
+        # small-matrix kernel; every output must match whole-chunk evaluation
+        import helpers
+        from glyphsdf import autodecoder as ad, cli, geometry, render
+
+        ws, ckpt = trained
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")  # restored after the test
+        assert cli.main([
+            "--config", str(ws / "config.json"), "render", "--checkpoint", str(ckpt),
+            "--family", "fam", "--label", "B", "--res", "91", "--channels", "--contours",
+        ]) == 0
+        bundle = ad.load_checkpoint(ckpt)
+        assert len(ad._sub_blocks(bundle.network, 8192)) > 1
+        pts = geometry.pixel_centers(91).reshape(-1, 2)
+        grid = helpers.reference_evaluate(
+            bundle.network, bundle.params, pts, 1, bundle.latents.codes[0]
+        ).T.reshape(3, 91, 91)
+        out, name = ws / "out", "render_fam__B_implicit_91"
+        images = {name: render.compose_image(grid, 91, bundle.aa_k, bundle.supervision)}
+        for c in range(3):
+            images[f"{name}_c{c}"] = render.opacity(grid[c], 91, bundle.aa_k, bundle.supervision)
+        for stem, img in images.items():
+            render.write_image(out / "want.pgm", img)
+            assert (out / f"{stem}.pgm").read_bytes() == (out / "want.pgm").read_bytes(), stem
+        want = render.extract_zero_level(render.zero_level_field(grid, bundle.supervision))
+        got = json.loads((out / f"{name}_contours.json").read_text())
+        assert got == [c.tolist() for c in want]
+
     def test_unknown_family(self, trained):
         ws, ckpt = trained
         res = run_cli(
@@ -529,6 +560,32 @@ def test_bad_input_is_one_line_error(trained, case, argv, code):
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+
+NAN_HEAD_COMMANDS = {
+    "render --contours": ["render", "--family", "fam", "--label", "A", "--res", "16", "--contours"],
+    "interpolate": ["interpolate", "--family-a", "fam", "--family-b", "fam", "--label", "A",
+                    "--steps", "2", "--res", "16"],
+    "fit": ["--set", "train.fit_steps=2", "fit", "--label", "A", "--res", "16"],
+    "eval": ["eval"],
+}
+
+
+@pytest.mark.parametrize("command", NAN_HEAD_COMMANDS.values(), ids=NAN_HEAD_COMMANDS)
+def test_non_finite_network_is_numerical_error(trained, command):
+    from glyphsdf import autodecoder as ad, render
+
+    ws, ckpt = trained
+    bundle = ad.load_checkpoint(ckpt)
+    bundle.params.biases[-1][:] = np.nan
+    path = ws / "nan_head.ckpt"
+    ad.save_checkpoint(path, bundle)
+    render.write_image(ws / "target.pgm", np.zeros((16, 16)))
+    extra = ["--checkpoint", path] + (["--target", ws / "target.pgm"] if "fit" in command else [])
+    res = run_cli("--config", ws / "config.json", *command, *extra)
+    assert res.returncode == 2, res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+    assert "non-finite" in res.stderr and "Warning" not in res.stderr
 
 
 _PIN_SCRIPT = """

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 import helpers
 from glyphsdf import autodecoder as ad
 from glyphsdf import field, geometry, render
-from glyphsdf.errors import GlyphSdfError, ImageError
+from glyphsdf.errors import GlyphSdfError, ImageError, NumericalError
 from glyphsdf.config import FieldSettings, TrainSettings
 from glyphsdf.training import prepare_glyph, train
 
@@ -119,6 +119,16 @@ class TestRenderImplicit:
         with pytest.raises(ValueError):
             render.render_implicit(tiny_bundle, tiny_bundle.latents.codes[0], 0, 4)
 
+    def test_non_finite_network_output_raises(self, tiny_bundle):
+        b = tiny_bundle
+        head = b.params.biases[-1].copy()
+        try:
+            b.params.biases[-1][1] = np.nan
+            with pytest.raises(NumericalError, match="non-finite"):
+                render.field_grid(b, b.latents.codes[0], 0, 16)
+        finally:
+            b.params.biases[-1][:] = head
+
     def test_values_clamped(self, tiny_bundle):
         img = render.render_implicit(tiny_bundle, tiny_bundle.latents.codes[0], 0, 48)
         assert img.min() >= 0.0 and img.max() <= 1.0
@@ -141,6 +151,13 @@ class TestZeroLevel:
         # and the contour reaches all four sides
         assert pts[:, 0].min() < -0.55 and pts[:, 0].max() > 0.55
         assert pts[:, 1].min() < -0.55 and pts[:, 1].max() > 0.55
+
+    @pytest.mark.parametrize("grid", [
+        [[np.inf, -np.inf], [1.0, 1.0]], [[np.nan, -1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, -np.inf]],
+    ])
+    def test_non_finite_field_raises(self, grid):
+        with pytest.raises(NumericalError, match="non-finite"):
+            render.extract_zero_level(np.array(grid))
 
     def test_all_positive_grid_gives_no_contours(self):
         assert render.extract_zero_level(np.ones((16, 16))) == []
@@ -210,7 +227,11 @@ class TestZeroLevelReference:
     @settings(max_examples=200, deadline=None)
     @given(level_grids())
     def test_equals_cell_loop(self, grid):
-        with np.errstate(all="ignore"):  # a crossing at an infinite node is inf / inf
+        if not np.isfinite(grid).all():
+            with pytest.raises(NumericalError):
+                render.extract_zero_level(grid)
+            return
+        with np.errstate(all="ignore"):  # huge nodes of opposite signs overflow va - vb
             contours = render.extract_zero_level(grid)
             ref = helpers.reference_extract_zero_level(grid)
         assert len(contours) == len(ref)
@@ -271,6 +292,13 @@ class TestPgm:
         render.write_image(p, np.array([[-0.5, 1.5]]))
         payload = p.read_bytes().split(b"255\n", 1)[1]
         assert payload == bytes([0, 255])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_image_raises(self, tmp_path, bad):
+        p = tmp_path / "n.pgm"
+        with pytest.raises(NumericalError, match="non-finite"):
+            render.write_image(p, np.array([[0.5, bad]]))
+        assert not p.exists()
 
     def test_read_rejects_non_pgm(self, tmp_path):
         p = tmp_path / "x.pgm"
