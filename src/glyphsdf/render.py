@@ -132,6 +132,23 @@ _CASES = np.array([
 ])
 
 
+def _overflows(*terms):
+    """Where the left-to-right sum of the finite arrays ``terms`` overflows.
+
+    Its halved partial sums reach 2**1023 exactly there; for the two nodes
+    of a crossed edge and the four corners of a saddle cell they stay
+    finite.  Halving the terms there keeps a ratio or a sign and cannot
+    overflow.  It is exact for normal floats only, so it is done nowhere
+    else.
+    """
+    half = terms[0] / 2
+    over = np.zeros(half.shape, dtype=bool)
+    for x in terms[1:]:
+        half = half + x / 2
+        over |= np.abs(half) >= 2.0**1023
+    return over
+
+
 def extract_zero_level(grid):
     """Piecewise-linear contours of the zero level set of a scalar grid.
 
@@ -157,7 +174,11 @@ def extract_zero_level(grid):
     case = case[i, j]
     saddle = np.flatnonzero((case == 5) | (case == 10))
     si, sj = i[saddle], j[saddle]
-    center = f[si, sj] + f[si, sj + 1] + f[si + 1, sj] + f[si + 1, sj + 1]
+    corners = [f[si, sj], f[si, sj + 1], f[si + 1, sj], f[si + 1, sj + 1]]
+    over = _overflows(*corners)
+    for c in corners:
+        c[over] /= 2
+    center = corners[0] + corners[1] + corners[2] + corners[3]
     positive = saddle[center > 0]
     case[positive] = np.where(case[positive] == 5, 16, 17)
 
@@ -171,6 +192,9 @@ def extract_zero_level(grid):
     ib = ia + _EDGE_STEP[edge, 0]
     jb = ja + _EDGE_STEP[edge, 1]
     va, vb = f[ia, ja], f[ib, jb]
+    over = _overflows(va, -vb)
+    va[over] /= 2
+    vb[over] /= 2
     t = va / (va - vb)
     xs = geometry.pixel_center(np.arange(w), w)
     ys = geometry.pixel_center(np.arange(h), h)

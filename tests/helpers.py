@@ -6,6 +6,7 @@ distance transform for signed-distance grids, closed-form box fields.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -549,9 +550,17 @@ def reference_extract_zero_level(grid):
     def node_xy(i, j):
         return ((j + 0.5) / w * 2.0 - 1.0, (i + 0.5) / h * 2.0 - 1.0)
 
+    def halved_on_overflow(*nodes):
+        """The nodes, halved if their left-to-right sum would overflow: its
+        halved partial sums reach 2**1023 exactly then."""
+        halves = [v / 2 for v in nodes]
+        if any(abs(p) >= 2.0**1023 for p in itertools.accumulate(halves)):
+            return halves
+        return nodes
+
     def interp(i0, j0, i1, j1):
-        va, vb = f[i0, j0], f[i1, j1]
-        t = va / (va - vb)
+        va, mvb = halved_on_overflow(f[i0, j0], -f[i1, j1])
+        t = va / (va + mvb)
         xa, ya = node_xy(i0, j0)
         xb, yb = node_xy(i1, j1)
         return (xa + t * (xb - xa), ya + t * (yb - ya))
@@ -582,7 +591,10 @@ def reference_extract_zero_level(grid):
             if key in _MS_LUT:
                 pairs = _MS_LUT[key]
             else:
-                center = f[i, j] + f[i, j + 1] + f[i + 1, j] + f[i + 1, j + 1]
+                tl, tr, bl, br = halved_on_overflow(
+                    f[i, j], f[i, j + 1], f[i + 1, j], f[i + 1, j + 1]
+                )
+                center = tl + tr + bl + br
                 if key == (True, False, True, False):
                     pairs = [("t", "r"), ("b", "l")] if center > 0 else [("t", "l"), ("b", "r")]
                 else:

@@ -179,6 +179,16 @@ class TestBackward:
         with pytest.raises(ValueError, match="cache"):
             ad.backward(cfg, params, None, np.zeros((3, cfg.out_channels)))
 
+    def test_spent_cache_rejected(self):
+        # backward writes its gradients over the cached activations
+        cfg, params = make_net()
+        X = np.random.default_rng(16).normal(size=(3, cfg.in_dim))
+        out, cache = ad.forward(cfg, params, X)
+        ad.backward(cfg, params, cache, np.ones_like(out))
+        assert len(cache[0]) == 3 and cache[1] == []
+        with pytest.raises(ValueError, match="stale cache"):
+            ad.backward(cfg, params, cache, np.ones_like(out))
+
     def test_skip_gradient_path(self):
         # gradients must flow to the input through both layer 1 and the skip
         cfg, params = make_net(seed=14)
@@ -208,6 +218,21 @@ class TestAdam:
         state = ad.AdamState()
         with pytest.raises(NumericalError, match="'weird'"):
             ad.adam_step(state, {"weird": np.ones(2)}, {"weird": np.array([1.0, np.nan])})
+
+    @pytest.mark.parametrize("bad_b, error", [
+        (np.array([np.nan, 1.0]), NumericalError),
+        (np.ones(3), ValueError),
+    ])
+    def test_bad_gradient_changes_nothing(self, bad_b, error):
+        state = ad.AdamState()
+        arrays = {"a": np.ones(2), "b": np.ones(2)}
+        ad.adam_step(state, arrays, {"a": np.ones(2), "b": np.ones(2)})
+        before = (arrays["a"].copy(), state.m["a"].copy(), state.v["a"].copy())
+        with pytest.raises(error, match="'b'"):
+            ad.adam_step(state, arrays, {"a": np.ones(2), "b": bad_b})
+        assert state.step_count == 1
+        for got, want in zip((arrays["a"], state.m["a"], state.v["a"]), before):
+            assert np.array_equal(got, want)
 
     def test_two_seeded_runs_bit_identical(self):
         def run():
@@ -631,3 +656,53 @@ class TestEvaluateSubBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 45e6
+
+
+def _production_case(alphabet_size, rows, seed=0):
+    """The default 8x384 network with random biases, and random rows."""
+    cfg = ad.NetworkConfig(alphabet_size=alphabet_size)
+    rng = np.random.default_rng(seed)
+    params = ad.init_parameters(cfg, rng)
+    for b in params.biases:
+        b[:] = rng.normal(scale=0.1, size=b.shape)
+    X = rng.normal(size=(rows, cfg.in_dim))
+    d_out = rng.normal(size=(rows, cfg.out_channels))
+    return cfg, params, X, d_out
+
+
+class TestBackwardInPlace:
+    """backward writes each layer's gradient over its cached activation and
+    releases it; the production network must keep the reference's bits."""
+
+    # a training step at width 64 has 1,895 rows; OpenBLAS's small-matrix
+    # kernel takes a hidden GEMM on up to 6 rows and, at alphabet 5, the
+    # first layer's on up to 19
+    @pytest.mark.parametrize("need_param_grads", [True, False])
+    @pytest.mark.parametrize("rows", [1, 6, 19, 20, 448, 1895])
+    @pytest.mark.parametrize("alphabet_size", [5, 52])
+    def test_production_network(self, alphabet_size, rows, need_param_grads):
+        cfg, params, X, d_out = _production_case(alphabet_size, rows)
+        _, cache = ad.forward(cfg, params, X)
+        grads, dX = ad.backward(cfg, params, cache, d_out, need_param_grads)
+        _, ref_cache = helpers.reference_forward(cfg, params, X)
+        ref_grads, ref_dX = helpers.reference_backward(
+            cfg, params, ref_cache, d_out, need_param_grads
+        )
+        assert np.array_equal(dX, ref_dX)
+        if need_param_grads:
+            _assert_params_equal(grads, ref_grads)
+        else:
+            assert grads is None
+
+    def test_peak_memory(self):
+        # with every activation alive to the end and a separate dz buffer,
+        # one step peaked at about 82 MB here
+        cfg, params, X, d_out = _production_case(5, 1895)
+        tracemalloc.start()
+        try:
+            _, cache = ad.forward(cfg, params, X)
+            ad.backward(cfg, params, cache, d_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
