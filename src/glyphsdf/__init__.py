@@ -1,36 +1,8 @@
 """Glyphs as neurally-encoded multi-channel signed distance fields.
 
-Submodule imports are lazy so the command-line entry point can pin BLAS
-thread counts (for bit-reproducible runs) before numpy loads.
+The package imports none of its submodules, so the command-line entry
+point can pin BLAS thread counts (for bit-reproducible runs) before numpy
+loads.
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "glyphs",
-    "geometry",
-    "field",
-    "templates",
-    "sampling",
-    "autodecoder",
-    "training",
-    "render",
-    "metrics",
-    "config",
-    "cli",
-    "errors",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

@@ -22,7 +22,8 @@ and so does the column sum that gives a bias gradient, since splitting it
 would change its summation order.
 
 :func:`evaluate` (rendering, no gradients) bounds its memory instead.  It
-takes the points in chunks of 8192 rows; each chunk runs its hidden
+takes the points in chunks of ``CHUNK_ROWS`` (8192) rows, a module
+constant that tests patch to get short chunks; each chunk runs its hidden
 layers in sub-blocks of ``SUB_ROWS`` rows, the last taking the remainder,
 which write their last activation into one chunk-sized buffer, and then
 its head as one GEMM over the whole chunk.  At 8x384 that holds about
@@ -82,7 +83,8 @@ LATENT_DIM = 128
 # activation are 384 KB, which stays in a core's L2 between passes
 BLOCK_ROWS = 128
 
-# rows per sub-block of evaluate's hidden layers
+# rows per chunk of evaluate, and per sub-block of a chunk's hidden layers
+CHUNK_ROWS = 8192
 SUB_ROWS = 1024
 # OpenBLAS runs a GEMM with M*N*K at or below this through its small-matrix
 # kernel, whose output bits differ from the blocked kernel's
@@ -323,7 +325,7 @@ def _sub_blocks(config, m):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
 
 
-def evaluate(config, params, points, label, z, chunk=8192):
+def evaluate(config, params, points, label, z):
     """Forward without caching, chunked over points; returns (N, n).
 
     The head runs once per chunk, the hidden layers once per sub-block of
@@ -334,7 +336,7 @@ def evaluate(config, params, points, label, z, chunk=8192):
     out = np.empty((n, config.out_channels))
     if n == 0:
         return out
-    chunks = [slice(s, min(s + chunk, n)) for s in range(0, n, chunk)]
+    chunks = [slice(s, min(s + CHUNK_ROWS, n)) for s in range(0, n, CHUNK_ROWS)]
     # the buffers fit the largest chunk and the largest sub-block of any
     # chunk: all chunks but the last have the first one's size
     rows = max(b.stop - b.start for c in (chunks[0], chunks[-1])

@@ -140,15 +140,11 @@ def _prepare_dataset(cfg):
     ]
 
 
-def _write_log_csv(path, rows):
-    cols = [
-        "epoch", "gamma", "loss_total", "loss_global", "loss_local",
-        "loss_grad", "latent_norm", "wall_ms",
-    ]
+def _write_csv(path, cols, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(row[c])) if isinstance(row[c], float) else str(row[c]) for c in cols) + "\n")
+            fh.write(",".join(str(row[c]) for c in cols) + "\n")
 
 
 def _family_latent(bundle, family):
@@ -251,7 +247,10 @@ def cmd_train(cfg, args):
         return 2
     bundle.train_config = cfg.to_dict()
     ad.save_checkpoint(out / "checkpoint.ckpt", bundle)
-    _write_log_csv(out / "train_log.csv", rows)
+    _write_csv(out / "train_log.csv", [
+        "epoch", "gamma", "loss_total", "loss_global", "loss_local",
+        "loss_grad", "latent_norm", "wall_ms",
+    ], rows)
     print(f"checkpoint: {out / 'checkpoint.ckpt'}")
     return 0
 
@@ -396,7 +395,8 @@ def cmd_eval(cfg, args):
     from .metrics import corner_region_metrics, laplacian_smoothness, mse, soft_iou
     from .render import field_grid, render_bilateral, render_implicit
 
-    bundle = ad.load_checkpoint(args.checkpoint)
+    # the config's label indices address the network, so the alphabets must agree
+    bundle = ad.load_checkpoint(args.checkpoint, expect_alphabet=cfg.dataset.alphabet)
     out = _out_dir(cfg)
     rows = []
     for entry, glyph in _manifest_glyphs(cfg):
@@ -431,11 +431,9 @@ def cmd_eval(cfg, args):
                         "label": glyph.label,
                     }
                 )
-    cols = ["method", "res", "mse", "siou", "c_mse", "c_siou", "lap", "family", "label"]
-    with open(out / "metrics.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+    _write_csv(out / "metrics.csv", [
+        "method", "res", "mse", "siou", "c_mse", "c_siou", "lap", "family", "label",
+    ], rows)
     print(f"metrics for {len(rows)} rows written to {out / 'metrics.csv'}")
     return 0
 
@@ -460,7 +458,7 @@ def main(argv=None):
     try:
         # the config module loads no numpy, so the pins still take effect
         cfg = _load_config(args)
-        if cfg.train.threads is not None and cfg.train.threads > 0:
+        if cfg.train.threads is not None:
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
                 os.environ[var] = str(cfg.train.threads)
         return _COMMANDS[args.command](cfg, args)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import string
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -58,6 +59,11 @@ class DatasetSettings:
 
     def __post_init__(self):
         require_types(self, "dataset")
+        _require(
+            self.alphabet and len(set(self.alphabet)) == len(self.alphabet),
+            f"dataset.alphabet must be non-empty with no repeated character, got {self.alphabet!r}",
+        )
+        _require(0 <= self.margin < 1, f"dataset.margin must be in [0, 1), got {self.margin!r}")
 
 
 @dataclass
@@ -74,6 +80,10 @@ class FieldSettings:
         _require(
             self.train_width >= MIN_WIDTH,
             f"field.train_width must be >= {MIN_WIDTH}, got {self.train_width!r}",
+        )
+        _require(
+            0 < self.corner_threshold < math.pi,
+            f"field.corner_threshold must be in (0, pi), got {self.corner_threshold!r}",
         )
 
     @property
@@ -127,6 +137,16 @@ class TrainSettings:
             self.samples_cap is None or self.samples_cap >= 1,
             f"train.samples_cap must be null or >= 1, got {self.samples_cap!r}",
         )
+        _require(
+            self.threads is None or self.threads >= 1,
+            f"train.threads must be null or >= 1, got {self.threads!r}",
+        )
+        for key in ("anneal_epochs", "freeze_epoch"):
+            value = getattr(self, key)
+            _require(value is None or value >= 0, f"train.{key} must be null or >= 0, got {value!r}")
+        for key in ("fit_steps", "rho", "min_homogeneous"):
+            value = getattr(self, key)
+            _require(value >= 0, f"train.{key} must be >= 0, got {value!r}")
 
 
 @dataclass

@@ -27,10 +27,6 @@ import numpy as np
 from .config import DEFAULT_ALPHABET, DEFAULT_MARGIN
 from .errors import GeometryError, ManifestError, PathSyntaxError
 
-LINE = "line"
-QUADRATIC = "quadratic"
-CUBIC = "cubic"
-_KIND_BY_ORDER = {2: LINE, 3: QUADRATIC, 4: CUBIC}
 _ARITY = {"M": 2, "L": 2, "Q": 4, "C": 6, "Z": 0}
 
 
@@ -41,17 +37,13 @@ class Segment:
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] not in _KIND_BY_ORDER or pts.shape[1] != 2:
+        if pts.ndim != 2 or pts.shape[0] not in (2, 3, 4) or pts.shape[1] != 2:
             raise GeometryError(
                 f"segment needs 2-4 planar control points, got shape {pts.shape}"
             )
         if not np.all(np.isfinite(pts)):
             raise GeometryError("segment control points must be finite")
         self.points = pts
-
-    @property
-    def kind(self):
-        return _KIND_BY_ORDER[len(self.points)]
 
     @property
     def start(self):
@@ -61,12 +53,9 @@ class Segment:
     def end(self):
         return self.points[-1]
 
-    def __eq__(self, other):
-        return isinstance(other, Segment) and np.array_equal(self.points, other.points)
-
     def __repr__(self):
         pts = ", ".join(f"({x:g}, {y:g})" for x, y in self.points)
-        return f"Segment<{self.kind}: {pts}>"
+        return f"Segment<{pts}>"
 
 
 @dataclass

@@ -36,7 +36,6 @@ def soft_iou(a, b):
 class CornerRegionResult:
     mse: float
     siou: float
-    pixels: int          # 0 flags "no corners"
 
 
 def corner_mask(corners, width):
@@ -53,11 +52,10 @@ def corner_region_metrics(a, b, corners, width):
     if a.shape != (width, width):
         raise ValueError(f"images must be {width}x{width}")
     mask = corner_mask(corners, width)
-    n = int(mask.sum())
-    if n == 0:
-        return CornerRegionResult(float("nan"), float("nan"), 0)
+    if not mask.any():
+        return CornerRegionResult(float("nan"), float("nan"))
     av, bv = a[mask], b[mask]
-    return CornerRegionResult(mse(av, bv), soft_iou(av, bv), n)
+    return CornerRegionResult(mse(av, bv), soft_iou(av, bv))
 
 
 def laplacian_smoothness(grid):

@@ -71,8 +71,6 @@ def bilinear_resample(grid, width):
     allowed.  Border pixels clamp to the outermost source centers.
     """
     g = np.asarray(grid, dtype=np.float64)
-    if g.ndim == 2:
-        g = g[None]
     n, h, w = g.shape
     xt = ((np.arange(width) + 0.5) / width) * w - 0.5
     yt = ((np.arange(width) + 0.5) / width) * h - 0.5

@@ -250,7 +250,8 @@ def _capped_view(samples, cap, rng):
 
 def configured_network(alphabet, field_settings, train_settings, resume):
     """The network the settings describe.  A ``resume`` bundle (None for a
-    fresh run) must carry that same network, else :class:`ConfigError`."""
+    fresh run) must carry that same network and have trained no more than
+    ``train_settings.epochs`` epochs, else :class:`ConfigError`."""
     net = ad.NetworkConfig(
         alphabet_size=len(alphabet),
         out_channels=field_settings.channels,
@@ -262,6 +263,11 @@ def configured_network(alphabet, field_settings, train_settings, resume):
         have, want = resume.network.to_dict(), net.to_dict()
         diff = ", ".join(f"{k} {have[k]!r} (config: {want[k]!r})" for k in want if have[k] != want[k])
         raise ConfigError(f"cannot resume: the checkpoint network has {diff}")
+    if resume is not None and resume.epoch > train_settings.epochs:
+        raise ConfigError(
+            f"cannot resume: the checkpoint has trained {resume.epoch} epochs, "
+            f"more than train.epochs {train_settings.epochs}"
+        )
     return net
 
 
@@ -396,10 +402,10 @@ def train(
             {
                 "epoch": epoch,
                 "gamma": gamma,
-                "loss_total": means[0],
-                "loss_global": means[1],
-                "loss_local": means[2],
-                "loss_grad": means[3],
+                "loss_total": float(means[0]),
+                "loss_global": float(means[1]),
+                "loss_local": float(means[2]),
+                "loss_grad": float(means[3]),
                 "latent_norm": float(np.mean(np.linalg.norm(latents.codes, axis=1))),
                 "wall_ms": wall_ms,
             }

@@ -487,8 +487,6 @@ def reference_bilinear_resample(grid, width):
     """Bilinear resampling that gathers the four corners of every output
     pixel with ``np.ix_``."""
     g = np.asarray(grid, dtype=np.float64)
-    if g.ndim == 2:
-        g = g[None]
     n, h, w = g.shape
     xt = ((np.arange(width) + 0.5) / width) * w - 0.5
     yt = ((np.arange(width) + 0.5) / width) * h - 0.5

@@ -1,6 +1,7 @@
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -582,7 +583,8 @@ class TestReferenceEquality:
         pts = rng.uniform(-1.0, 1.0, size=(rows, 2))
         z = rng.normal(size=cfg.latent_dim)
         label = int(rng.integers(cfg.alphabet_size))
-        out = ad.evaluate(cfg, params, pts, label, z, chunk=chunk)
+        with mock.patch.object(ad, "CHUNK_ROWS", chunk):
+            out = ad.evaluate(cfg, params, pts, label, z)
         ref = helpers.reference_evaluate(cfg, params, pts, label, z, chunk=chunk)
         assert np.array_equal(out, ref)
 
@@ -604,8 +606,9 @@ class TestReferenceEquality:
             assert np.array_equal(state.v[name], ref_state.v[name])
 
 
-def _evaluate_case(cfg, rows, seed=0, chunk=8192):
-    """evaluate and the reference on the same random parameters and points."""
+def _evaluate_case(cfg, rows, seed=0, chunk=ad.CHUNK_ROWS):
+    """evaluate, in chunks of ``chunk`` rows, and the reference on the same
+    random parameters and points."""
     rng = np.random.default_rng(seed)
     params = ad.init_parameters(cfg, rng)
     for b in params.biases:
@@ -613,10 +616,9 @@ def _evaluate_case(cfg, rows, seed=0, chunk=8192):
     pts = rng.uniform(-1.0, 1.0, size=(rows, 2))
     z = rng.normal(scale=0.1, size=cfg.latent_dim)
     label = cfg.alphabet_size - 1
-    return (
-        ad.evaluate(cfg, params, pts, label, z, chunk=chunk),
-        helpers.reference_evaluate(cfg, params, pts, label, z, chunk=chunk),
-    )
+    with mock.patch.object(ad, "CHUNK_ROWS", chunk):
+        out = ad.evaluate(cfg, params, pts, label, z)
+    return out, helpers.reference_evaluate(cfg, params, pts, label, z, chunk=chunk)
 
 
 class TestEvaluateSubBlocks:

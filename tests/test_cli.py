@@ -244,6 +244,21 @@ def trained(workspace, trained_checkpoint):
     return workspace, trained_checkpoint
 
 
+def test_resume_at_train_epochs_keeps_the_arrays(trained):
+    # the checkpoint has trained the configured 20 epochs: no step runs
+    ws, ckpt = trained
+    res = run_cli("--config", ws / "config.json", "train", "--resume", ckpt)
+    assert res.returncode == 0, res.stderr
+    a = ckpt.read_bytes()
+    b = (ws / "out" / "checkpoint.ckpt").read_bytes()
+    na = struct.unpack_from("<I", a, 8)[0]
+    nb = struct.unpack_from("<I", b, 8)[0]
+    assert a[12 + na :] == b[12 + nb :]
+    before, after = json.loads(a[12 : 12 + na]), json.loads(b[12 : 12 + nb])
+    assert after["epoch"] == before["epoch"] == 20
+    assert after["adam"] == before["adam"]
+
+
 class TestRenderCommand:
     def test_renders_requested_resolutions(self, trained):
         ws, ckpt = trained
@@ -528,12 +543,30 @@ BAD_INPUTS = [
     ("train.epochs=1.5", _with_set("train.epochs=1.5"), 1),
     ("field.channels=true", _with_set("field.channels=true"), 1),
     ("train.gamma_start=0", _with_set("train.gamma_start=0"), 1),
+    ("train.threads=0", _with_set("train.threads=0"), 1),
+    ("train.anneal_epochs=-1", _with_set("train.anneal_epochs=-1"), 1),
+    ("train.freeze_epoch=-1", _with_set("train.freeze_epoch=-1"), 1),
+    ("train.fit_steps=-1", _with_set("train.fit_steps=-1"), 1),
+    ("train.rho=-0.5", _with_set("train.rho=-0.5"), 1),
+    ("train.min_homogeneous=-1", _with_set("train.min_homogeneous=-1"), 1),
+    ('dataset.alphabet=""', _with_set('dataset.alphabet=""'), 1),
+    ('dataset.alphabet="ABA"', _with_set('dataset.alphabet="ABA"'), 1),
+    ("field.corner_threshold=0", _with_set("field.corner_threshold=0"), 1),
+    ("field.corner_threshold=3.2", _with_set("field.corner_threshold=3.2"), 1),
+    ("dataset.margin=1", _with_set("dataset.margin=1"), 1),
+    ("dataset.margin=-0.1", _with_set("dataset.margin=-0.1"), 1),
     ("train --resume --mode n1 on 3 channels", _command(
         "train", "--resume", CKPT, "--mode", "n1"), 1),
     ("train --resume with other hidden_layers", _command(
         "--set", "train.hidden_layers=2", "train", "--resume", CKPT), 1),
     ("train --resume with other hidden_width", _command(
         "--set", "train.hidden_width=8", "train", "--resume", CKPT), 1),
+    ("train --resume past train.epochs", _command(
+        "--set", "train.epochs=5", "train", "--resume", CKPT), 1),
+    ('eval with dataset.alphabet="BA"', _command(
+        "--set", 'dataset.alphabet="BA"', "eval", "--checkpoint", CKPT), 3),
+    ('eval with dataset.alphabet="BAC"', _command(
+        "--set", 'dataset.alphabet="BAC"', "eval", "--checkpoint", CKPT), 3),
     ("render --res 4", _command(
         "render", "--checkpoint", CKPT, "--family", "fam", "--label", "A", "--res", "4"), 1),
     ("interpolate --res 0", _command(

@@ -44,17 +44,17 @@ class TestParsePath:
         assert len(contours) == 1
         segs = contours[0].segments
         assert len(segs) == 3
-        assert all(s.kind == "line" for s in segs)
+        assert all(len(s.points) == 2 for s in segs)
         assert np.array_equal(segs[-1].points, [[1, 1], [0, 0]])
 
     def test_quadratic_plus_closing_line(self):
         contours = glyphs.parse_path("M 0 0 Q 0.5 1 1 0 Z")
         segs = contours[0].segments
-        assert [s.kind for s in segs] == ["quadratic", "line"]
+        assert [len(s.points) for s in segs] == [3, 2]
 
     def test_cubic(self):
         contours = glyphs.parse_path("M 0 0 C 0 1 1 1 1 0 L 0 0 Z")
-        assert [s.kind for s in contours[0].segments] == ["cubic", "line"]
+        assert [len(s.points) for s in contours[0].segments] == [4, 2]
 
     def test_no_closing_line_when_pen_at_start(self):
         contours = glyphs.parse_path("M 0 0 L 1 0 L 0 0 Z")
@@ -260,7 +260,9 @@ def test_segment_invariants():
         glyphs.Segment([[0, 0]])
     with pytest.raises(GeometryError):
         glyphs.Segment([[0, 0], [1, np.inf]])
-    assert glyphs.Segment([[0, 0], [1, 0], [2, 1]]).kind == "quadratic"
+    with pytest.raises(GeometryError):
+        glyphs.Segment([[0, 0]] * 5)
+    assert len(glyphs.Segment([[0, 0], [1, 0], [2, 1]]).points) == 3
 
 
 def test_contour_requires_closure():

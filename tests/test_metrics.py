@@ -82,14 +82,12 @@ class TestCornerRegion:
         b = np.random.default_rng(5).uniform(0, 1, (64, 64))
         mask = metrics.corner_mask(corners, 64)
         res = metrics.corner_region_metrics(a, b, corners, 64)
-        assert res.pixels == int(mask.sum())
         assert res.mse == pytest.approx(metrics.mse(a[mask], b[mask]), abs=1e-15)
         assert res.siou == pytest.approx(metrics.soft_iou(a[mask], b[mask]), abs=1e-15)
 
     def test_empty_template_list_flagged(self):
         a = np.zeros((32, 32))
         res = metrics.corner_region_metrics(a, a, [], 32)
-        assert res.pixels == 0
         assert np.isnan(res.mse) and np.isnan(res.siou)
 
     def test_mask_area_matches_enumeration(self):

@@ -59,14 +59,11 @@ class TestBilinear:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(1, 3), st.integers(1, 12), st.integers(1, 12), st.integers(1, 40),
-        st.booleans(), st.data(),
+        st.integers(1, 3), st.integers(1, 12), st.integers(1, 12), st.integers(1, 40), st.data(),
     )
-    def test_equals_four_corner_reference(self, n, h, w, width, flat, data):
+    def test_equals_four_corner_reference(self, n, h, w, width, data):
         # widths above and below h and w: upsampling and downsampling
         grid = data.draw(hnp.arrays(np.float64, (n, h, w), elements=helpers.edge_floats))
-        if flat:
-            grid = grid[0]
         with np.errstate(invalid="ignore", over="ignore"):
             got = render.bilinear_resample(grid, width)
             want = helpers.reference_bilinear_resample(grid, width)

@@ -2,12 +2,21 @@
 
 Walks the syntax trees of ``src/glyphsdf/*.py`` and fails, naming them, on
 public module-level functions and classes that no other top-level
-statement of the package refers to (by name, attribute or import).
+statement of the package refers to (by name, attribute or import), and on
+dataclass fields that no code of the package reads.
 """
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "glyphsdf"
+
+# dataclass fields kept although the package never reads them, with the reason
+UNREAD_FIELDS_KEPT = {
+    # bench/workloads.py builds a SampleSet by position: without these two
+    # fields its arguments would land in the wrong fields
+    "sampling.SampleSet.kinds",
+    "sampling.SampleSet.rng_seed",
+}
 
 
 def _names_used(node):
@@ -22,13 +31,18 @@ def _names_used(node):
     return names
 
 
+def _modules(src):
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(Path(src).glob("*.py"))]
+
+
 def unreferenced_public_names(src=SRC):
     defined, uses = [], []
-    for path in sorted(Path(src).glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for stem, tree in _modules(src):
+        for node in tree.body:
             uses.append((node, _names_used(node)))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined.append((f"{path.stem}.{node.name}", node))
+                defined.append((f"{stem}.{node.name}", node))
     return [
         qualified
         for qualified, node in defined
@@ -36,6 +50,66 @@ def unreferenced_public_names(src=SRC):
     ]
 
 
+def _name(node):
+    """``x`` of a name ``x`` or an attribute ``m.x``."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _is_dataclass(node):
+    return isinstance(node, ast.ClassDef) and any(
+        _name(dec.func if isinstance(dec, ast.Call) else dec) == "dataclass"
+        for dec in node.decorator_list
+    )
+
+
+def _attribute_reads(node, classes, building=frozenset()):
+    """(attribute name, classes being built around it) for every attribute
+    loaded under ``node``; ``building`` holds the dataclasses whose
+    constructor arguments enclose the node."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr, building
+    if isinstance(node, ast.Call) and _name(node.func) in classes:
+        yield from _attribute_reads(node.func, classes, building)
+        inner = building | {_name(node.func)}
+        for arg in [*node.args, *(k.value for k in node.keywords)]:
+            yield from _attribute_reads(arg, classes, inner)
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_reads(child, classes, building)
+
+
+def unread_dataclass_fields(src=SRC):
+    """Fields of the package's dataclasses whose name no code of the package
+    loads as an attribute.  Building an instance is no read, and neither is
+    copying a field into the constructor of its own class; writing a field
+    into a file or a document is one."""
+    modules = _modules(src)
+    fields = [
+        (f"{stem}.{cls.name}.{stmt.target.id}", cls.name, stmt.target.id)
+        for stem, tree in modules
+        for cls in tree.body if _is_dataclass(cls)
+        for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+    ]
+    classes = {cls for _, cls, _ in fields}
+    reads = {}
+    for _, tree in modules:
+        for attr, building in _attribute_reads(tree, classes):
+            reads.setdefault(attr, []).append(building)
+    return sorted(
+        qualified for qualified, cls, name in fields
+        if not any(cls not in building for building in reads.get(name, []))
+    )
+
+
 def test_every_public_name_is_used_by_the_package():
     unused = unreferenced_public_names()
     assert not unused, f"public names that no code under src/ refers to: {unused}"
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    unread = set(unread_dataclass_fields())
+    assert not unread - UNREAD_FIELDS_KEPT, (
+        f"dataclass fields that no code under src/ reads: {sorted(unread - UNREAD_FIELDS_KEPT)}"
+    )
+    # an entry whose field has found a reader, or is gone, leaves the list
+    assert UNREAD_FIELDS_KEPT <= unread, sorted(UNREAD_FIELDS_KEPT - unread)
