@@ -36,6 +36,17 @@ takes that kernel), and a network whose hidden GEMM on ``SUB_ROWS`` rows
 would fall to it (with two hidden layers or more, any width under 32)
 runs each chunk whole.  Tests compare both against whole-chunk evaluation.
 
+The rows are independent, so :func:`evaluate` spreads a chunk's
+sub-blocks over ``EVAL_THREADS`` threads (1 by default; the CLI sets the
+CPU count when BLAS runs one thread per call).  With T threads a sub-block
+has ``SUB_ROWS // T`` rows, so ``SUB_ROWS`` rows are still in flight and
+the buffers stay as above.  Each thread owns its buffers and writes its
+own rows of the chunk buffer; the calling thread is one of them and runs
+the head.  The bits do not depend on T: each row of a hidden GEMM gets the
+bits the whole chunk gives it, by the rule above, and the small-matrix
+check is made on the sub-block's row count, so at two threads a width under
+45 and at three one under 55 runs its chunks whole.
+
 The cache of :func:`forward` is the tuple ``(X, acts, skip_in)``:
 
 * ``X``: the input rows;
@@ -70,6 +81,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +95,12 @@ LATENT_DIM = 128
 # activation are 384 KB, which stays in a core's L2 between passes
 BLOCK_ROWS = 128
 
-# rows per chunk of evaluate, and per sub-block of a chunk's hidden layers
+# rows per chunk of evaluate, and of a chunk's hidden layers in flight at once
 CHUNK_ROWS = 8192
 SUB_ROWS = 1024
+# threads over which evaluate spreads a chunk's sub-blocks of
+# SUB_ROWS // EVAL_THREADS rows; the CLI sets it from train.threads
+EVAL_THREADS = 1
 # OpenBLAS runs a GEMM with M*N*K at or below this through its small-matrix
 # kernel, whose output bits differ from the blocked kernel's
 SMALL_GEMM = 10**6
@@ -279,12 +294,14 @@ def backward(config, params, cache, d_out, need_param_grads=True):
         # activation, whose last use is that mask.  The activations have the
         # pre-activations' signs, and max(0 or 1, slope) is that factor
         # exactly; unlike a masked select it does not branch per entry.
-        # Layer skip - 1's activation is the left block of skip_in, which
-        # is free to overwrite: gw[skip] was taken from skip_in one layer up
-        dz = acts[l]
+        # Layer skip - 1's activation is the left block of skip_in, a
+        # strided view, and a strided dz can give X.T @ dz other bits (a
+        # one-wide dz does), so that layer's dz goes to da_buf instead,
+        # which is free there: da is a view of the skip layer's d_in
+        dz = da_buf if skip and l == skip - 1 else acts[l]
         for rows in _row_blocks(m):
             nn, f = nonneg[: rows.stop - rows.start], factor[: rows.stop - rows.start]
-            np.greater_equal(dz[rows], 0.0, out=nn)
+            np.greater_equal(acts[l][rows], 0.0, out=nn)
             np.maximum(nn, slope, out=f)
             np.multiply(da[rows], f, out=dz[rows])
         if need_param_grads:
@@ -304,6 +321,10 @@ def backward(config, params, cache, d_out, need_param_grads=True):
             d_in = dz @ params.weights[l].T
             da = d_in[:, :width]
             dX += d_in[:, width:]
+            del d_in  # released with da, one layer down
+        elif dz is da_buf:
+            # the layers below skip - 1 take their da in a new buffer
+            da = da_buf = dz @ params.weights[l].T
         else:
             da = np.matmul(dz, params.weights[l].T, out=da_buf)
         # the layer's gradient is spent: release its memory for the layers below
@@ -312,16 +333,16 @@ def backward(config, params, cache, d_out, need_param_grads=True):
     return grads, dX
 
 
-def _sub_blocks(config, m):
+def _sub_blocks(config, m, rows):
     """Row slices of an m-row evaluate chunk for its hidden layers.
 
-    Blocks of SUB_ROWS rows, the last taking the remainder, when every
-    hidden layer's GEMM on SUB_ROWS rows stays above SMALL_GEMM; otherwise
+    Blocks of ``rows`` rows, the last taking the remainder, when every
+    hidden layer's GEMM on ``rows`` rows stays above SMALL_GEMM; otherwise
     the whole chunk.
     """
-    if any(SUB_ROWS * k * n <= SMALL_GEMM for k, n in config.layer_dims()[:-1]):
+    if any(rows * k * n <= SMALL_GEMM for k, n in config.layer_dims()[:-1]):
         return [slice(0, m)]
-    starts = [i * SUB_ROWS for i in range(max(1, m // SUB_ROWS))]
+    starts = [i * rows for i in range(max(1, m // rows))]
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
 
 
@@ -329,7 +350,8 @@ def evaluate(config, params, points, label, z):
     """Forward without caching, chunked over points; returns (N, n).
 
     The head runs once per chunk, the hidden layers once per sub-block of
-    the chunk (see the module docstring).
+    the chunk, spread over ``EVAL_THREADS`` threads (see the module
+    docstring).
     """
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n, width = len(P), config.width
@@ -337,28 +359,49 @@ def evaluate(config, params, points, label, z):
     if n == 0:
         return out
     chunks = [slice(s, min(s + CHUNK_ROWS, n)) for s in range(0, n, CHUNK_ROWS)]
-    # the buffers fit the largest chunk and the largest sub-block of any
-    # chunk: all chunks but the last have the first one's size
-    rows = max(b.stop - b.start for c in (chunks[0], chunks[-1])
-               for b in _sub_blocks(config, c.stop - c.start))
-    pair = (np.empty((rows, width)), np.empty((rows, width)))
-    skip_in = np.empty((rows, width + config.in_dim)) if config.skip_layer else None
-    # the one-hot and latent columns are the same on every row
-    X = assemble_inputs(np.zeros((rows, 2)), label, z, config.alphabet_size)
+    threads = EVAL_THREADS
+    blocks = [_sub_blocks(config, c.stop - c.start, max(1, SUB_ROWS // threads))
+              for c in chunks]
+    # no more threads than the first, largest, chunk has sub-blocks
+    threads = min(threads, len(blocks[0]))
+    # each thread's buffers fit the largest sub-block of any chunk: all
+    # chunks but the last have the first one's size
+    rows = max(b.stop - b.start for bs in (blocks[0], blocks[-1]) for b in bs)
+    # per thread: the pair of hidden buffers, the skip input, and the input
+    # rows, whose one-hot and latent columns are the same on every row
+    owned = [
+        ((np.empty((rows, width)), np.empty((rows, width))),
+         np.empty((rows, width + config.in_dim)) if config.skip_layer else None,
+         assemble_inputs(np.zeros((rows, 2)), label, z, config.alphabet_size))
+        for _ in range(threads)
+    ]
     # allocated after the sub-block buffers: on glibc's heap the other order
     # left the benchmark's peak RSS about 8 MB higher
     last = np.empty((chunks[0].stop, width))
-    for c in chunks:
-        m = c.stop - c.start
-        for b in _sub_blocks(config, m):
+
+    def run(c, t):
+        # thread t takes the sub-blocks t, t + threads, ... of chunk c and
+        # writes their last activations into its own rows of last
+        pair, skip_in, X = owned[t]
+        for b in blocks[c][t::threads]:
             k = b.stop - b.start
-            X[:k, :2] = P[c][b]
+            X[:k, :2] = P[chunks[c]][b]
             _hidden_layers(
                 config, params, X[:k], None if skip_in is None else skip_in[:k],
                 lambda l: last[b] if l == config.hidden_layers - 1 else pair[l % 2][:k],
             )
-        np.matmul(last[:m], params.weights[-1], out=out[c])
-        out[c] += params.biases[-1]
+
+    # the calling thread is thread 0; a pool starts its threads on submit,
+    # so one thread starts none
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        for c, chunk in enumerate(chunks):
+            futures = [pool.submit(run, c, t) for t in range(1, threads)]
+            run(c, 0)
+            for f in futures:
+                f.result()
+            m = chunk.stop - chunk.start
+            np.matmul(last[:m], params.weights[-1], out=out[chunk])
+            out[chunk] += params.biases[-1]
     return out
 
 

@@ -2,8 +2,11 @@
 
 Exit codes: 0 ok, 1 usage/config error, 2 numerical failure, 3 I/O error.
 ``train.threads`` (from the config file, ``--set`` or ``--threads``) pins
-the BLAS pools before numpy loads; 1 is the bit-reproducible mode used by
-the determinism tests.
+the BLAS pools before numpy loads: BLAS threads per call, with 1 the
+bit-reproducible mode used by the determinism tests.  At 1, network
+evaluation (render, interpolate, fit's completions, eval's implicit
+renders) spreads its rows over every CPU the process may run on, with the
+same bits at any CPU count.
 """
 from __future__ import annotations
 
@@ -32,7 +35,11 @@ def _build_parser():
     parser = _Parser(prog="glyphsdf", description=__doc__)
     parser.add_argument("--config", help=f"run config JSON (default: ${CONFIG_ENV})")
     parser.add_argument("--seed", type=int, help="override train.seed")
-    parser.add_argument("--threads", type=int, help="BLAS threads; 1 = reproducible")
+    parser.add_argument(
+        "--threads", type=int,
+        help="BLAS threads per call; 1 = reproducible, and network evaluation "
+        "then spreads its rows over the CPUs",
+    )
     parser.add_argument(
         "--set",
         action="append",
@@ -109,14 +116,20 @@ def _safe_name(family, label_char):
     return f"{keep}__{label_char}"
 
 
-def _manifest_glyphs(cfg):
-    """Every manifest entry with its parsed glyph, as (entry, glyph) pairs."""
-    from .glyphs import glyph_from_path, load_manifest
+def _manifest_entries(cfg):
+    from .glyphs import load_manifest
 
     if not cfg.dataset.manifest:
         raise _UsageError("config has no dataset.manifest")
+    return load_manifest(cfg.dataset.manifest, cfg.dataset.alphabet)
+
+
+def _parse_glyphs(cfg, entries):
+    """Each manifest entry with its parsed glyph, as (entry, glyph) pairs."""
+    from .glyphs import glyph_from_path
+
     pairs = []
-    for entry in load_manifest(cfg.dataset.manifest, cfg.dataset.alphabet):
+    for entry in entries:
         try:
             glyph = glyph_from_path(
                 entry.path.read_text(encoding="utf-8"), label=entry.label,
@@ -136,7 +149,7 @@ def _prepare_dataset(cfg):
 
     return [
         prepare_glyph(glyph, entry.family_id, entry.family_index, entry.label, cfg.field)
-        for entry, glyph in _manifest_glyphs(cfg)
+        for entry, glyph in _parse_glyphs(cfg, _manifest_entries(cfg))
     ]
 
 
@@ -398,11 +411,11 @@ def cmd_eval(cfg, args):
     # the config's label indices address the network, so the alphabets must agree
     bundle = ad.load_checkpoint(args.checkpoint, expect_alphabet=cfg.dataset.alphabet)
     out = _out_dir(cfg)
+    entries = _manifest_entries(cfg)
+    # a family without a latent fails before any glyph is parsed
+    latents = [_family_latent(bundle, entry.family_id) for entry in entries]
     rows = []
-    for entry, glyph in _manifest_glyphs(cfg):
-        if entry.family_id not in bundle.latents.family_ids:
-            continue
-        z = bundle.latents.codes[bundle.latents.family_ids.index(entry.family_id)]
+    for (entry, glyph), z in zip(_parse_glyphs(cfg, entries), latents):
         grid = field_grid(bundle, z, entry.label, bundle.train_width)
         lap = laplacian_smoothness(compose_median(grid, axis=0))
         corners = detect_corners(glyph, cfg.field.corner_threshold)
@@ -448,6 +461,18 @@ _COMMANDS = {
 }
 
 
+def _eval_threads(threads):
+    """Row threads of ``autodecoder.evaluate`` for ``train.threads``: every
+    CPU the process may run on when BLAS runs one thread per call, else 1,
+    since BLAS then spreads each GEMM over its own threads."""
+    if threads != 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -461,6 +486,9 @@ def main(argv=None):
         if cfg.train.threads is not None:
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
                 os.environ[var] = str(cfg.train.threads)
+        from . import autodecoder  # loads numpy, after the pins
+
+        autodecoder.EVAL_THREADS = _eval_threads(cfg.train.threads)
         return _COMMANDS[args.command](cfg, args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,4 +1,6 @@
+import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -555,6 +557,16 @@ class TestReferenceEquality:
             mp.setattr(ad, "BLOCK_ROWS", block_rows)
             self._forward_backward(net, rows, need_param_grads)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_wide_layer_below_the_skip(self, seed):
+        # the layer below the skip writes dz into a contiguous buffer: the
+        # strided left block of skip_in gave gw[0] other bits at width 1 for
+        # about half of these seeds
+        cfg = ad.NetworkConfig(alphabet_size=1, hidden_layers=2, width=1, skip_layer=1,
+                               out_channels=1, latent_dim=2)
+        rng = np.random.default_rng(seed)
+        self._forward_backward((cfg, ad.init_parameters(cfg, rng), rng), 2, True)
+
     def _forward_backward(self, net, rows, need_param_grads):
         cfg, params, rng = net
         X = rng.normal(size=(rows, cfg.in_dim))
@@ -606,9 +618,12 @@ class TestReferenceEquality:
             assert np.array_equal(state.v[name], ref_state.v[name])
 
 
+THREADS = (1, 2, 3)
+
+
 def _evaluate_case(cfg, rows, seed=0, chunk=ad.CHUNK_ROWS):
-    """evaluate, in chunks of ``chunk`` rows, and the reference on the same
-    random parameters and points."""
+    """evaluate, in chunks of ``chunk`` rows, at each thread count of
+    THREADS, and the reference on the same random parameters and points."""
     rng = np.random.default_rng(seed)
     params = ad.init_parameters(cfg, rng)
     for b in params.biases:
@@ -616,14 +631,18 @@ def _evaluate_case(cfg, rows, seed=0, chunk=ad.CHUNK_ROWS):
     pts = rng.uniform(-1.0, 1.0, size=(rows, 2))
     z = rng.normal(scale=0.1, size=cfg.latent_dim)
     label = cfg.alphabet_size - 1
-    with mock.patch.object(ad, "CHUNK_ROWS", chunk):
-        out = ad.evaluate(cfg, params, pts, label, z)
-    return out, helpers.reference_evaluate(cfg, params, pts, label, z, chunk=chunk)
+    outs = {}
+    for threads in THREADS:
+        with mock.patch.object(ad, "CHUNK_ROWS", chunk), \
+                mock.patch.object(ad, "EVAL_THREADS", threads):
+            outs[threads] = ad.evaluate(cfg, params, pts, label, z)
+    return outs, helpers.reference_evaluate(cfg, params, pts, label, z, chunk=chunk)
 
 
 class TestEvaluateSubBlocks:
-    """evaluate runs the hidden layers per sub-block and the head per chunk;
-    every output must keep the bits of whole-chunk evaluation."""
+    """evaluate runs the hidden layers per sub-block, on EVAL_THREADS
+    threads, and the head per chunk; every output must keep the bits of
+    whole-chunk evaluation at every thread count."""
 
     # 868 rows is the largest 3-channel head GEMM that OpenBLAS's
     # small-matrix kernel takes; 8192 + 89 and 2 * 8192 + 1030 end in a
@@ -632,32 +651,76 @@ class TestEvaluateSubBlocks:
     @pytest.mark.parametrize("alphabet_size, channels", [(52, 3), (2, 1)])
     def test_production_network(self, alphabet_size, channels, rows):
         cfg = ad.NetworkConfig(alphabet_size=alphabet_size, out_channels=channels)
-        assert len(ad._sub_blocks(cfg, 8192)) == 8192 // ad.SUB_ROWS
-        out, ref = _evaluate_case(cfg, rows)
-        assert np.array_equal(out, ref)
+        for threads in THREADS:
+            sub = ad.SUB_ROWS // threads
+            assert len(ad._sub_blocks(cfg, 8192, sub)) == 8192 // sub
+        outs, ref = _evaluate_case(cfg, rows)
+        for threads, out in outs.items():
+            assert np.array_equal(out, ref), threads
 
-    # below width 32 a hidden GEMM on SUB_ROWS rows falls to the small-matrix
-    # kernel, so those networks run each chunk whole
-    @pytest.mark.parametrize("width", [*range(1, 34), 64])
+    # a hidden GEMM on SUB_ROWS // threads rows falls to the small-matrix
+    # kernel below width 32 at one thread, 45 at two and 55 at three, so
+    # those networks run each chunk whole
+    @pytest.mark.parametrize("width", [*range(1, 34), 44, 45, 54, 55, 64])
     def test_hidden_width_sweep(self, width):
         cfg = ad.NetworkConfig(alphabet_size=2, hidden_layers=3, width=width, skip_layer=1)
-        assert (len(ad._sub_blocks(cfg, 3100)) > 1) == (width >= 32)
+        for threads, min_width in zip(THREADS, (32, 45, 55)):
+            sub = ad.SUB_ROWS // threads
+            assert (len(ad._sub_blocks(cfg, 3100, sub)) > 1) == (width >= min_width)
         for rows, chunk in [(1, 8192), (900, 8192), (2100, 8192), (3100, 8192), (3100, 2500)]:
-            out, ref = _evaluate_case(cfg, rows, seed=width, chunk=chunk)
-            assert np.array_equal(out, ref), (rows, chunk)
+            outs, ref = _evaluate_case(cfg, rows, seed=width, chunk=chunk)
+            for threads, out in outs.items():
+                assert np.array_equal(out, ref), (rows, chunk, threads)
 
     def test_peak_memory(self):
         # whole 8192-row chunks peak at about 100 MB of buffers here
         cfg = ad.NetworkConfig(alphabet_size=52)
         params = ad.init_parameters(cfg, np.random.default_rng(0))
         pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(16384, 2))
-        tracemalloc.start()
+        for threads in THREADS:
+            tracemalloc.start()
+            try:
+                with mock.patch.object(ad, "EVAL_THREADS", threads):
+                    ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 45e6, threads
+
+    def test_more_threads_than_cpus_switching_often(self):
+        # six threads write disjoint rows of one shared chunk buffer, with a
+        # thread switch every microsecond of Python code
+        cfg = ad.NetworkConfig(alphabet_size=2)
+        rng = np.random.default_rng(2)
+        params = ad.init_parameters(cfg, rng)
+        pts = rng.uniform(-1.0, 1.0, size=(2 * 8192 + 1030, 2))
+        z = rng.normal(scale=0.1, size=cfg.latent_dim)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
-            peak = tracemalloc.get_traced_memory()[1]
+            with mock.patch.object(ad, "EVAL_THREADS", 6):
+                out = ad.evaluate(cfg, params, pts, 1, z)
         finally:
-            tracemalloc.stop()
-        assert peak < 45e6
+            sys.setswitchinterval(interval)
+        assert np.array_equal(out, helpers.reference_evaluate(cfg, params, pts, 1, z))
+
+    def test_worker_error_reaches_caller(self):
+        cfg = ad.NetworkConfig(alphabet_size=2)
+        params = ad.init_parameters(cfg, np.random.default_rng(0))
+        pts = np.zeros((4096, 2))
+        hidden_layers = ad._hidden_layers
+        threads_before = threading.active_count()
+
+        def fail_off_the_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return hidden_layers(*args)
+
+        with mock.patch.object(ad, "EVAL_THREADS", 2), \
+                mock.patch.object(ad, "_hidden_layers", fail_off_the_main_thread):
+            with pytest.raises(RuntimeError, match="worker failed"):
+                ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
+        assert threading.active_count() == threads_before
 
 
 def _production_case(alphabet_size, rows, seed=0):

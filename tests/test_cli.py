@@ -1,5 +1,6 @@
 """End-to-end command-line tests (subprocess, tiny configs)."""
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -291,6 +292,7 @@ class TestRenderCommand:
         ws, ckpt = trained
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)  # restored after the test
+        monkeypatch.setattr(ad, "EVAL_THREADS", ad.EVAL_THREADS)  # main sets it
         field_grid, evaluated = render.field_grid, []
 
         def counting_field_grid(bundle, z, label, width):
@@ -328,12 +330,13 @@ class TestRenderCommand:
         ws, ckpt = trained
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.setenv(var, "1")  # restored after the test
+        monkeypatch.setattr(ad, "EVAL_THREADS", ad.EVAL_THREADS)  # main sets it
         assert cli.main([
             "--config", str(ws / "config.json"), "render", "--checkpoint", str(ckpt),
             "--family", "fam", "--label", "B", "--res", "91", "--channels", "--contours",
         ]) == 0
         bundle = ad.load_checkpoint(ckpt)
-        assert len(ad._sub_blocks(bundle.network, 8192)) > 1
+        assert len(ad._sub_blocks(bundle.network, 8192, ad.SUB_ROWS // ad.EVAL_THREADS)) > 1
         pts = geometry.pixel_centers(91).reshape(-1, 2)
         grid = helpers.reference_evaluate(
             bundle.network, bundle.params, pts, 1, bundle.latents.codes[0]
@@ -348,6 +351,30 @@ class TestRenderCommand:
         want = render.extract_zero_level(render.zero_level_field(grid, bundle.supervision))
         got = json.loads((out / f"{name}_contours.json").read_text())
         assert got == [c.tolist() for c in want]
+
+    def test_implicit_render_bits_do_not_depend_on_the_cpu_count(self, trained, monkeypatch):
+        # with one BLAS thread, main spreads evaluate's rows over the CPUs
+        from glyphsdf import autodecoder as ad, cli
+
+        ws, ckpt = trained
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")  # restored after the test
+        monkeypatch.setattr(ad, "EVAL_THREADS", ad.EVAL_THREADS)  # main sets it
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            out = ws / f"out_{cpus}_cpus"
+            assert cli.main([
+                "--config", str(ws / "config.json"),
+                "--set", f"paths.output_dir={json.dumps(str(out))}",
+                "render", "--checkpoint", str(ckpt), "--family", "fam", "--label", "A",
+                "--res", "16,91", "--contours",
+            ]) == 0
+            assert ad.EVAL_THREADS == cpus
+            outputs.append({p.name: p.read_bytes() for p in out.glob("render_*")})
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]
 
     def test_unknown_family(self, trained):
         ws, ckpt = trained
@@ -466,6 +493,22 @@ class TestEvalCommand:
         # 2 glyphs x 2 methods x 2 resolutions
         assert len(lines) == 1 + 8
 
+    def test_family_missing_from_checkpoint_fails_before_parsing(self, trained):
+        ws, ckpt = trained
+        (ws / "ghost.path").write_text("M 0 0 X 1 1 Z")  # fails if parsed
+        (ws / "ghost.json").write_text(json.dumps([
+            {"family": "fam", "label": "A", "file": "sq.path"},
+            {"family": "ghost", "label": "B", "file": "ghost.path"},
+        ]))
+        res = run_cli(
+            "--config", ws / "config.json", "--set",
+            f"dataset.manifest={json.dumps(str(ws / 'ghost.json'))}",
+            "eval", "--checkpoint", ckpt,
+        )
+        assert res.returncode == 1
+        assert "unknown family 'ghost'" in res.stderr
+        assert not (ws / "out" / "metrics.csv").exists()
+
     def test_self_evaluation_scores_one(self, trained):
         # rendering a checkpoint against itself through the eval plumbing:
         # identical image pairs give siou 1; here just sanity-check ranges
@@ -513,6 +556,15 @@ def _render_edited(name, edit):
                 "--family", "fam", "--label", "A"]
 
     return argv
+
+
+def _ghost_manifest(ws, ckpt):
+    """argv running eval on a manifest whose one family the checkpoint lacks."""
+    (ws / "ghost.json").write_text(
+        json.dumps([{"family": "ghost", "label": "A", "file": "sq.path"}])
+    )
+    return ["--config", ws / "config.json", "--set",
+            f"dataset.manifest={json.dumps(str(ws / 'ghost.json'))}", "eval", "--checkpoint", ckpt]
 
 
 def _nested_config(ws, ckpt):
@@ -567,6 +619,7 @@ BAD_INPUTS = [
         "--set", 'dataset.alphabet="BA"', "eval", "--checkpoint", CKPT), 3),
     ('eval with dataset.alphabet="BAC"', _command(
         "--set", 'dataset.alphabet="BAC"', "eval", "--checkpoint", CKPT), 3),
+    ("eval of a family the checkpoint lacks", _ghost_manifest, 1),
     ("render --res 4", _command(
         "render", "--checkpoint", CKPT, "--family", "fam", "--label", "A", "--res", "4"), 1),
     ("interpolate --res 0", _command(
@@ -634,7 +687,6 @@ print(os.environ["OPENBLAS_NUM_THREADS"])
 
 def test_config_threads_pin_blas_before_numpy_loads(workspace):
     # the workspace config sets "threads": 1 and no flag repeats it
-    import os
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     res = subprocess.run(
         [sys.executable, "-c", _PIN_SCRIPT, str(workspace / "config.json")],
@@ -644,8 +696,18 @@ def test_config_threads_pin_blas_before_numpy_loads(workspace):
     assert res.stdout.splitlines()[-1] == "1"
 
 
+def test_eval_threads_follow_the_blas_threads(monkeypatch):
+    # one BLAS thread per call: evaluate takes every CPU; else BLAS spreads
+    from glyphsdf import cli
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert [cli._eval_threads(t) for t in (None, 1, 2)] == [1, 3, 1]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert [cli._eval_threads(t) for t in (None, 1, 2)] == [1, 5, 1]
+
+
 def test_env_var_config(workspace, monkeypatch):
-    import os
     env = dict(os.environ)
     env["GLYPHSDF_CONFIG"] = str(workspace / "config.json")
     res = subprocess.run(
