@@ -37,15 +37,16 @@ would fall to it (with two hidden layers or more, any width under 32)
 runs each chunk whole.  Tests compare both against whole-chunk evaluation.
 
 The rows are independent, so :func:`evaluate` spreads a chunk's
-sub-blocks over ``EVAL_THREADS`` threads (1 by default; the CLI sets the
-CPU count when BLAS runs one thread per call).  With T threads a sub-block
-has ``SUB_ROWS // T`` rows, so ``SUB_ROWS`` rows are still in flight and
-the buffers stay as above.  Each thread owns its buffers and writes its
-own rows of the chunk buffer; the calling thread is one of them and runs
-the head.  The bits do not depend on T: each row of a hidden GEMM gets the
-bits the whole chunk gives it, by the rule above, and the small-matrix
-check is made on the sub-block's row count, so at two threads a width under
-45 and at three one under 55 runs its chunks whole.
+sub-blocks over ``EVAL_THREADS`` threads (1 by default; for the length of
+a command the CLI sets the CPU count, at most 2, when BLAS runs one thread
+per call).  With T threads a sub-block has ``SUB_ROWS // T`` rows, so
+``SUB_ROWS`` rows are still in flight and the buffers stay as above.
+Each thread owns its buffers and writes its own rows of the chunk buffer;
+the calling thread is one of them and runs the head.  The bits do not
+depend on T: each row of a hidden GEMM gets the bits the whole chunk gives
+it, by the rule above, and the small-matrix check is made on the
+sub-block's row count, so at two threads a width under 45 and at three one
+under 55 runs its chunks whole.
 
 The cache of :func:`forward` is the tuple ``(X, acts, skip_in)``:
 
@@ -99,7 +100,8 @@ BLOCK_ROWS = 128
 CHUNK_ROWS = 8192
 SUB_ROWS = 1024
 # threads over which evaluate spreads a chunk's sub-blocks of
-# SUB_ROWS // EVAL_THREADS rows; the CLI sets it from train.threads
+# SUB_ROWS // EVAL_THREADS rows; cli.main sets it from train.threads while
+# a command runs and puts the caller's value back after
 EVAL_THREADS = 1
 # OpenBLAS runs a GEMM with M*N*K at or below this through its small-matrix
 # kernel, whose output bits differ from the blocked kernel's

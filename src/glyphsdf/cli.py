@@ -5,8 +5,8 @@ Exit codes: 0 ok, 1 usage/config error, 2 numerical failure, 3 I/O error.
 the BLAS pools before numpy loads: BLAS threads per call, with 1 the
 bit-reproducible mode used by the determinism tests.  At 1, network
 evaluation (render, interpolate, fit's completions, eval's implicit
-renders) spreads its rows over every CPU the process may run on, with the
-same bits at any CPU count.
+renders) spreads its rows over up to two of the CPUs the process may run
+on, with the same bits at any CPU count.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ def _build_parser():
     parser.add_argument(
         "--threads", type=int,
         help="BLAS threads per call; 1 = reproducible, and network evaluation "
-        "then spreads its rows over the CPUs",
+        "then spreads its rows over up to 2 CPUs",
     )
     parser.add_argument(
         "--set",
@@ -461,16 +461,24 @@ _COMMANDS = {
 }
 
 
+# evaluate's row threads were measured at 2 CPUs, where two threads of
+# 512-row sub-blocks ran 1.6-1.9x the rows/s of one; more are not taken
+# until they are measured
+_MAX_EVAL_THREADS = 2
+
+
 def _eval_threads(threads):
-    """Row threads of ``autodecoder.evaluate`` for ``train.threads``: every
-    CPU the process may run on when BLAS runs one thread per call, else 1,
-    since BLAS then spreads each GEMM over its own threads."""
+    """Row threads of ``autodecoder.evaluate`` for ``train.threads``: the
+    CPUs the process may run on, at most ``_MAX_EVAL_THREADS``, when BLAS
+    runs one thread per call, else 1, since BLAS then spreads each GEMM
+    over its own threads."""
     if threads != 1:
         return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity outside Linux
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_EVAL_THREADS)
 
 
 def main(argv=None):
@@ -488,8 +496,13 @@ def main(argv=None):
                 os.environ[var] = str(cfg.train.threads)
         from . import autodecoder  # loads numpy, after the pins
 
+        # the row threads hold for this command only
+        caller_threads = autodecoder.EVAL_THREADS
         autodecoder.EVAL_THREADS = _eval_threads(cfg.train.threads)
-        return _COMMANDS[args.command](cfg, args)
+        try:
+            return _COMMANDS[args.command](cfg, args)
+        finally:
+            autodecoder.EVAL_THREADS = caller_threads
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -292,7 +292,6 @@ class TestRenderCommand:
         ws, ckpt = trained
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)  # restored after the test
-        monkeypatch.setattr(ad, "EVAL_THREADS", ad.EVAL_THREADS)  # main sets it
         field_grid, evaluated = render.field_grid, []
 
         def counting_field_grid(bundle, z, label, width):
@@ -330,13 +329,14 @@ class TestRenderCommand:
         ws, ckpt = trained
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.setenv(var, "1")  # restored after the test
-        monkeypatch.setattr(ad, "EVAL_THREADS", ad.EVAL_THREADS)  # main sets it
+        # two CPUs: main runs evaluate on two threads of 512-row sub-blocks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert cli.main([
             "--config", str(ws / "config.json"), "render", "--checkpoint", str(ckpt),
             "--family", "fam", "--label", "B", "--res", "91", "--channels", "--contours",
         ]) == 0
         bundle = ad.load_checkpoint(ckpt)
-        assert len(ad._sub_blocks(bundle.network, 8192, ad.SUB_ROWS // ad.EVAL_THREADS)) > 1
+        assert len(ad._sub_blocks(bundle.network, 8192, ad.SUB_ROWS // 2)) > 1
         pts = geometry.pixel_centers(91).reshape(-1, 2)
         grid = helpers.reference_evaluate(
             bundle.network, bundle.params, pts, 1, bundle.latents.codes[0]
@@ -353,13 +353,20 @@ class TestRenderCommand:
         assert got == [c.tolist() for c in want]
 
     def test_implicit_render_bits_do_not_depend_on_the_cpu_count(self, trained, monkeypatch):
-        # with one BLAS thread, main spreads evaluate's rows over the CPUs
-        from glyphsdf import autodecoder as ad, cli
+        # with one BLAS thread, main spreads evaluate's rows over up to two
+        # CPUs while the command runs, then puts the caller's count back
+        from glyphsdf import autodecoder as ad, cli, render
 
         ws, ckpt = trained
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.setenv(var, "1")  # restored after the test
-        monkeypatch.setattr(ad, "EVAL_THREADS", ad.EVAL_THREADS)  # main sets it
+        field_grid, seen = render.field_grid, []
+
+        def recording_field_grid(*args):
+            seen.append(ad.EVAL_THREADS)
+            return field_grid(*args)
+
+        monkeypatch.setattr(render, "field_grid", recording_field_grid)
         outputs = []
         for cpus in (1, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -371,8 +378,9 @@ class TestRenderCommand:
                 "render", "--checkpoint", str(ckpt), "--family", "fam", "--label", "A",
                 "--res", "16,91", "--contours",
             ]) == 0
-            assert ad.EVAL_THREADS == cpus
+            assert ad.EVAL_THREADS == 1
             outputs.append({p.name: p.read_bytes() for p in out.glob("render_*")})
+        assert seen == [1, 1, 2, 2]
         assert len(outputs[0]) == 4
         assert outputs[0] == outputs[1]
 
@@ -697,14 +705,42 @@ def test_config_threads_pin_blas_before_numpy_loads(workspace):
 
 
 def test_eval_threads_follow_the_blas_threads(monkeypatch):
-    # one BLAS thread per call: evaluate takes every CPU; else BLAS spreads
+    # one BLAS thread per call: evaluate takes the CPUs, at most two; else
+    # BLAS spreads each GEMM
     from glyphsdf import cli
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert [cli._eval_threads(t) for t in (None, 1, 2)] == [1, 3, 1]
+    for cpus, want in [(1, 1), (2, 2), (3, 2)]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert [cli._eval_threads(t) for t in (None, 1, 2)] == [1, want, 1]
     monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert [cli._eval_threads(t) for t in (None, 1, 2)] == [1, 5, 1]
+    for cpus, want in [(None, 1), (1, 1), (5, 2)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert [cli._eval_threads(t) for t in (None, 1, 2)] == [1, want, 1]
+
+
+def test_eval_threads_on_a_large_host_keep_sub_blocks(monkeypatch):
+    # at 128 CPUs the production network must still run its hidden layers
+    # in sub-blocks and stay under test_peak_memory's 45 MB bound; whole
+    # 8192-row chunks would hold about 100 MB of buffers
+    import tracemalloc
+
+    from glyphsdf import autodecoder as ad, cli
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)), raising=False)
+    threads = cli._eval_threads(1)
+    cfg = ad.NetworkConfig(alphabet_size=52)
+    assert len(ad._sub_blocks(cfg, ad.CHUNK_ROWS, ad.SUB_ROWS // threads)) > 1
+    params = ad.init_parameters(cfg, np.random.default_rng(0))
+    pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(16384, 2))
+    monkeypatch.setattr(ad, "EVAL_THREADS", threads)
+    tracemalloc.start()
+    try:
+        ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45e6
 
 
 def test_env_var_config(workspace, monkeypatch):
