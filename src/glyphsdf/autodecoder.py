@@ -37,10 +37,12 @@ would fall to it (with two hidden layers or more, any width under 32)
 runs each chunk whole.  Tests compare both against whole-chunk evaluation.
 
 The rows are independent, so :func:`evaluate` spreads a chunk's
-sub-blocks over ``EVAL_THREADS`` threads (1 by default; for the length of
-a command the CLI sets the CPU count, at most 2, when BLAS runs one thread
-per call).  With T threads a sub-block has ``SUB_ROWS // T`` rows, so
-``SUB_ROWS`` rows are still in flight and the buffers stay as above.
+sub-blocks over ``EVAL_THREADS`` threads, fixed when this module loads:
+the CPUs the process may run on, at most 2, when ``OPENBLAS_NUM_THREADS``
+is ``"1"`` (``--threads 1`` sets it before numpy loads), else 1, since
+BLAS then spreads each GEMM over its own threads.  With T threads a
+sub-block has ``SUB_ROWS // T`` rows, so ``SUB_ROWS`` rows are still in
+flight and the buffers stay as above.
 Each thread owns its buffers and writes its own rows of the chunk buffer;
 the calling thread is one of them and runs the head.  The bits do not
 depend on T: each row of a hidden GEMM gets the bits the whole chunk gives
@@ -81,6 +83,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -99,10 +102,26 @@ BLOCK_ROWS = 128
 # rows per chunk of evaluate, and of a chunk's hidden layers in flight at once
 CHUNK_ROWS = 8192
 SUB_ROWS = 1024
-# threads over which evaluate spreads a chunk's sub-blocks of
-# SUB_ROWS // EVAL_THREADS rows; cli.main sets it from train.threads while
-# a command runs and puts the caller's value back after
-EVAL_THREADS = 1
+# evaluate's row threads were measured at 2 CPUs, where two threads of
+# 512-row sub-blocks ran 1.6-1.9x the rows/s of one; more are not taken
+# until they are measured
+_MAX_EVAL_THREADS = 2
+
+
+def _eval_threads():
+    """Row threads of :func:`evaluate`: when BLAS runs one thread per call,
+    the CPUs the process may run on, at most ``_MAX_EVAL_THREADS``, else 1."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_EVAL_THREADS)
+
+
+# fixed at import, as BLAS reads its pin when numpy loads
+EVAL_THREADS = _eval_threads()
 # OpenBLAS runs a GEMM with M*N*K at or below this through its small-matrix
 # kernel, whose output bits differ from the blocked kernel's
 SMALL_GEMM = 10**6

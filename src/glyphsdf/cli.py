@@ -3,10 +3,11 @@
 Exit codes: 0 ok, 1 usage/config error, 2 numerical failure, 3 I/O error.
 ``train.threads`` (from the config file, ``--set`` or ``--threads``) pins
 the BLAS pools before numpy loads: BLAS threads per call, with 1 the
-bit-reproducible mode used by the determinism tests.  At 1, network
-evaluation (render, interpolate, fit's completions, eval's implicit
+bit-reproducible mode used by the determinism tests.  Under that pin,
+network evaluation (render, interpolate, fit's completions, eval's implicit
 renders) spreads its rows over up to two of the CPUs the process may run
-on, with the same bits at any CPU count.
+on, with the same bits at any CPU count; ``autodecoder`` decides this once,
+when it loads.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ def _build_parser():
     parser.add_argument("--seed", type=int, help="override train.seed")
     parser.add_argument(
         "--threads", type=int,
-        help="BLAS threads per call; 1 = reproducible, and network evaluation "
-        "then spreads its rows over up to 2 CPUs",
+        help="BLAS threads per call, pinned before numpy loads; 1 = reproducible, "
+        "and network evaluation then spreads its rows over up to 2 CPUs",
     )
     parser.add_argument(
         "--set",
@@ -111,9 +112,14 @@ def _out_dir(cfg):
     return out
 
 
+def _label_name(label_char):
+    """A label in file names: letters and digits as is, others as u + code point."""
+    return "".join(c if c.isalnum() else f"u{ord(c):04x}" for c in label_char)
+
+
 def _safe_name(family, label_char):
     keep = "".join(c if c.isalnum() or c in "-_" else "_" for c in family)
-    return f"{keep}__{label_char}"
+    return f"{keep}__{_label_name(label_char)}"
 
 
 def _manifest_entries(cfg):
@@ -396,7 +402,7 @@ def cmd_fit(cfg, args):
     )
     for idx, char in enumerate(bundle.alphabet):
         img = render_implicit(bundle, z, idx, args.res)
-        write_image(out / f"completed_{idx:02d}_{char}.pgm", img)
+        write_image(out / f"completed_{idx:02d}_{_label_name(char)}.pgm", img)
     print(f"fitted latent + {len(bundle.alphabet)} completions written to {out}")
     return 0
 
@@ -461,26 +467,6 @@ _COMMANDS = {
 }
 
 
-# evaluate's row threads were measured at 2 CPUs, where two threads of
-# 512-row sub-blocks ran 1.6-1.9x the rows/s of one; more are not taken
-# until they are measured
-_MAX_EVAL_THREADS = 2
-
-
-def _eval_threads(threads):
-    """Row threads of ``autodecoder.evaluate`` for ``train.threads``: the
-    CPUs the process may run on, at most ``_MAX_EVAL_THREADS``, when BLAS
-    runs one thread per call, else 1, since BLAS then spreads each GEMM
-    over its own threads."""
-    if threads != 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity outside Linux
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_EVAL_THREADS)
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -494,15 +480,7 @@ def main(argv=None):
         if cfg.train.threads is not None:
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
                 os.environ[var] = str(cfg.train.threads)
-        from . import autodecoder  # loads numpy, after the pins
-
-        # the row threads hold for this command only
-        caller_threads = autodecoder.EVAL_THREADS
-        autodecoder.EVAL_THREADS = _eval_threads(cfg.train.threads)
-        try:
-            return _COMMANDS[args.command](cfg, args)
-        finally:
-            autodecoder.EVAL_THREADS = caller_threads
+        return _COMMANDS[args.command](cfg, args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -329,8 +329,8 @@ class TestRenderCommand:
         ws, ckpt = trained
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.setenv(var, "1")  # restored after the test
-        # two CPUs: main runs evaluate on two threads of 512-row sub-blocks
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # evaluate on two threads of 512-row sub-blocks
+        monkeypatch.setattr(ad, "EVAL_THREADS", 2)
         assert cli.main([
             "--config", str(ws / "config.json"), "render", "--checkpoint", str(ckpt),
             "--family", "fam", "--label", "B", "--res", "91", "--channels", "--contours",
@@ -353,8 +353,8 @@ class TestRenderCommand:
         assert got == [c.tolist() for c in want]
 
     def test_implicit_render_bits_do_not_depend_on_the_cpu_count(self, trained, monkeypatch):
-        # with one BLAS thread, main spreads evaluate's rows over up to two
-        # CPUs while the command runs, then puts the caller's count back
+        # evaluate's rows on one thread or two give the same files, and main
+        # leaves the row threads as it finds them
         from glyphsdf import autodecoder as ad, cli, render
 
         ws, ckpt = trained
@@ -368,17 +368,16 @@ class TestRenderCommand:
 
         monkeypatch.setattr(render, "field_grid", recording_field_grid)
         outputs = []
-        for cpus in (1, 3):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
-            out = ws / f"out_{cpus}_cpus"
+        for threads in (1, 2):
+            monkeypatch.setattr(ad, "EVAL_THREADS", threads)
+            out = ws / f"out_{threads}_threads"
             assert cli.main([
                 "--config", str(ws / "config.json"),
                 "--set", f"paths.output_dir={json.dumps(str(out))}",
                 "render", "--checkpoint", str(ckpt), "--family", "fam", "--label", "A",
                 "--res", "16,91", "--contours",
             ]) == 0
-            assert ad.EVAL_THREADS == 1
+            assert ad.EVAL_THREADS == threads
             outputs.append({p.name: p.read_bytes() for p in out.glob("render_*")})
         assert seen == [1, 1, 2, 2]
         assert len(outputs[0]) == 4
@@ -485,6 +484,48 @@ class TestFitCommand:
         assert "Traceback" not in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
         assert "PGM" in res.stderr
+
+
+def test_labels_outside_letters_and_digits_are_escaped_in_file_names(workspace):
+    # "/" would name a directory and NUL no file at all: prepare, render and
+    # fit write them as u002f and u0000
+    manifest = [
+        {"family": "fam", "label": "A", "file": "sq.path"},
+        {"family": "fam", "label": "/", "file": "l.path"},
+        {"family": "fam", "label": "\u0000", "file": "sq.path"},
+    ]
+    (workspace / "manifest.json").write_text(json.dumps(manifest))
+    cfg = ["--config", workspace / "config.json", "--set", 'dataset.alphabet="A/\\u0000"']
+    out = workspace / "out"
+    for command in (["prepare"], ["train"]):
+        res = run_cli(*cfg, *command)
+        assert res.returncode == 0, res.stderr
+    prepared = sorted(p.name for p in (out / "prepared").iterdir())
+    assert prepared == [
+        f"fam__{label}.{ext}"
+        for label in ("A", "u0000", "u002f") for ext in ("json", "pgm", "sdf.grid")
+    ]
+    assert json.loads((out / "prepared" / "fam__u0000.json").read_text())["label"] == "\u0000"
+    ckpt = out / "checkpoint.ckpt"
+    res = run_cli(
+        *cfg, "render", "--checkpoint", ckpt, "--family", "fam", "--label", "/", "--res", "16",
+    )
+    assert res.returncode == 0, res.stderr
+    assert (out / "render_fam__u002f_implicit_16.pgm").is_file()
+    from glyphsdf import autodecoder as ad, render as render_mod
+
+    bundle = ad.load_checkpoint(ckpt)
+    render_mod.write_image(
+        workspace / "target.pgm", render_mod.render_implicit(bundle, bundle.latents.codes[0], 1, 16)
+    )
+    res = run_cli(
+        *cfg, "--set", "train.fit_steps=2", "fit", "--checkpoint", ckpt,
+        "--target", workspace / "target.pgm", "--label", "/", "--res", "16",
+    )
+    assert res.returncode == 0, res.stderr
+    assert sorted(p.name for p in out.glob("completed_*")) == [
+        "completed_00_A.pgm", "completed_01_u002f.pgm", "completed_02_u0000.pgm",
+    ]
 
 
 class TestEvalCommand:
@@ -685,38 +726,52 @@ def test_non_finite_network_is_numerical_error(trained, command):
 _PIN_SCRIPT = """
 import os, sys
 from glyphsdf import cli
-argv = ["--config", sys.argv[1], "prepare"]
+argv = ["--config", sys.argv[1], *sys.argv[2:], "prepare"]
 cli._load_config(cli._build_parser().parse_args(argv))
 assert "numpy" not in sys.modules, "the config loaded numpy"
 assert cli.main(argv) == 0
-print(os.environ["OPENBLAS_NUM_THREADS"])
+from glyphsdf import autodecoder
+print(os.environ["OPENBLAS_NUM_THREADS"], autodecoder.EVAL_THREADS)
 """
 
 
 def test_config_threads_pin_blas_before_numpy_loads(workspace):
-    # the workspace config sets "threads": 1 and no flag repeats it
+    # the workspace config sets "threads": 1 and no flag repeats it; the
+    # row threads follow the pin, so --threads 2 leaves evaluate one
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    res = subprocess.run(
-        [sys.executable, "-c", _PIN_SCRIPT, str(workspace / "config.json")],
-        capture_output=True, text=True, env=env,
-    )
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "1"
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for flags, want in [([], f"1 {min(2, cpus)}"), (["--threads", "2"], "2 1")]:
+        res = subprocess.run(
+            [sys.executable, "-c", _PIN_SCRIPT, str(workspace / "config.json"), *flags],
+            capture_output=True, text=True, env=env,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == want
 
 
 def test_eval_threads_follow_the_blas_threads(monkeypatch):
     # one BLAS thread per call: evaluate takes the CPUs, at most two; else
     # BLAS spreads each GEMM
-    from glyphsdf import cli
+    from glyphsdf import autodecoder as ad
+
+    def rule():
+        threads = []
+        for pin in (None, "1", "2"):
+            if pin is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", pin)
+            threads.append(ad._eval_threads())
+        return threads
 
     for cpus, want in [(1, 1), (2, 2), (3, 2)]:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        assert [cli._eval_threads(t) for t in (None, 1, 2)] == [1, want, 1]
+        assert rule() == [1, want, 1]
     monkeypatch.delattr(os, "sched_getaffinity")
     for cpus, want in [(None, 1), (1, 1), (5, 2)]:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert [cli._eval_threads(t) for t in (None, 1, 2)] == [1, want, 1]
+        assert rule() == [1, want, 1]
 
 
 def test_eval_threads_on_a_large_host_keep_sub_blocks(monkeypatch):
@@ -725,10 +780,11 @@ def test_eval_threads_on_a_large_host_keep_sub_blocks(monkeypatch):
     # 8192-row chunks would hold about 100 MB of buffers
     import tracemalloc
 
-    from glyphsdf import autodecoder as ad, cli
+    from glyphsdf import autodecoder as ad
 
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)), raising=False)
-    threads = cli._eval_threads(1)
+    threads = ad._eval_threads()
     cfg = ad.NetworkConfig(alphabet_size=52)
     assert len(ad._sub_blocks(cfg, ad.CHUNK_ROWS, ad.SUB_ROWS // threads)) > 1
     params = ad.init_parameters(cfg, np.random.default_rng(0))

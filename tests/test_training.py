@@ -330,6 +330,34 @@ class TestTrainLoop:
         assert info.value.bundle is not None
         assert info.value.bundle.epoch == 3  # three complete epochs banked
 
+    def _eikonal_rows_and_log(self, monkeypatch, ratio):
+        # the eikonal_rows train hands total_loss each step, and its log
+        real, seen = training.total_loss, []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["eikonal_rows"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "total_loss", recording)
+        dataset, fs = desk_dataset()
+        ts = TrainSettings(
+            epochs=4, seed=4, anneal_epochs=2, min_homogeneous=16, threads=1,
+            eikonal_ratio=ratio,
+        )
+        _, rows = train(dataset, "A", fs, ts)
+        assert len(seen) == 4
+        return seen, rows
+
+    def test_eikonal_ratio_one_puts_the_stencil_on_every_row(self, monkeypatch):
+        seen, rows = self._eikonal_rows_and_log(monkeypatch, 1.0)
+        assert all(rows_ is None for rows_ in seen)  # None: every row
+        assert all(row["loss_grad"] > 0.0 for row in rows)
+
+    def test_eikonal_ratio_zero_puts_the_stencil_on_no_row(self, monkeypatch):
+        seen, rows = self._eikonal_rows_and_log(monkeypatch, 0.0)
+        assert all(len(rows_) == 0 for rows_ in seen)
+        assert all(row["loss_grad"] == 0.0 for row in rows)
+
 
 class TestFitLatent:
     def _trained(self):
@@ -361,3 +389,28 @@ class TestFitLatent:
         z1, _ = fit_latent(bundle, target, 0, steps=50)
         z2, _ = fit_latent(bundle, target, 0, steps=50)
         assert np.array_equal(z1, z2)
+
+    def test_large_target_fits_a_seeded_subsample(self, monkeypatch):
+        # 96x96 is 9,216 pixels; with 8 columns masked 8,448 remain, above
+        # max_points, so the fit takes a seeded 8,192 of them
+        dataset, fs = desk_dataset()
+        ts = TrainSettings(epochs=1, seed=3, anneal_epochs=0, min_homogeneous=16, threads=1)
+        bundle, _ = train(dataset, "A", fs, ts)
+        target = np.random.default_rng(0).uniform(size=(96, 96))
+        mask = np.zeros((96, 96), dtype=bool)
+        mask[:, :8] = True
+        real, seen = training.total_loss, []
+
+        def recording(net, params, z, label, samples, *args, **kwargs):
+            seen.append(samples.positions.copy())
+            return real(net, params, z, label, samples, *args, **kwargs)
+
+        monkeypatch.setattr(training, "total_loss", recording)
+        for seed in (5, 5, 6):
+            fit_latent(bundle, target, 0, mask=mask, steps=1, seed=seed)
+        pixel = {tuple(c): i for i, c in enumerate(geometry.pixel_centers(96).reshape(-1, 2))}
+        used = [pixel[tuple(p)] for p in seen[0]]
+        assert len(used) == len(set(used)) == 8192
+        assert not mask.reshape(-1)[used].any()
+        assert np.array_equal(seen[0], seen[1])
+        assert not np.array_equal(seen[0], seen[2])
