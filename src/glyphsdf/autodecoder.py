@@ -86,11 +86,11 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import SUPERVISIONS, FieldSettings, require_types
+from .config import DatasetSettings, FieldSettings, TrainSettings, require_types
 from .errors import CheckpointError, ConfigError, NumericalError
 
 LATENT_DIM = 128
@@ -130,10 +130,10 @@ SMALL_GEMM = 10**6
 @dataclass
 class NetworkConfig:
     alphabet_size: int
-    hidden_layers: int = 8
-    width: int = 384
+    hidden_layers: int = TrainSettings.hidden_layers
+    width: int = TrainSettings.hidden_width
     skip_layer: int = 3          # input concat after this hidden layer; 0 disables
-    out_channels: int = 3
+    out_channels: int = FieldSettings.channels
     leaky_slope: float = 0.01
     latent_dim: int = LATENT_DIM
 
@@ -163,17 +163,6 @@ class NetworkConfig:
             dims.append((fan_in, self.width))
         dims.append((self.width, self.out_channels))
         return dims
-
-    def to_dict(self):
-        return {
-            "alphabet_size": self.alphabet_size,
-            "hidden_layers": self.hidden_layers,
-            "width": self.width,
-            "skip_layer": self.skip_layer,
-            "out_channels": self.out_channels,
-            "leaky_slope": self.leaky_slope,
-            "latent_dim": self.latent_dim,
-        }
 
 
 @dataclass
@@ -432,7 +421,7 @@ def evaluate(config, params, points, label, z):
 
 @dataclass
 class AdamState:
-    lr: float = 1e-3
+    lr: float = TrainSettings.lr
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -504,9 +493,9 @@ class ModelBundle:
     params: Parameters
     latents: LatentTable
     alphabet: str
-    aa_k: float = 4.0
-    train_width: int = 64
-    supervision: str = "sdf"
+    aa_k: float = FieldSettings.aa_k
+    train_width: int = FieldSettings.train_width
+    supervision: str = TrainSettings.supervision
     train_config: dict = field(default_factory=dict)
     epoch: int = 0
     adam: AdamState | None = None
@@ -529,7 +518,7 @@ def save_checkpoint(path, bundle):
         "version": CKPT_VERSION,
         "alphabet": bundle.alphabet,
         "families": bundle.latents.family_ids,
-        "network": bundle.network.to_dict(),
+        "network": asdict(bundle.network),
         "channels": bundle.network.out_channels,
         "aa_k": bundle.aa_k,
         "train_width": bundle.train_width,
@@ -608,7 +597,15 @@ def _bundle_from(manifest, payload, path, expect_alphabet):
     CheckpointError.  Entries this loader does not know, such as the
     ``frozen_latents`` flag older checkpoints carry, are ignored."""
     alphabet = manifest["alphabet"]
-    _check(isinstance(alphabet, str), "alphabet", alphabet, path)
+    channels, aa_k, train_width = manifest["channels"], manifest["aa_k"], manifest["train_width"]
+    supervision = manifest.get("supervision", TrainSettings.supervision)
+    try:
+        # the values the config schema accepts for these settings
+        DatasetSettings(alphabet=alphabet)
+        FieldSettings(channels=channels, aa_k=aa_k, train_width=train_width)
+        TrainSettings(supervision=supervision)
+    except ConfigError as exc:
+        raise CheckpointError(f"bad settings in {path}: {exc}") from None
     if expect_alphabet is not None and alphabet != expect_alphabet:
         raise CheckpointError(
             "checkpoint alphabet does not match the configured alphabet"
@@ -617,15 +614,8 @@ def _bundle_from(manifest, payload, path, expect_alphabet):
         config = NetworkConfig(**manifest["network"])
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"bad network description in {path}: {exc}") from exc
-    channels, aa_k, train_width = manifest["channels"], manifest["aa_k"], manifest["train_width"]
-    try:
-        FieldSettings(channels=channels, aa_k=aa_k, train_width=train_width)
-    except ConfigError as exc:
-        raise CheckpointError(f"bad field settings in {path}: {exc}") from None
     if (channels, len(alphabet)) != (config.out_channels, config.alphabet_size):
         raise CheckpointError(f"channels or alphabet in {path} do not match its network")
-    supervision = manifest.get("supervision", "sdf")
-    _check(supervision in SUPERVISIONS, "supervision", supervision, path)
     families = manifest["families"]
     _check(
         isinstance(families, list) and all(isinstance(f, str) for f in families),

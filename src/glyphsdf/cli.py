@@ -12,6 +12,7 @@ when it loads.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -149,21 +150,22 @@ def _parse_glyphs(cfg, entries):
     return pairs
 
 
-def _prepare_dataset(cfg):
-    """Every manifest glyph, prepared in memory at the training width."""
+def _prepare_dataset(cfg, entries):
+    """Each manifest entry's glyph, prepared in memory at the training width."""
     from .training import prepare_glyph
 
     return [
         prepare_glyph(glyph, entry.family_id, entry.family_index, entry.label, cfg.field)
-        for entry, glyph in _parse_glyphs(cfg, _manifest_entries(cfg))
+        for entry, glyph in _parse_glyphs(cfg, entries)
     ]
 
 
 def _write_csv(path, cols, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+    """Rows as RFC 4180 CSV: a field with a comma, quote or line break is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([row[c] for c in cols] for row in rows)
 
 
 def _family_latent(bundle, family):
@@ -175,8 +177,8 @@ def _family_latent(bundle, family):
 
 
 def _label_index(bundle, label_char):
-    if label_char not in bundle.alphabet:
-        raise _UsageError(f"label {label_char!r} not in checkpoint alphabet")
+    if len(label_char) != 1 or label_char not in bundle.alphabet:
+        raise _UsageError(f"label {label_char!r} is not one character of the checkpoint alphabet")
     return bundle.alphabet.index(label_char)
 
 
@@ -186,7 +188,7 @@ def cmd_prepare(cfg, args):
     from .render import write_image
     from .templates import templates_to_arrays
 
-    dataset = _prepare_dataset(cfg)
+    dataset = _prepare_dataset(cfg, _manifest_entries(cfg))
     named = []  # (file name stem, label character, glyph)
     owners = {}  # casefolded stem -> "family/label" written under it
     for item in dataset:
@@ -224,15 +226,19 @@ def cmd_prepare(cfg, args):
 
 def cmd_train(cfg, args):
     from . import autodecoder as ad
-    from .training import TrainingDiverged, configured_network, train
+    from .training import TrainingDiverged, configured_network, latent_families, train
 
     out = _out_dir(cfg)
+    entries = _manifest_entries(cfg)
     resume = None
     if args.resume:
         resume = ad.load_checkpoint(args.resume, expect_alphabet=cfg.dataset.alphabet)
-        # a checkpoint the config cannot continue fails before any work
-        configured_network(cfg.dataset.alphabet, cfg.field, cfg.train, resume)
-    dataset = _prepare_dataset(cfg)
+        # a checkpoint the config and manifest cannot continue fails before
+        # any glyph is prepared
+        configured_network(
+            cfg.dataset.alphabet, cfg.field, cfg.train, resume, latent_families(entries)
+        )
+    dataset = _prepare_dataset(cfg, entries)
     every = max(1, cfg.train.epochs // 20)
 
     def progress(epoch, row):
@@ -385,16 +391,7 @@ def cmd_fit(cfg, args):
                 f"mask dimensions {mask_img.shape} do not match target {target.shape}"
             )
         mask = mask_img >= 0.5
-    z, history = fit_latent(
-        bundle,
-        target,
-        label,
-        mask=mask,
-        lr=cfg.train.fit_lr,
-        steps=cfg.train.fit_steps,
-        gamma_reg=cfg.train.gamma_reg,
-        seed=cfg.train.seed,
-    )
+    z, history = fit_latent(bundle, target, label, cfg.train, mask=mask)
     out = _out_dir(cfg)
     (out / "fit_z.json").write_text(
         json.dumps({"z": z.tolist(), "final_objective": history[-1] if history else None}),

@@ -1,8 +1,13 @@
 """Run configuration: JSON document with dataset/field/train/eval/paths
 sections, strict about unknown keys, with flag overrides applied on top.
 
-Each section validates its own values when it is built, so values from the
-file and from overrides pass the same checks.
+Each section validates its own values when it is built, and an override
+is written into the document before the document is built, so values from
+the file and from overrides pass the same checks.
+
+This is the one place where a run setting's default is written.  The
+library reads it from here: a function takes the section it needs, and a
+library default names the field, as ``rho: float = TrainSettings.rho``.
 """
 from __future__ import annotations
 
@@ -21,8 +26,9 @@ from .errors import ConfigError
 MIN_WIDTH = 8
 DEFAULT_ALPHABET = string.ascii_uppercase + string.ascii_lowercase
 DEFAULT_MARGIN = 0.15
-
-SUPERVISIONS = ("sdf", "pixel")
+# a junction is a corner when the angle between its two curve rays is
+# below this, about 171 degrees
+CORNER_ANGLE_DEFAULT = 3.0  # radians
 
 
 def _require(ok, message):
@@ -71,7 +77,7 @@ class FieldSettings:
     channels: int = 3
     aa_k: float = 4.0
     train_width: int = 64
-    corner_threshold: float = 3.0
+    corner_threshold: float = CORNER_ANGLE_DEFAULT
 
     def __post_init__(self):
         require_types(self, "field")
@@ -118,7 +124,7 @@ class TrainSettings:
     def __post_init__(self):
         require_types(self, "train")
         _require(
-            self.supervision in SUPERVISIONS,
+            self.supervision in ("sdf", "pixel"),
             f"train.supervision must be 'sdf' or 'pixel', got {self.supervision!r}",
         )
         _require(
@@ -174,14 +180,6 @@ class PathsSettings:
         require_types(self, "paths")
 
 
-def _build_section(name, section_cls, values):
-    """One validated section; a value of the wrong type is a ConfigError."""
-    try:
-        return section_cls(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config section {name!r}: {exc}") from exc
-
-
 _SECTIONS = {
     "dataset": DatasetSettings,
     "field": FieldSettings,
@@ -215,7 +213,10 @@ class RunConfig:
             bad = set(section) - valid
             if bad:
                 raise ConfigError(f"unknown keys in section {name!r}: {sorted(bad)}")
-            kwargs[name] = _build_section(name, section_cls, section)
+            try:
+                kwargs[name] = section_cls(**section)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad config section {name!r}: {exc}") from exc
         return cls(**kwargs)
 
     @classmethod
@@ -230,10 +231,12 @@ class RunConfig:
         return cls.from_dict(doc)
 
     def to_dict(self):
-        return {name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS}
+        return dataclasses.asdict(self)
 
     def apply_overrides(self, pairs):
-        """Apply ``section.key=value`` overrides (values parsed as JSON)."""
+        """The config with ``section.key=value`` overrides (values parsed as
+        JSON) written into its document, validated as a file's values are."""
+        doc = self.to_dict()
         for pair in pairs:
             if "=" not in pair:
                 raise ConfigError(f"override {pair!r} must look like section.key=value")
@@ -241,18 +244,12 @@ class RunConfig:
             if "." not in target:
                 raise ConfigError(f"override target {target!r} must be section.key")
             section_name, _, key = target.partition(".")
-            if section_name not in _SECTIONS:
-                raise ConfigError(f"unknown config section {section_name!r}")
-            section = getattr(self, section_name)
-            if key not in {f.name for f in dataclasses.fields(section)}:
-                raise ConfigError(f"unknown key {key!r} in section {section_name!r}")
             try:
                 value = json.loads(raw)
             except (json.JSONDecodeError, RecursionError):
                 value = raw  # bare strings are convenient on the command line
-            values = {**dataclasses.asdict(section), key: value}
-            setattr(self, section_name, _build_section(section_name, type(section), values))
-        return self
+            doc.setdefault(section_name, {})[key] = value
+        return self.from_dict(doc)
 
     def echo(self, path):
         Path(path).write_text(

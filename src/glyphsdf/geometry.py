@@ -15,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CORNER_ANGLE_DEFAULT
 from .errors import GeometryError
-
-# Corner threshold from the outline-angle heuristic: a junction is a corner
-# when the angle between the two curve rays is below ~171 degrees.
-CORNER_ANGLE_DEFAULT = 3.0  # radians
 
 _CHUNK = 1 << 17
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodecoder as ad
 from . import geometry
-from .config import MIN_WIDTH
+from .config import MIN_WIDTH, FieldSettings, TrainSettings
 from .errors import ImageError, NumericalError
 from .field import compose_median, kernel
 
@@ -101,7 +101,7 @@ def bilinear_resample(grid, width):
     return out
 
 
-def render_bilateral(grid, width, aa_k=4.0, supervision="sdf"):
+def render_bilateral(grid, width, aa_k=FieldSettings.aa_k, supervision=TrainSettings.supervision):
     """Upsample a stored field grid and compose; (W, W) in [0, 1]."""
     up = bilinear_resample(grid, width)
     return compose_image(up, width, aa_k, supervision)

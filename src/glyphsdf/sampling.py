@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TrainSettings
 from .errors import ConfigError
 from .geometry import pixel_points
 
@@ -31,9 +32,9 @@ KIND_HOMOGENEOUS = 2
 
 @dataclass
 class SampleConfig:
-    rho: float = 0.25            # homogeneous count as a fraction of edge count
-    min_homogeneous: int = 64    # floor so empty glyphs still sample background
-    seed: int = 0
+    rho: float = TrainSettings.rho  # homogeneous count as a fraction of edge count
+    min_homogeneous: int = TrainSettings.min_homogeneous  # floor for empty glyphs
+    seed: int = TrainSettings.seed
 
 
 @dataclass

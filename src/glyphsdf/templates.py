@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CORNER_ANGLE_DEFAULT
 from .errors import GeometryError
 from .field import kernel
 from . import geometry
@@ -111,7 +112,7 @@ def build_template(corner, width):
     )
 
 
-def build_templates(glyph, width, threshold=geometry.CORNER_ANGLE_DEFAULT):
+def build_templates(glyph, width, threshold=CORNER_ANGLE_DEFAULT):
     return [build_template(c, width) for c in geometry.detect_corners(glyph, threshold)]
 
 

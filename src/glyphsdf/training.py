@@ -10,6 +10,10 @@ to aa_k / train_width while the channel composition is the plain mean;
 afterwards it switches to the median-pair surrogate.  Ground-truth rasters
 and sample sets are rebuilt whenever the anti-alias range changes so the
 prediction and target always share the same blur scale.
+
+Defaults live in :mod:`glyphsdf.config`: :func:`train` and
+:func:`fit_latent` take its settings, and the dataclasses here default to
+its fields.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ import numpy as np
 
 from . import autodecoder as ad
 from . import geometry, templates as templates_mod
+from .config import FieldSettings, TrainSettings
 from .errors import ConfigError, NumericalError
 from .field import compose_train_grad, kernel, kernel_grad
 from .sampling import SampleConfig, SampleSet, sample_glyph
@@ -28,9 +33,9 @@ from .sampling import SampleConfig, SampleSet, sample_glyph
 
 @dataclass
 class LossWeights:
-    alpha: float = 1.0
-    beta: float = 0.01
-    gamma_reg: float = 1e-4
+    alpha: float = TrainSettings.alpha
+    beta: float = TrainSettings.beta
+    gamma_reg: float = TrainSettings.gamma_reg
 
 
 @dataclass
@@ -38,7 +43,7 @@ class WarmupSchedule:
     """Log-linear anneal of the anti-alias range, mean composer while hot."""
 
     gamma_end: float
-    gamma_start: float = 1.0
+    gamma_start: float = TrainSettings.gamma_start
     anneal_epochs: int = 0
 
     def gamma(self, epoch):
@@ -73,8 +78,8 @@ def total_loss(
     gamma,
     composer,
     weights,
-    supervision="sdf",
-    train_width=64,
+    supervision=TrainSettings.supervision,
+    train_width=FieldSettings.train_width,
     eikonal_rows=None,
     need_param_grads=True,
 ):
@@ -248,25 +253,42 @@ def _capped_view(samples, cap, rng):
     )
 
 
-def configured_network(alphabet, field_settings, train_settings, resume):
+def latent_families(items):
+    """The family ids of ``items`` (prepared glyphs or manifest entries) in
+    latent order: an item's ``family_index`` is its family's latent row."""
+    family_ids = [None] * (max((p.family_index for p in items), default=-1) + 1)
+    for p in items:
+        family_ids[p.family_index] = p.family_id
+    return family_ids
+
+
+def configured_network(alphabet, field_settings, train_settings, resume, family_ids):
     """The network the settings describe.  A ``resume`` bundle (None for a
-    fresh run) must carry that same network and have trained no more than
-    ``train_settings.epochs`` epochs, else :class:`ConfigError`."""
+    fresh run) must carry that same network, have trained no more than
+    ``train_settings.epochs`` epochs and list ``family_ids``, the dataset's
+    families in latent order, as its own; else :class:`ConfigError`."""
     net = ad.NetworkConfig(
         alphabet_size=len(alphabet),
         out_channels=field_settings.channels,
         hidden_layers=train_settings.hidden_layers,
         width=train_settings.hidden_width,
-        skip_layer=min(3, train_settings.hidden_layers - 1),
+        skip_layer=min(ad.NetworkConfig.skip_layer, train_settings.hidden_layers - 1),
     )
-    if resume is not None and resume.network != net:
-        have, want = resume.network.to_dict(), net.to_dict()
+    if resume is None:
+        return net
+    if resume.network != net:
+        have, want = dataclasses.asdict(resume.network), dataclasses.asdict(net)
         diff = ", ".join(f"{k} {have[k]!r} (config: {want[k]!r})" for k in want if have[k] != want[k])
         raise ConfigError(f"cannot resume: the checkpoint network has {diff}")
-    if resume is not None and resume.epoch > train_settings.epochs:
+    if resume.epoch > train_settings.epochs:
         raise ConfigError(
             f"cannot resume: the checkpoint has trained {resume.epoch} epochs, "
             f"more than train.epochs {train_settings.epochs}"
+        )
+    if family_ids != resume.latents.family_ids:
+        raise ConfigError(
+            f"cannot resume: the manifest lists families {family_ids}, "
+            f"the checkpoint {resume.latents.family_ids}"
         )
     return net
 
@@ -283,38 +305,38 @@ def train(
     """Fit the network (and latent table) to a prepared dataset.
 
     Returns (bundle, log_rows).  ``resume`` continues from a loaded
-    :class:`~glyphsdf.autodecoder.ModelBundle` whose network must be the
-    one the settings describe (:func:`configured_network`); the schedule
-    and all RNG streams are stateless functions of (seed, epoch, glyph), so
-    a resumed run is bit-identical to an uninterrupted one.
+    :class:`~glyphsdf.autodecoder.ModelBundle` whose network and families
+    must be the ones the settings and the dataset give
+    (:func:`configured_network`); ADAM goes on at ``train_settings.lr``.  The
+    schedule and all RNG streams are stateless functions of (seed, epoch,
+    glyph), so a resumed run is bit-identical to an uninterrupted one.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
     ts = train_settings
     fs = field_settings
-    n_fam = max(p.family_index for p in dataset) + 1
-    family_ids = [None] * n_fam
-    for p in dataset:
-        family_ids[p.family_index] = p.family_id
+    family_ids = latent_families(dataset)
 
     anneal = ts.epochs // 2 if ts.anneal_epochs is None else ts.anneal_epochs
     schedule = WarmupSchedule(
-        gamma_end=fs.aa_k / fs.train_width,
+        gamma_end=fs.gamma_final,
         gamma_start=ts.gamma_start,
         anneal_epochs=anneal,
     )
     weights = LossWeights(ts.alpha, ts.beta, ts.gamma_reg)
 
-    net = configured_network(alphabet, fs, ts, resume)
+    net = configured_network(alphabet, fs, ts, resume, family_ids)
     if resume is None:
         params = ad.init_parameters(net, np.random.default_rng(np.random.SeedSequence([ts.seed, 10])))
         latents = ad.init_latents(
             family_ids, np.random.default_rng(np.random.SeedSequence([ts.seed, 11]))
         )
-        adam, start_epoch = ad.AdamState(lr=ts.lr), 0
+        adam, start_epoch = ad.AdamState(), 0
     else:
         params, latents, start_epoch = resume.params, resume.latents, resume.epoch
-        adam = resume.adam or ad.AdamState(lr=ts.lr)
+        adam = resume.adam or ad.AdamState()
+    # the configured lr, over the one a resumed checkpoint recorded
+    adam.lr = ts.lr
     # the bundle the run ends with; params, latents and adam update in place
     bundle = ad.ModelBundle(
         network=net,
@@ -422,24 +444,19 @@ def train(
     return bundle, log_rows
 
 
-def fit_latent(
-    bundle,
-    target_image,
-    label,
-    mask=None,
-    *,
-    lr=1e-2,
-    steps=500,
-    gamma_reg=1e-4,
-    max_points=8192,
-    seed=0,
-):
+# pixels a latent fit runs over at most; a larger target gives a seeded subset
+FIT_MAX_POINTS = 8192
+
+
+def fit_latent(bundle, target_image, label, settings, mask=None):
     """Optimize a latent code so the rendered glyph matches a target raster.
 
-    ``mask`` is an optional boolean array (True = ignored) aligned with the
-    target; masked pixels contribute no loss and no gradient.  The network
-    stays frozen; the code starts at the latent-table mean.  Returns
-    (z, history) with per-step objective values.
+    ``settings`` (:class:`~glyphsdf.config.TrainSettings`) gives
+    ``fit_steps``, ``fit_lr``, ``gamma_reg`` and the ``seed`` of the pixel
+    subset.  ``mask`` is an optional boolean array (True = ignored) aligned
+    with the target; masked pixels contribute no loss and no gradient.  The
+    network stays frozen; the code starts at the latent-table mean.
+    Returns (z, history) with per-step objective values.
     """
     img = np.asarray(target_image, dtype=np.float64)
     if img.ndim != 2:
@@ -458,9 +475,9 @@ def fit_latent(
     targets = img.reshape(-1)
     keep = np.ones(len(targets), dtype=bool) if mask is None else ~mask.reshape(-1)
     idx = np.flatnonzero(keep)
-    if len(idx) > max_points:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-        idx = idx[np.sort(rng.choice(len(idx), max_points, replace=False))]
+    if len(idx) > FIT_MAX_POINTS:
+        rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 4]))
+        idx = idx[np.sort(rng.choice(len(idx), FIT_MAX_POINTS, replace=False))]
 
     # the training objective with the network frozen: the global term
     # (median-pair composition at the final anti-alias range) plus the
@@ -470,14 +487,14 @@ def fit_latent(
         targets=targets[idx],
         kinds=np.zeros(len(idx), dtype=np.uint8),
         template_rows=[],
-        rng_seed=seed,
+        rng_seed=settings.seed,
         gamma=bundle.aa_k / width,
     )
-    weights = LossWeights(0.0, 0.0, gamma_reg)
+    weights = LossWeights(0.0, 0.0, settings.gamma_reg)
     z = bundle.latents.mean_code().copy()
-    adam = ad.AdamState(lr=lr)
+    adam = ad.AdamState(lr=settings.fit_lr)
     history = []
-    for _ in range(steps):
+    for _ in range(settings.fit_steps):
         terms, _, dz = total_loss(
             bundle.network,
             bundle.params,

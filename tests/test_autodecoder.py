@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tempfile
 import threading
@@ -387,6 +388,7 @@ class TestCheckpoint:
         ("aa_k x", lambda m: m.update(aa_k="x")),
         ("train_width 4", lambda m: m.update(train_width=4)),
         ("alphabet 5", lambda m: m.update(alphabet=5)),
+        ("alphabet AA", lambda m: m.update(alphabet="AA")),
         ("arrays [1]", lambda m: m.update(arrays=[1])),
         ("supervision bogus", lambda m: m.update(supervision="bogus")),
         ("channels 1 on a 3-channel network", lambda m: m.update(channels=1)),
@@ -465,7 +467,7 @@ def _manifest_edits():
     keys = ["format", "version", "alphabet", "families", "network", "channels", "aa_k",
             "train_width", "supervision", "train_config", "epoch", "adam", "arrays"]
     paths = [(k,) for k in keys]
-    paths += [("network", k) for k in ad.NetworkConfig(alphabet_size=2).to_dict()]
+    paths += [("network", k) for k in dataclasses.asdict(ad.NetworkConfig(alphabet_size=2))]
     paths += [("adam", k) for k in ("lr", "beta1", "beta2", "eps", "step_count")]
     paths += [("arrays", 1, k) for k in ("name", "shape", "offset", "dtype")]
     return st.lists(

@@ -1,4 +1,5 @@
 """End-to-end command-line tests (subprocess, tiny configs)."""
+import csv
 import json
 import os
 import struct
@@ -258,6 +259,81 @@ def test_resume_at_train_epochs_keeps_the_arrays(trained):
     before, after = json.loads(a[12 : 12 + na]), json.loads(b[12 : 12 + nb])
     assert after["epoch"] == before["epoch"] == 20
     assert after["adam"] == before["adam"]
+
+
+def _payload_and_adam(ckpt):
+    """A checkpoint's array bytes and its manifest's ADAM record."""
+    raw = ckpt.read_bytes()
+    n = struct.unpack_from("<I", raw, 8)[0]
+    return raw[12 + n :], json.loads(raw[12 : 12 + n])["adam"]
+
+
+def test_resume_trains_at_the_configured_lr(trained):
+    # the checkpoint recorded ADAM at the default lr of 1e-3
+    ws, ckpt = trained
+    runs = {}
+    for lr in (1e-3, 5e-3):
+        out = ws / f"lr_{lr}"
+        res = run_cli(
+            "--config", ws / "config.json", "--set", f"paths.output_dir={json.dumps(str(out))}",
+            "--set", "train.epochs=22", "--set", f"train.lr={lr}", "train", "--resume", ckpt,
+        )
+        assert res.returncode == 0, res.stderr
+        runs[lr] = _payload_and_adam(out / "checkpoint.ckpt")
+    assert runs[1e-3][1]["lr"] == 1e-3
+    assert runs[5e-3][1]["lr"] == 5e-3
+    assert runs[1e-3][0] != runs[5e-3][0]
+
+
+def _resume_on_families(families, checkpoint_families=("fam",), glyph="sq.path"):
+    """argv resuming the trained checkpoint, its latent table relabelled as
+    ``checkpoint_families``, on a manifest giving each of ``families`` a
+    glyph A read from ``glyph``."""
+
+    def argv(ws, ckpt):
+        from glyphsdf import autodecoder as ad
+
+        bundle = ad.load_checkpoint(ckpt)
+        codes = np.repeat(bundle.latents.codes, len(checkpoint_families), axis=0)
+        bundle.latents = ad.LatentTable(codes, list(checkpoint_families))
+        path = ws / "families.ckpt"
+        ad.save_checkpoint(path, bundle)
+        (ws / "families.json").write_text(
+            json.dumps([{"family": f, "label": "A", "file": glyph} for f in families])
+        )
+        return ["--config", ws / "config.json",
+                "--set", f"dataset.manifest={json.dumps(str(ws / 'families.json'))}",
+                "train", "--resume", path]
+
+    return argv
+
+
+def test_resume_checks_the_families_before_parsing_a_glyph(trained):
+    ws, ckpt = trained
+    (ws / "broken.path").write_text("M 0 0 L")
+    argv = _resume_on_families(["gam", "fam"], ["fam", "gam"], glyph="broken.path")
+    res = run_cli(*argv(ws, ckpt))
+    assert res.returncode == 1, res.stderr
+    assert "cannot resume: the manifest lists families ['gam', 'fam']" in res.stderr
+
+
+def test_csv_fields_with_commas_quotes_or_line_breaks_are_quoted(tmp_path):
+    from glyphsdf.cli import _write_csv
+
+    path = tmp_path / "metrics.csv"
+    rows = [
+        {"family": "a,b", "label": 'q"', "mse": 0.5},
+        {"family": "l\nm", "label": "A", "mse": 16},
+        {"family": "fam", "label": "B", "mse": 1e-20},
+    ]
+    _write_csv(path, ["family", "label", "mse"], rows)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [
+            ["family", "label", "mse"], ["a,b", 'q"', "0.5"], ["l\nm", "A", "16"],
+            ["fam", "B", "1e-20"],
+        ]
+    # a row with no comma, quote or line break keeps the bytes str gives it
+    assert path.read_bytes().endswith(b"\nfam,B,1e-20\n")
 
 
 class TestRenderCommand:
@@ -616,6 +692,18 @@ def _ghost_manifest(ws, ckpt):
             f"dataset.manifest={json.dumps(str(ws / 'ghost.json'))}", "eval", "--checkpoint", ckpt]
 
 
+def _fit_label(label):
+    """argv fitting a blank 16x16 target as ``label``."""
+
+    def argv(ws, ckpt):
+        (ws / "blank.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(256))
+        return ["--config", ws / "config.json", "--set", "train.fit_steps=2", "fit",
+                "--checkpoint", ckpt, "--target", ws / "blank.pgm", "--label", label,
+                "--res", "16"]
+
+    return argv
+
+
 def _nested_config(ws, ckpt):
     (ws / "nest.json").write_text("[" * 100_000)
     return ["--config", ws / "nest.json", "prepare"]
@@ -669,6 +757,16 @@ BAD_INPUTS = [
     ('eval with dataset.alphabet="BAC"', _command(
         "--set", 'dataset.alphabet="BAC"', "eval", "--checkpoint", CKPT), 3),
     ("eval of a family the checkpoint lacks", _ghost_manifest, 1),
+    ("train --resume with the families reordered", _resume_on_families(
+        ["gam", "fam"], ["fam", "gam"]), 1),
+    ("train --resume with a family the checkpoint lacks", _resume_on_families(
+        ["fam", "gam"]), 1),
+    ("render --label AB", _command(
+        "render", "--checkpoint", CKPT, "--family", "fam", "--label", "AB", "--res", "16"), 1),
+    ('interpolate --label ""', _command(
+        "interpolate", "--checkpoint", CKPT, "--family-a", "fam", "--family-b", "fam",
+        "--label", "", "--steps", "2", "--res", "16"), 1),
+    ("fit --label AB", _fit_label("AB"), 1),
     ("render --res 4", _command(
         "render", "--checkpoint", CKPT, "--family", "fam", "--label", "A", "--res", "4"), 1),
     ("interpolate --res 0", _command(
@@ -680,6 +778,9 @@ BAD_INPUTS = [
     ("paths.output_dir=5", _with_set("paths.output_dir=5"), 1),
     ("checkpoint without latents", _render_edited(
         "no_latents", lambda p: drop_checkpoint_entry(p, "latents")), 3),
+    ("checkpoint with alphabet AA", _render_edited(
+        "alphabet_AA",
+        lambda p: edit_checkpoint_manifest(p, lambda m: m.update(alphabet="AA"))), 3),
     ("checkpoint with families 5", _render_edited(
         "families_5", lambda p: edit_checkpoint_manifest(p, lambda m: m.update(families=5))), 3),
     ("config nested 100,000 deep", _nested_config, 1),

@@ -370,29 +370,32 @@ class TestFitLatent:
         bundle, _ = self._trained()
         target = np.zeros((24, 24))
         mask = np.ones((24, 24), dtype=bool)
-        z, history = fit_latent(bundle, target, 0, mask=mask, steps=300, lr=1e-2)
+        ts = TrainSettings(fit_steps=300, fit_lr=1e-2)
+        z, history = fit_latent(bundle, target, 0, ts, mask=mask)
         assert np.linalg.norm(z) < 0.02
 
     def test_mask_dimension_mismatch(self):
         bundle, _ = self._trained()
         with pytest.raises(ValueError, match="mask shape"):
-            fit_latent(bundle, np.zeros((24, 24)), 0, mask=np.ones((8, 8), dtype=bool))
+            fit_latent(
+                bundle, np.zeros((24, 24)), 0, TrainSettings(), mask=np.ones((8, 8), dtype=bool)
+            )
 
     def test_label_validation(self):
         bundle, _ = self._trained()
         with pytest.raises(ValueError, match="label"):
-            fit_latent(bundle, np.zeros((24, 24)), 5)
+            fit_latent(bundle, np.zeros((24, 24)), 5, TrainSettings())
 
     def test_deterministic(self):
         bundle, prepared = self._trained()
         target = field.kernel(prepared.sdf, bundle.aa_k / 24)
-        z1, _ = fit_latent(bundle, target, 0, steps=50)
-        z2, _ = fit_latent(bundle, target, 0, steps=50)
+        z1, _ = fit_latent(bundle, target, 0, TrainSettings(fit_steps=50))
+        z2, _ = fit_latent(bundle, target, 0, TrainSettings(fit_steps=50))
         assert np.array_equal(z1, z2)
 
     def test_large_target_fits_a_seeded_subsample(self, monkeypatch):
         # 96x96 is 9,216 pixels; with 8 columns masked 8,448 remain, above
-        # max_points, so the fit takes a seeded 8,192 of them
+        # FIT_MAX_POINTS, so the fit takes a seeded 8,192 of them
         dataset, fs = desk_dataset()
         ts = TrainSettings(epochs=1, seed=3, anneal_epochs=0, min_homogeneous=16, threads=1)
         bundle, _ = train(dataset, "A", fs, ts)
@@ -407,7 +410,7 @@ class TestFitLatent:
 
         monkeypatch.setattr(training, "total_loss", recording)
         for seed in (5, 5, 6):
-            fit_latent(bundle, target, 0, mask=mask, steps=1, seed=seed)
+            fit_latent(bundle, target, 0, TrainSettings(fit_steps=1, seed=seed), mask=mask)
         pixel = {tuple(c): i for i, c in enumerate(geometry.pixel_centers(96).reshape(-1, 2))}
         used = [pixel[tuple(p)] for p in seen[0]]
         assert len(used) == len(set(used)) == 8192
