@@ -17,9 +17,7 @@ add and the leaky ReLU of the hidden layers, and in :func:`backward` the
 slope mask and its product with the incoming gradient.  A block stays in
 L2 cache from one pass to the next, where a whole 8192-row activation
 would stream through L3 three times, and the scratch these passes need
-shrinks to one block.  In training every BLAS call covers the whole batch,
-and so does the column sum that gives a bias gradient, since splitting it
-would change its summation order.
+shrinks to one block.
 
 :func:`evaluate` (rendering, no gradients) bounds its memory instead.  It
 takes the points in chunks of ``CHUNK_ROWS`` (8192) rows, a module
@@ -27,28 +25,51 @@ constant that tests patch to get short chunks; each chunk runs its hidden
 layers in sub-blocks of ``SUB_ROWS`` rows, the last taking the remainder,
 which write their last activation into one chunk-sized buffer, and then
 its head as one GEMM over the whole chunk.  At 8x384 that holds about
-37 MB of buffers where whole chunks held about 93 MB.  The bits stay those
-of whole chunks, since OpenBLAS gives a row of a GEMM the same bits at any
-row count, except that it sends a GEMM with M*N*K at or below
-``SMALL_GEMM`` to a small-matrix kernel with other bits.  So the head
-keeps the chunk's rows (a 3-channel head on 868 rows or fewer already
-takes that kernel), and a network whose hidden GEMM on ``SUB_ROWS`` rows
-would fall to it (with two hidden layers or more, any width under 32)
-runs each chunk whole.  Tests compare both against whole-chunk evaluation.
+37 MB of buffers where whole chunks held about 93 MB.
 
-The rows are independent, so :func:`evaluate` spreads a chunk's
-sub-blocks over ``EVAL_THREADS`` threads, fixed when this module loads:
-the CPUs the process may run on, at most 2, when ``OPENBLAS_NUM_THREADS``
-is ``"1"`` (``--threads 1`` sets it before numpy loads), else 1, since
-BLAS then spreads each GEMM over its own threads.  With T threads a
-sub-block has ``SUB_ROWS // T`` rows, so ``SUB_ROWS`` rows are still in
-flight and the buffers stay as above.
-Each thread owns its buffers and writes its own rows of the chunk buffer;
-the calling thread is one of them and runs the head.  The bits do not
-depend on T: each row of a hidden GEMM gets the bits the whole chunk gives
-it, by the rule above, and the small-matrix check is made on the
-sub-block's row count, so at two threads a width under 45 and at three one
-under 55 runs its chunks whole.
+The bits stay those of whole arrays, since OpenBLAS gives a row of a GEMM
+the same bits at any row count, with two exceptions.  First, it sends a
+GEMM with M*N*K at or below ``SMALL_GEMM`` to a small-matrix kernel with
+other bits, so a split is made only where every hidden GEMM on the
+smaller part stays above it (:func:`_sub_blocks`), and a head keeps all
+its rows (a 3-channel head on 868 rows or fewer already takes that
+kernel).  With two hidden layers or more, a network under width 32 runs
+evaluate's chunks whole.  Second, split rows of ``dz @ W.T`` changed bits
+where that product has 135 or 519 columns, layer 0's and the skip layer's
+input gradients at alphabet 5: at 614 rows, a cut at row 256, 296, 304,
+307 or 320 changed the last 7 columns of ``dX`` by up to 6.5e-19, in the
+rows before the cut and in rows 604-609 (cuts at 300 and 312 kept them).
+Those two products therefore stay whole; a 384-column one held its bits
+at every cut from row 20 to 594 of 614.  Both rules are facts of
+OpenBLAS's AVX-512 kernels (0.3.31, with its 10^6 small-matrix permit),
+so the tests compare every split against whole-array references at
+production size.
+
+The rows are independent, so the network spreads its work over
+``ROW_THREADS`` row threads, fixed when this module loads: the CPUs the
+process may run on, at most 2, when ``OPENBLAS_NUM_THREADS`` is ``"1"``
+(``--threads 1`` sets it before numpy loads), else 1, since BLAS then
+spreads each GEMM over its own threads.  :func:`_in_threads` runs one
+call's tasks, the first on the calling thread.  Each thread writes its
+own rows, or its own arrays, of buffers the one-thread path allocates
+too, and no result depends on the thread count:
+
+* :func:`evaluate` runs a chunk's sub-blocks of ``SUB_ROWS // T`` rows on
+  T threads, so ``SUB_ROWS`` rows are still in flight; each thread owns
+  its buffers and the calling thread runs the head.  The small-matrix
+  check is made on the sub-block's row count, so at two threads a width
+  under 45 and at three one under 55 runs its chunks whole;
+* :func:`forward` runs its hidden layers in T row parts of ``m // T``
+  rows, the last taking the remainder, and its head whole;
+* :func:`backward` with parameter gradients runs each layer's weight
+  gradient ``a_in.T @ dz`` (with the bias gradient) on one thread and its
+  input gradient on another.  Every reduction keeps its summation order:
+  ``gw``, ``gb`` and the head's gradients are whole-array on one thread,
+  as is the latent sum ``total_loss`` takes of ``dX``;
+* :func:`backward` without them (latent fitting) runs the slope passes
+  and the ``width``-column input gradients in forward's row parts; layer
+  0's and the skip layer's input gradients and ``d_out @ W_head.T`` stay
+  whole.
 
 The cache of :func:`forward` is the tuple ``(X, acts, skip_in)``:
 
@@ -102,29 +123,57 @@ BLOCK_ROWS = 128
 # rows per chunk of evaluate, and of a chunk's hidden layers in flight at once
 CHUNK_ROWS = 8192
 SUB_ROWS = 1024
-# evaluate's row threads were measured at 2 CPUs, where two threads of
-# 512-row sub-blocks ran 1.6-1.9x the rows/s of one; more are not taken
-# until they are measured
-_MAX_EVAL_THREADS = 2
+# the row threads were measured at 2 CPUs, where two threads of evaluate's
+# 512-row sub-blocks ran 1.6-1.9x the rows/s of one and a training step's
+# forward and backward took about 0.6x the time of one thread; more are not
+# taken until they are measured
+_MAX_ROW_THREADS = 2
 
 
-def _eval_threads():
-    """Row threads of :func:`evaluate`: when BLAS runs one thread per call,
-    the CPUs the process may run on, at most ``_MAX_EVAL_THREADS``, else 1."""
+def _row_threads():
+    """Threads of :func:`evaluate`, :func:`forward` and :func:`backward`:
+    when BLAS runs one thread per call, the CPUs the process may run on, at
+    most ``_MAX_ROW_THREADS``, else 1."""
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity outside Linux
         cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_EVAL_THREADS)
+    return min(cpus, _MAX_ROW_THREADS)
 
 
 # fixed at import, as BLAS reads its pin when numpy loads
-EVAL_THREADS = _eval_threads()
+ROW_THREADS = _row_threads()
 # OpenBLAS runs a GEMM with M*N*K at or below this through its small-matrix
 # kernel, whose output bits differ from the blocked kernel's
 SMALL_GEMM = 10**6
+
+
+def _in_threads(tasks):
+    """The results of calling each of ``tasks``, at most ROW_THREADS at once.
+
+    The first task runs on the calling thread and the others on a pool
+    opened for this call, so one task starts no thread.  An exception from
+    any task reaches the caller once every task has ended.
+    """
+    threads = min(ROW_THREADS, len(tasks))
+    if threads <= 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(threads - 1) as pool:
+        futures = [pool.submit(task) for task in tasks[1:]]
+        first = tasks[0]()
+        return [first] + [f.result() for f in futures]
+
+
+def _spread(blocks, run):
+    """Call ``run(t, block)`` for every row block on up to ROW_THREADS
+    threads: thread t takes the blocks t, t + threads, ... in turn, and
+    thread 0 is the calling thread."""
+    threads = min(ROW_THREADS, len(blocks))
+    _in_threads([
+        lambda t=t: [run(t, b) for b in blocks[t::threads]] for t in range(threads)
+    ])
 
 
 @dataclass
@@ -221,7 +270,7 @@ def assemble_inputs(points, label, z, alphabet_size):
 
 
 def _hidden_layers(config, params, X, skip_in, buffer):
-    """Run the hidden layers on the rows X; returns their outputs.
+    """Run the hidden layers on the rows X.
 
     Layer l writes into ``buffer(l)``, an (m, width) array, except the layer
     feeding the skip, which writes into the left block of ``skip_in``, the
@@ -236,7 +285,6 @@ def _hidden_layers(config, params, X, skip_in, buffer):
     scratch = np.empty((min(m, BLOCK_ROWS), width))
     if skip:
         skip_in[:, width:] = X
-    acts = []
     a = X
     for l in range(config.hidden_layers):
         h = skip_in[:, :width] if skip and l == skip - 1 else buffer(l)
@@ -249,22 +297,62 @@ def _hidden_layers(config, params, X, skip_in, buffer):
             # bit for bit when 0 < slope <= 1
             np.multiply(hb, slope, out=sb)
             np.maximum(hb, sb, out=hb)
-        acts.append(h)
         a = skip_in if skip and l == skip - 1 else h
-    return acts
+
+
+def _sub_blocks(config, m, rows):
+    """Row slices of m rows for the hidden layers or their gradients.
+
+    Blocks of ``rows`` rows, the last taking the remainder, when every
+    hidden layer's GEMM on ``rows`` rows stays above SMALL_GEMM; otherwise
+    the whole m rows.
+    """
+    if any(rows * k * n <= SMALL_GEMM for k, n in config.layer_dims()[:-1]):
+        return [slice(0, m)]
+    starts = [i * rows for i in range(max(1, m // rows))]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
+
+
+def _row_parts(config, m):
+    """Row slices of an m-row :func:`forward`, one per row thread."""
+    return _sub_blocks(config, m, max(1, m // ROW_THREADS))
 
 
 def forward(config, params, X):
     """Evaluate the network on rows of X; returns (out, cache).
 
+    The hidden layers run in row parts on the row threads, the head whole.
     The cache ``(X, acts, skip_in)`` holds what :func:`backward` needs (see
     the module docstring).
     """
-    m, width = len(X), config.width
-    skip_in = np.empty((m, width + config.in_dim)) if config.skip_layer else None
-    acts = _hidden_layers(config, params, X, skip_in, lambda l: np.empty((m, width)))
+    m, width, skip = len(X), config.width, config.skip_layer
+    skip_in = np.empty((m, width + config.in_dim)) if skip else None
+    acts = [skip_in[:, :width] if skip and l == skip - 1 else np.empty((m, width))
+            for l in range(config.hidden_layers)]
+
+    def run(t, p):
+        part_skip_in = None if skip_in is None else skip_in[p]
+        _hidden_layers(config, params, X[p], part_skip_in, lambda l: acts[l][p])
+
+    _spread(_row_parts(config, m), run)
     out = acts[-1] @ params.weights[-1] + params.biases[-1]
     return out, (X, acts, skip_in)
+
+
+def _slope_times(act, da, dz, slope, scratch):
+    """dz = da * where(pre-activation >= 0, 1, slope), per block of rows.
+
+    The activations ``act`` have the pre-activations' signs, and
+    max(0 or 1, slope) is that factor exactly; unlike a masked select it
+    does not branch per entry.  ``scratch`` is a (factor, mask) pair of
+    one block.
+    """
+    factor, nonneg = scratch
+    for rows in _row_blocks(len(act)):
+        n = rows.stop - rows.start
+        np.greater_equal(act[rows], 0.0, out=nonneg[:n])
+        np.maximum(nonneg[:n], slope, out=factor[:n])
+        np.multiply(da[rows], factor[:n], out=dz[rows])
 
 
 def backward(config, params, cache, d_out, need_param_grads=True):
@@ -276,6 +364,10 @@ def backward(config, params, cache, d_out, need_param_grads=True):
     ``need_param_grads=False`` skips the weight-gradient matmuls (useful
     when only the input/latent gradient is wanted) and returns None for
     the first element.
+
+    With parameter gradients, each layer's weight gradient and input
+    gradient run on two row threads; without, each layer runs in row parts
+    (see the module docstring).
 
     The cache serves one backward and is consumed by it: each layer's
     gradient is written over its activation, which then leaves ``acts``.
@@ -297,71 +389,70 @@ def backward(config, params, cache, d_out, need_param_grads=True):
     da = d_out @ params.weights[-1].T
     da_buf = da
     m = len(X)
-    factor = np.empty((min(m, BLOCK_ROWS), width))
-    nonneg = np.empty(factor.shape, dtype=bool)
+    parts = [slice(0, m)] if need_param_grads else _row_parts(config, m)
+    # a (factor, mask) block per row thread for the slope passes
+    block = (min(m, BLOCK_ROWS), width)
+    scratch = [(np.empty(block), np.empty(block, dtype=bool))
+               for _ in range(min(ROW_THREADS, len(parts)))]
     for l in range(config.hidden_layers - 1, -1, -1):
-        # dz = da * where(pre-activation >= 0, 1, slope), written over the
-        # activation, whose last use is that mask.  The activations have the
-        # pre-activations' signs, and max(0 or 1, slope) is that factor
-        # exactly; unlike a masked select it does not branch per entry.
-        # Layer skip - 1's activation is the left block of skip_in, a
-        # strided view, and a strided dz can give X.T @ dz other bits (a
+        # dz is written over the activation, whose last use is its slope
+        # mask.  Layer skip - 1's activation is the left block of skip_in,
+        # a strided view, and a strided dz can give X.T @ dz other bits (a
         # one-wide dz does), so that layer's dz goes to da_buf instead,
         # which is free there: da is a view of the skip layer's d_in
         dz = da_buf if skip and l == skip - 1 else acts[l]
-        for rows in _row_blocks(m):
-            nn, f = nonneg[: rows.stop - rows.start], factor[: rows.stop - rows.start]
-            np.greater_equal(acts[l][rows], 0.0, out=nn)
-            np.maximum(nn, slope, out=f)
-            np.multiply(da[rows], f, out=dz[rows])
+        wt = params.weights[l].T
+        # the input gradient of every layer but 0 and the skip layer has
+        # width columns, and its rows may be split
+        row_local = l != 0 and not (skip and l == skip)
+        if l == skip:  # the first layer down that adds to dX (layer 0 without a skip)
+            dX = np.zeros_like(X)
+        # the input gradient goes to da's buffer, except where it is wider
+        # (layer 0 and the skip layer) or dz took that buffer (layer skip -
+        # 1).  A new array is allocated here, so that a second thread
+        # allocates nothing: memory a thread allocates stays in its malloc
+        # arena, which raised the benchmark's peak RSS by about 15 MB
+        d_in = da_buf if row_local and dz is not da_buf else np.empty((m, wt.shape[1]))
         if need_param_grads:
+            _slope_times(acts[l], da, dz, slope, scratch[0])
             if l == 0:
                 a_in = X
             elif skip and l == skip:
                 a_in = skip_in
             else:
                 a_in = acts[l - 1]
-            gw[l] = a_in.T @ dz
-            gb[l] = dz.sum(axis=0)
-        if l == skip:  # the first layer down that adds to dX (layer 0 without a skip)
-            dX = np.zeros_like(X)
+            (gw[l], gb[l]), _ = _in_threads([
+                lambda: (a_in.T @ dz, dz.sum(axis=0)),
+                lambda: np.matmul(dz, wt, out=d_in),
+            ])
+        else:
+            def run(t, p):
+                _slope_times(acts[l][p], da[p], dz[p], slope, scratch[t])
+                if row_local:
+                    np.matmul(dz[p], wt, out=d_in[p])
+
+            _spread(parts, run)
+            if not row_local:
+                np.matmul(dz, wt, out=d_in)
         if l == 0:
-            dX += dz @ params.weights[l].T
+            dX += d_in
         elif skip and l == skip:
-            d_in = dz @ params.weights[l].T
             da = d_in[:, :width]
             dX += d_in[:, width:]
-            del d_in  # released with da, one layer down
-        elif dz is da_buf:
-            # the layers below skip - 1 take their da in a new buffer
-            da = da_buf = dz @ params.weights[l].T
         else:
-            da = np.matmul(dz, params.weights[l].T, out=da_buf)
-        # the layer's gradient is spent: release its memory for the layers below
-        del acts[l], dz
+            da = da_buf = d_in
+        # the layer's gradient is spent: release its memory for the layers
+        # below (the skip layer's d_in goes with da, one layer down)
+        del acts[l], dz, d_in
     grads = Parameters(gw, gb) if need_param_grads else None
     return grads, dX
-
-
-def _sub_blocks(config, m, rows):
-    """Row slices of an m-row evaluate chunk for its hidden layers.
-
-    Blocks of ``rows`` rows, the last taking the remainder, when every
-    hidden layer's GEMM on ``rows`` rows stays above SMALL_GEMM; otherwise
-    the whole chunk.
-    """
-    if any(rows * k * n <= SMALL_GEMM for k, n in config.layer_dims()[:-1]):
-        return [slice(0, m)]
-    starts = [i * rows for i in range(max(1, m // rows))]
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
 
 
 def evaluate(config, params, points, label, z):
     """Forward without caching, chunked over points; returns (N, n).
 
     The head runs once per chunk, the hidden layers once per sub-block of
-    the chunk, spread over ``EVAL_THREADS`` threads (see the module
-    docstring).
+    the chunk, spread over the row threads (see the module docstring).
     """
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n, width = len(P), config.width
@@ -369,11 +460,10 @@ def evaluate(config, params, points, label, z):
     if n == 0:
         return out
     chunks = [slice(s, min(s + CHUNK_ROWS, n)) for s in range(0, n, CHUNK_ROWS)]
-    threads = EVAL_THREADS
-    blocks = [_sub_blocks(config, c.stop - c.start, max(1, SUB_ROWS // threads))
+    blocks = [_sub_blocks(config, c.stop - c.start, max(1, SUB_ROWS // ROW_THREADS))
               for c in chunks]
     # no more threads than the first, largest, chunk has sub-blocks
-    threads = min(threads, len(blocks[0]))
+    threads = min(ROW_THREADS, len(blocks[0]))
     # each thread's buffers fit the largest sub-block of any chunk: all
     # chunks but the last have the first one's size
     rows = max(b.stop - b.start for bs in (blocks[0], blocks[-1]) for b in bs)
@@ -388,30 +478,22 @@ def evaluate(config, params, points, label, z):
     # allocated after the sub-block buffers: on glibc's heap the other order
     # left the benchmark's peak RSS about 8 MB higher
     last = np.empty((chunks[0].stop, width))
-
-    def run(c, t):
-        # thread t takes the sub-blocks t, t + threads, ... of chunk c and
-        # writes their last activations into its own rows of last
-        pair, skip_in, X = owned[t]
-        for b in blocks[c][t::threads]:
+    for chunk, chunk_blocks in zip(chunks, blocks):
+        def run(t, b):
+            # thread t writes the last activations of its sub-blocks into
+            # their rows of last
+            pair, skip_in, X = owned[t]
             k = b.stop - b.start
-            X[:k, :2] = P[chunks[c]][b]
+            X[:k, :2] = P[chunk][b]
             _hidden_layers(
                 config, params, X[:k], None if skip_in is None else skip_in[:k],
                 lambda l: last[b] if l == config.hidden_layers - 1 else pair[l % 2][:k],
             )
 
-    # the calling thread is thread 0; a pool starts its threads on submit,
-    # so one thread starts none
-    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-        for c, chunk in enumerate(chunks):
-            futures = [pool.submit(run, c, t) for t in range(1, threads)]
-            run(c, 0)
-            for f in futures:
-                f.result()
-            m = chunk.stop - chunk.start
-            np.matmul(last[:m], params.weights[-1], out=out[chunk])
-            out[chunk] += params.biases[-1]
+        _spread(chunk_blocks, run)
+        m = chunk.stop - chunk.start
+        np.matmul(last[:m], params.weights[-1], out=out[chunk])
+        out[chunk] += params.biases[-1]
     return out
 
 

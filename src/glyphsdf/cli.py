@@ -3,11 +3,11 @@
 Exit codes: 0 ok, 1 usage/config error, 2 numerical failure, 3 I/O error.
 ``train.threads`` (from the config file, ``--set`` or ``--threads``) pins
 the BLAS pools before numpy loads: BLAS threads per call, with 1 the
-bit-reproducible mode used by the determinism tests.  Under that pin,
-network evaluation (render, interpolate, fit's completions, eval's implicit
-renders) spreads its rows over up to two of the CPUs the process may run
-on, with the same bits at any CPU count; ``autodecoder`` decides this once,
-when it loads.
+bit-reproducible mode used by the determinism tests.  Under that pin, the
+network (training steps, render, interpolate, fit, eval's implicit renders)
+spreads its work over up to two of the CPUs the process may run on, with
+the same bits at any CPU count; ``autodecoder`` decides this once, when it
+loads.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ def _build_parser():
     parser.add_argument(
         "--threads", type=int,
         help="BLAS threads per call, pinned before numpy loads; 1 = reproducible, "
-        "and network evaluation then spreads its rows over up to 2 CPUs",
+        "and the network then spreads its work over up to 2 CPUs",
     )
     parser.add_argument(
         "--set",
@@ -81,7 +81,7 @@ def _build_parser():
     p_fit.add_argument("--checkpoint", required=True)
     p_fit.add_argument("--target", required=True, help="PGM raster to match")
     p_fit.add_argument("--label", required=True)
-    p_fit.add_argument("--mask", help="PGM mask; pixels >= 50% gray are ignored")
+    p_fit.add_argument("--mask", help="PGM mask; pixels >= 50%% gray are ignored")
     p_fit.add_argument("--res", type=int, default=128, help="completion render width")
 
     p_eval = sub.add_parser("eval", help="metrics table over the dataset")
@@ -228,8 +228,10 @@ def cmd_train(cfg, args):
     from . import autodecoder as ad
     from .training import TrainingDiverged, configured_network, latent_families, train
 
-    out = _out_dir(cfg)
     entries = _manifest_entries(cfg)
+    if not entries:
+        raise _UsageError(f"manifest {cfg.dataset.manifest} lists no glyphs to train on")
+    out = _out_dir(cfg)
     resume = None
     if args.resume:
         resume = ad.load_checkpoint(args.resume, expect_alphabet=cfg.dataset.alphabet)

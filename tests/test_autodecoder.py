@@ -636,13 +636,13 @@ def _evaluate_case(cfg, rows, seed=0, chunk=ad.CHUNK_ROWS):
     outs = {}
     for threads in THREADS:
         with mock.patch.object(ad, "CHUNK_ROWS", chunk), \
-                mock.patch.object(ad, "EVAL_THREADS", threads):
+                mock.patch.object(ad, "ROW_THREADS", threads):
             outs[threads] = ad.evaluate(cfg, params, pts, label, z)
     return outs, helpers.reference_evaluate(cfg, params, pts, label, z, chunk=chunk)
 
 
 class TestEvaluateSubBlocks:
-    """evaluate runs the hidden layers per sub-block, on EVAL_THREADS
+    """evaluate runs the hidden layers per sub-block, on ROW_THREADS
     threads, and the head per chunk; every output must keep the bits of
     whole-chunk evaluation at every thread count."""
 
@@ -682,7 +682,7 @@ class TestEvaluateSubBlocks:
         for threads in THREADS:
             tracemalloc.start()
             try:
-                with mock.patch.object(ad, "EVAL_THREADS", threads):
+                with mock.patch.object(ad, "ROW_THREADS", threads):
                     ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -700,7 +700,7 @@ class TestEvaluateSubBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(ad, "EVAL_THREADS", 6):
+            with mock.patch.object(ad, "ROW_THREADS", 6):
                 out = ad.evaluate(cfg, params, pts, 1, z)
         finally:
             sys.setswitchinterval(interval)
@@ -718,7 +718,7 @@ class TestEvaluateSubBlocks:
                 raise RuntimeError("worker failed")
             return hidden_layers(*args)
 
-        with mock.patch.object(ad, "EVAL_THREADS", 2), \
+        with mock.patch.object(ad, "ROW_THREADS", 2), \
                 mock.patch.object(ad, "_hidden_layers", fail_off_the_main_thread):
             with pytest.raises(RuntimeError, match="worker failed"):
                 ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
@@ -739,37 +739,136 @@ def _production_case(alphabet_size, rows, seed=0):
 
 class TestBackwardInPlace:
     """backward writes each layer's gradient over its cached activation and
-    releases it; the production network must keep the reference's bits."""
+    releases it; the production network must keep the reference's bits at
+    every row-thread count."""
 
-    # a training step at width 64 has 1,895 rows; OpenBLAS's small-matrix
-    # kernel takes a hidden GEMM on up to 6 rows and, at alphabet 5, the
-    # first layer's on up to 19
+    # a training step at width 64 has 1,895 rows and the benchmark's fit
+    # 608; OpenBLAS's small-matrix kernel takes a hidden GEMM on up to 6
+    # rows and, at alphabet 5, the first layer's on up to 19; the odd row
+    # counts put a cut between row parts away from every kernel unroll
     @pytest.mark.parametrize("need_param_grads", [True, False])
-    @pytest.mark.parametrize("rows", [1, 6, 19, 20, 448, 1895])
+    @pytest.mark.parametrize("rows", [1, 6, 19, 20, 448, 614, 615, 777, 1895, 2049])
     @pytest.mark.parametrize("alphabet_size", [5, 52])
     def test_production_network(self, alphabet_size, rows, need_param_grads):
         cfg, params, X, d_out = _production_case(alphabet_size, rows)
-        _, cache = ad.forward(cfg, params, X)
-        grads, dX = ad.backward(cfg, params, cache, d_out, need_param_grads)
-        _, ref_cache = helpers.reference_forward(cfg, params, X)
+        ref_out, ref_cache = helpers.reference_forward(cfg, params, X)
         ref_grads, ref_dX = helpers.reference_backward(
             cfg, params, ref_cache, d_out, need_param_grads
         )
-        assert np.array_equal(dX, ref_dX)
-        if need_param_grads:
-            _assert_params_equal(grads, ref_grads)
-        else:
-            assert grads is None
+        for threads in THREADS:
+            with mock.patch.object(ad, "ROW_THREADS", threads):
+                out, cache = ad.forward(cfg, params, X)
+                grads, dX = ad.backward(cfg, params, cache, d_out, need_param_grads)
+            assert np.array_equal(out, ref_out), threads
+            assert np.array_equal(dX, ref_dX), threads
+            if need_param_grads:
+                _assert_params_equal(grads, ref_grads)
+            else:
+                assert grads is None
 
     def test_peak_memory(self):
         # with every activation alive to the end and a separate dz buffer,
         # one step peaked at about 82 MB here
         cfg, params, X, d_out = _production_case(5, 1895)
-        tracemalloc.start()
-        try:
+        for threads in THREADS:
+            tracemalloc.start()
+            try:
+                with mock.patch.object(ad, "ROW_THREADS", threads):
+                    _, cache = ad.forward(cfg, params, X)
+                    ad.backward(cfg, params, cache, d_out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 60e6, threads
+
+
+class TestForwardBackwardThreads:
+    """forward splits its rows over the row threads, and backward its GEMMs
+    or its rows; a failing thread and a busy scheduler must not show."""
+
+    def test_row_parts(self):
+        cfg = ad.NetworkConfig(alphabet_size=5)
+        with mock.patch.object(ad, "ROW_THREADS", 2):
+            # a part of 19 rows would take the small-matrix kernel at layer 0
+            assert ad._row_parts(cfg, 39) == [slice(0, 39)]
+            assert ad._row_parts(cfg, 40) == [slice(0, 20), slice(20, 40)]
+            assert ad._row_parts(cfg, 1895) == [slice(0, 947), slice(947, 1895)]
+        with mock.patch.object(ad, "ROW_THREADS", 1):
+            assert ad._row_parts(cfg, 1895) == [slice(0, 1895)]
+
+    def test_one_task_starts_no_thread(self):
+        threads_before = threading.active_count()
+        no_pool = mock.Mock(side_effect=AssertionError("a pool was opened"))
+        with mock.patch.object(ad, "ROW_THREADS", 2), \
+                mock.patch.object(ad, "ThreadPoolExecutor", no_pool):
+            assert ad._in_threads([lambda: 7]) == [7]
+            cfg, params, X, d_out = _production_case(5, 19)
             _, cache = ad.forward(cfg, params, X)
-            ad.backward(cfg, params, cache, d_out)
-            peak = tracemalloc.get_traced_memory()[1]
+            ad.backward(cfg, params, cache, d_out, need_param_grads=False)
+        with mock.patch.object(ad, "ROW_THREADS", 1), \
+                mock.patch.object(ad, "ThreadPoolExecutor", no_pool):
+            assert ad._in_threads([lambda: 1, lambda: 2]) == [1, 2]
+        assert threading.active_count() == threads_before
+
+    def test_forward_worker_error_reaches_caller(self):
+        cfg, params, X, _ = _production_case(5, 1895)
+        hidden_layers = ad._hidden_layers
+        threads_before = threading.active_count()
+
+        def fail_off_the_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return hidden_layers(*args)
+
+        with mock.patch.object(ad, "ROW_THREADS", 2), \
+                mock.patch.object(ad, "_hidden_layers", fail_off_the_main_thread):
+            with pytest.raises(RuntimeError, match="worker failed"):
+                ad.forward(cfg, params, X)
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("need_param_grads", [True, False])
+    def test_backward_worker_error_reaches_caller(self, need_param_grads):
+        # the second thread runs a matrix product in either mode: an input
+        # gradient beside the weight gradient, or the rows of one
+        cfg, params, X, d_out = _production_case(5, 1895)
+        with mock.patch.object(ad, "ROW_THREADS", 2):
+            _, cache = ad.forward(cfg, params, X)
+        threads_before = threading.active_count()
+
+        class FailingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError("worker failed")
+                return np.matmul(*args, **kwargs)
+
+        with mock.patch.object(ad, "ROW_THREADS", 2), \
+                mock.patch.object(ad, "np", FailingNumpy()):
+            with pytest.raises(RuntimeError, match="worker failed"):
+                ad.backward(cfg, params, cache, d_out, need_param_grads)
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("need_param_grads", [True, False])
+    def test_more_threads_than_cpus_switching_often(self, need_param_grads):
+        # six threads write disjoint rows of shared buffers, with a thread
+        # switch every microsecond of Python code
+        cfg, params, X, d_out = _production_case(5, 1895, seed=3)
+        ref_out, ref_cache = helpers.reference_forward(cfg, params, X)
+        ref_grads, ref_dX = helpers.reference_backward(
+            cfg, params, ref_cache, d_out, need_param_grads
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(ad, "ROW_THREADS", 6):
+                out, cache = ad.forward(cfg, params, X)
+                grads, dX = ad.backward(cfg, params, cache, d_out, need_param_grads)
         finally:
-            tracemalloc.stop()
-        assert peak < 60e6
+            sys.setswitchinterval(interval)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(dX, ref_dX)
+        if need_param_grads:
+            _assert_params_equal(grads, ref_grads)

@@ -58,6 +58,17 @@ def test_no_command_is_usage_error():
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("command", [[], ["prepare"], ["train"], ["render"], ["interpolate"],
+                                     ["fit"], ["eval"]])
+def test_help_exits_0(command, capsys):
+    from glyphsdf import cli
+
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: glyphsdf")
+
+
 def test_unknown_section_in_set_flag(workspace):
     res = run_cli("--config", workspace / "config.json", "--set", "nope.x=1", "prepare")
     assert res.returncode == 1
@@ -406,7 +417,7 @@ class TestRenderCommand:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.setenv(var, "1")  # restored after the test
         # evaluate on two threads of 512-row sub-blocks
-        monkeypatch.setattr(ad, "EVAL_THREADS", 2)
+        monkeypatch.setattr(ad, "ROW_THREADS", 2)
         assert cli.main([
             "--config", str(ws / "config.json"), "render", "--checkpoint", str(ckpt),
             "--family", "fam", "--label", "B", "--res", "91", "--channels", "--contours",
@@ -439,13 +450,13 @@ class TestRenderCommand:
         field_grid, seen = render.field_grid, []
 
         def recording_field_grid(*args):
-            seen.append(ad.EVAL_THREADS)
+            seen.append(ad.ROW_THREADS)
             return field_grid(*args)
 
         monkeypatch.setattr(render, "field_grid", recording_field_grid)
         outputs = []
         for threads in (1, 2):
-            monkeypatch.setattr(ad, "EVAL_THREADS", threads)
+            monkeypatch.setattr(ad, "ROW_THREADS", threads)
             out = ws / f"out_{threads}_threads"
             assert cli.main([
                 "--config", str(ws / "config.json"),
@@ -453,7 +464,7 @@ class TestRenderCommand:
                 "render", "--checkpoint", str(ckpt), "--family", "fam", "--label", "A",
                 "--res", "16,91", "--contours",
             ]) == 0
-            assert ad.EVAL_THREADS == threads
+            assert ad.ROW_THREADS == threads
             outputs.append({p.name: p.read_bytes() for p in out.glob("render_*")})
         assert seen == [1, 1, 2, 2]
         assert len(outputs[0]) == 4
@@ -704,6 +715,21 @@ def _fit_label(label):
     return argv
 
 
+def _empty_manifest(ws, ckpt):
+    """argv training on a manifest with no records, into its own output dir."""
+    (ws / "empty.json").write_text("[]")
+    return ["--config", ws / "config.json",
+            "--set", f"dataset.manifest={json.dumps(str(ws / 'empty.json'))}",
+            "--set", f"paths.output_dir={json.dumps(str(ws / 'empty_out'))}", "train"]
+
+
+def test_train_on_an_empty_manifest_writes_nothing(workspace):
+    res = run_cli(*_empty_manifest(workspace, None))
+    assert res.returncode == 1, res.stderr
+    assert "no glyphs" in res.stderr
+    assert not (workspace / "empty_out").exists()
+
+
 def _nested_config(ws, ckpt):
     (ws / "nest.json").write_text("[" * 100_000)
     return ["--config", ws / "nest.json", "prepare"]
@@ -767,6 +793,7 @@ BAD_INPUTS = [
         "interpolate", "--checkpoint", CKPT, "--family-a", "fam", "--family-b", "fam",
         "--label", "", "--steps", "2", "--res", "16"), 1),
     ("fit --label AB", _fit_label("AB"), 1),
+    ("train on an empty manifest", _empty_manifest, 1),
     ("render --res 4", _command(
         "render", "--checkpoint", CKPT, "--family", "fam", "--label", "A", "--res", "4"), 1),
     ("interpolate --res 0", _command(
@@ -832,7 +859,7 @@ cli._load_config(cli._build_parser().parse_args(argv))
 assert "numpy" not in sys.modules, "the config loaded numpy"
 assert cli.main(argv) == 0
 from glyphsdf import autodecoder
-print(os.environ["OPENBLAS_NUM_THREADS"], autodecoder.EVAL_THREADS)
+print(os.environ["OPENBLAS_NUM_THREADS"], autodecoder.ROW_THREADS)
 """
 
 
@@ -862,7 +889,7 @@ def test_eval_threads_follow_the_blas_threads(monkeypatch):
                 monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
             else:
                 monkeypatch.setenv("OPENBLAS_NUM_THREADS", pin)
-            threads.append(ad._eval_threads())
+            threads.append(ad._row_threads())
         return threads
 
     for cpus, want in [(1, 1), (2, 2), (3, 2)]:
@@ -885,12 +912,12 @@ def test_eval_threads_on_a_large_host_keep_sub_blocks(monkeypatch):
 
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)), raising=False)
-    threads = ad._eval_threads()
+    threads = ad._row_threads()
     cfg = ad.NetworkConfig(alphabet_size=52)
     assert len(ad._sub_blocks(cfg, ad.CHUNK_ROWS, ad.SUB_ROWS // threads)) > 1
     params = ad.init_parameters(cfg, np.random.default_rng(0))
     pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(16384, 2))
-    monkeypatch.setattr(ad, "EVAL_THREADS", threads)
+    monkeypatch.setattr(ad, "ROW_THREADS", threads)
     tracemalloc.start()
     try:
         ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -417,3 +418,26 @@ class TestFitLatent:
         assert not mask.reshape(-1)[used].any()
         assert np.array_equal(seen[0], seen[1])
         assert not np.array_equal(seen[0], seen[2])
+
+    def test_fit_bits_do_not_depend_on_the_row_threads(self):
+        # the benchmark's fit shape: a 32 px target with its right 40%
+        # masked leaves 608 rows, which the production network splits in
+        # row parts at two threads or more
+        cfg = ad.NetworkConfig(alphabet_size=5)
+        rng = np.random.default_rng(7)
+        bundle = ad.ModelBundle(
+            network=cfg, params=ad.init_parameters(cfg, rng),
+            latents=ad.init_latents(["a", "b"], rng), alphabet="ABCDE",
+        )
+        target = rng.uniform(size=(32, 32))
+        mask = np.zeros((32, 32), dtype=bool)
+        mask[:, int(32 * 0.6):] = True
+        assert (~mask).sum() == 608
+        fits = []
+        for threads in (1, 2, 3):
+            with mock.patch.object(ad, "ROW_THREADS", threads):
+                assert len(ad._row_parts(cfg, 608)) == threads
+                fits.append(fit_latent(bundle, target, 2, TrainSettings(fit_steps=4), mask=mask))
+        for z, history in fits[1:]:
+            assert np.array_equal(z, fits[0][0])
+            assert history == fits[0][1]
