@@ -113,14 +113,13 @@ def _out_dir(cfg):
     return out
 
 
-def _label_name(label_char):
-    """A label in file names: letters and digits as is, others as u + code point."""
-    return "".join(c if c.isalnum() else f"u{ord(c):04x}" for c in label_char)
+def _file_part(text):
+    """Text in file names: letters and digits as is, others as u + code point."""
+    return "".join(c if c.isalnum() else f"u{ord(c):04x}" for c in text)
 
 
 def _safe_name(family, label_char):
-    keep = "".join(c if c.isalnum() or c in "-_" else "_" for c in family)
-    return f"{keep}__{_label_name(label_char)}"
+    return f"{_file_part(family)}__{_file_part(label_char)}"
 
 
 def _manifest_entries(cfg):
@@ -220,7 +219,6 @@ def cmd_prepare(cfg, args):
             json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     print(f"prepared {len(dataset)} glyphs: {len(dataset)} rebuilt")
-    cfg.echo(_out_dir(cfg) / "config.echo.json")
     return 0
 
 
@@ -251,7 +249,6 @@ def cmd_train(cfg, args):
                 file=sys.stderr,
             )
 
-    cfg.echo(out / "config.echo.json")
     try:
         bundle, rows = train(
             dataset,
@@ -304,8 +301,7 @@ def cmd_render(cfg, args):
     from . import autodecoder as ad
     from . import field as field_mod
     from .render import (
-        bilinear_resample, compose_image, extract_zero_level, field_grid, opacity,
-        write_contours, write_image, zero_level_field,
+        bilinear_resample, compose, extract_zero_level, field_grid, write_contours, write_image,
     )
 
     widths = _parse_res_list(args.res)
@@ -322,25 +318,18 @@ def cmd_render(cfg, args):
         # contours: the network evaluated at that width, or for bilateral
         # the training-width grid upsampled.  The previous width's grid is
         # released first, so it is not held while the next one is built.
-        grid = None
+        grid = image = level = None
         if args.method == "implicit":
             grid = field_grid(bundle, z, label, width)
         else:
             grid = bilinear_resample(train_grid, width)
-        write_image(
-            out / f"{name}.pgm", compose_image(grid, width, bundle.aa_k, bundle.supervision)
-        )
+        image, level = compose(bundle, grid, width)
+        write_image(out / f"{name}.pgm", image)
         if args.channels:
-            for c, channel in enumerate(grid):
-                write_image(
-                    out / f"{name}_c{c}.pgm",
-                    opacity(channel, width, bundle.aa_k, bundle.supervision),
-                )
+            for c in range(len(grid)):
+                write_image(out / f"{name}_c{c}.pgm", compose(bundle, grid[c : c + 1], width)[0])
         if args.contours:
-            write_contours(
-                out / f"{name}_contours.json",
-                extract_zero_level(zero_level_field(grid, bundle.supervision)),
-            )
+            write_contours(out / f"{name}_contours.json", extract_zero_level(level))
     if args.channels and train_grid is not None:
         field_mod.write_grid(
             out / f"channels_{_safe_name(args.family, args.label)}.grid", train_grid
@@ -351,7 +340,7 @@ def cmd_render(cfg, args):
 
 def cmd_interpolate(cfg, args):
     from . import autodecoder as ad
-    from .render import render_implicit, write_image
+    from .render import compose, field_grid, write_image
 
     if args.steps < 2:
         raise _UsageError("--steps must be >= 2 (endpoints included)")
@@ -364,7 +353,7 @@ def cmd_interpolate(cfg, args):
     for i in range(args.steps):
         t = i / (args.steps - 1)
         z = (1.0 - t) * za + t * zb
-        img = render_implicit(bundle, z, label, args.res)
+        img = compose(bundle, field_grid(bundle, z, label, args.res), args.res)[0]
         write_image(
             out / f"interp_{_safe_name(args.family_a, args.label)}"
                   f"_{_safe_name(args.family_b, args.label)}_{i:03d}.pgm",
@@ -378,7 +367,7 @@ def cmd_fit(cfg, args):
     import numpy as np
 
     from . import autodecoder as ad
-    from .render import read_image, render_implicit, write_image
+    from .render import compose, field_grid, read_image, write_image
     from .training import fit_latent
 
     _check_width(args.res)
@@ -393,6 +382,8 @@ def cmd_fit(cfg, args):
                 f"mask dimensions {mask_img.shape} do not match target {target.shape}"
             )
         mask = mask_img >= 0.5
+        if mask.all():
+            raise _UsageError(f"mask {args.mask} hides every pixel of the target")
     z, history = fit_latent(bundle, target, label, cfg.train, mask=mask)
     out = _out_dir(cfg)
     (out / "fit_z.json").write_text(
@@ -400,8 +391,8 @@ def cmd_fit(cfg, args):
         encoding="utf-8",
     )
     for idx, char in enumerate(bundle.alphabet):
-        img = render_implicit(bundle, z, idx, args.res)
-        write_image(out / f"completed_{idx:02d}_{_label_name(char)}.pgm", img)
+        img = compose(bundle, field_grid(bundle, z, idx, args.res), args.res)[0]
+        write_image(out / f"completed_{idx:02d}_{_file_part(char)}.pgm", img)
     print(f"fitted latent + {len(bundle.alphabet)} completions written to {out}")
     return 0
 
@@ -411,7 +402,7 @@ def cmd_eval(cfg, args):
     from .field import compose_median, rasterize_ground_truth
     from .geometry import detect_corners
     from .metrics import corner_region_metrics, laplacian_smoothness, mse, soft_iou
-    from .render import field_grid, render_bilateral, render_implicit
+    from .render import bilinear_resample, compose, field_grid
 
     # the config's label indices address the network, so the alphabets must agree
     bundle = ad.load_checkpoint(args.checkpoint, expect_alphabet=cfg.dataset.alphabet)
@@ -432,9 +423,9 @@ def cmd_eval(cfg, args):
             for width in cfg.eval.resolutions:
                 truth = truths[width]
                 if method == "implicit":
-                    img = render_implicit(bundle, z, entry.label, width)
+                    img = compose(bundle, field_grid(bundle, z, entry.label, width), width)[0]
                 else:
-                    img = render_bilateral(grid, width, bundle.aa_k, bundle.supervision)
+                    img = compose(bundle, bilinear_resample(grid, width), width)[0]
                 corner = corner_region_metrics(img, truth, corners, width)
                 rows.append(
                     {

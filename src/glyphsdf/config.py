@@ -250,9 +250,3 @@ class RunConfig:
                 value = raw  # bare strings are convenient on the command line
             doc.setdefault(section_name, {})[key] = value
         return self.from_dict(doc)
-
-    def echo(self, path):
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )

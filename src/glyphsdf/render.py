@@ -1,15 +1,13 @@
 """Resolution-independent rendering, level-set extraction, image output.
 
-Two re-sampling routes produce an image at any width W:
+An image at any width W is one composition of (n, W, W) distance
+channels: their per-pixel median through the opacity kernel with
+gamma = aa_k / W, so the anti-alias band stays ~aa_k output pixels wide at
+every resolution.  Pixel-supervised models clip the median instead.  The
+channels come from one of two re-sampling routes:
 
-* implicit: evaluate the network densely at the W^2 pixel centers, take
-  the per-pixel median of the distance channels, apply the opacity kernel
-  with gamma = aa_k / W (the anti-alias band stays ~aa_k output pixels
-  wide at every resolution);
-* bilateral: bilinearly upsample the stored train-resolution distance
-  grid per channel, then median + kernel as above.
-
-Pixel-supervised models skip the kernel and clip the median directly.
+* implicit: the network evaluated densely at the W^2 pixel centers;
+* bilateral: the stored train-resolution grid upsampled bilinearly.
 """
 from __future__ import annotations
 
@@ -20,7 +18,7 @@ import numpy as np
 
 from . import autodecoder as ad
 from . import geometry
-from .config import MIN_WIDTH, FieldSettings, TrainSettings
+from .config import MIN_WIDTH
 from .errors import ImageError, NumericalError
 from .field import compose_median, kernel
 
@@ -37,30 +35,18 @@ def field_grid(bundle, z, label, width):
     return out.T.reshape(n, width, width)
 
 
-def opacity(values, width, aa_k, supervision):
-    """Opacity of field values at output width W: the kernel with
-    gamma = aa_k / W for distances, a clip to [0, 1] for pixel supervision."""
-    if supervision == "sdf":
-        return kernel(values, aa_k / width)
-    return np.clip(values, 0.0, 1.0)
+def compose(bundle, channels, width):
+    """The image and the outline field of (n, W, W) channels at width W.
 
-
-def compose_image(channels, width, aa_k, supervision):
-    """The rendered image of (n, W, W) channels: opacity of their median."""
-    return opacity(compose_median(channels, axis=0), width, aa_k, supervision)
-
-
-def zero_level_field(channels, supervision):
-    """Scalar (W, W) field whose zero level set is the rendered outline:
-    the channel median, less 1/2 for pixel-supervised opacities."""
+    One median serves both.  The image is its opacity: the kernel at
+    gamma = aa_k / W for distances, a clip to [0, 1] for pixel supervision.
+    The level field, whose zero level set is the outline, is the median,
+    less 1/2 for pixel-supervised opacities.
+    """
     med = compose_median(channels, axis=0)
-    return med if supervision == "sdf" else med - 0.5
-
-
-def render_implicit(bundle, z, label, width):
-    """Dense network evaluation at the target resolution; (W, W) in [0,1]."""
-    grid = field_grid(bundle, z, label, width)
-    return compose_image(grid, width, bundle.aa_k, bundle.supervision)
+    if bundle.supervision == "sdf":
+        return kernel(med, bundle.aa_k / width), med
+    return np.clip(med, 0.0, 1.0), med - 0.5
 
 
 def bilinear_resample(grid, width):
@@ -99,12 +85,6 @@ def bilinear_resample(grid, width):
         bot *= fy
         top += bot
     return out
-
-
-def render_bilateral(grid, width, aa_k=FieldSettings.aa_k, supervision=TrainSettings.supervision):
-    """Upsample a stored field grid and compose; (W, W) in [0, 1]."""
-    up = bilinear_resample(grid, width)
-    return compose_image(up, width, aa_k, supervision)
 
 
 # ---------------------------------------------------------------------------

@@ -468,6 +468,8 @@ def fit_latent(bundle, target_image, label, settings, mask=None):
             raise ValueError(
                 f"mask shape {mask.shape} does not match target {img.shape}"
             )
+        if mask.all():
+            raise ValueError("the mask hides every pixel of the target")
     if not 0 <= label < bundle.network.alphabet_size:
         raise ValueError(f"label {label} outside the alphabet")
 

@@ -140,16 +140,16 @@ class TestPrepare:
         assert "sq.path" in res.stderr and "can't decode" in res.stderr
 
     def test_families_sharing_a_file_name_rejected(self, workspace):
-        # "a b" and "a_b" both become the file stem a_b__A
+        # Fam__A and fam__A are one file where the filesystem ignores case
         manifest = [
-            {"family": "a b", "label": "A", "file": "sq.path"},
-            {"family": "a_b", "label": "A", "file": "l.path"},
+            {"family": "Fam", "label": "A", "file": "sq.path"},
+            {"family": "fam", "label": "A", "file": "l.path"},
         ]
         (workspace / "manifest.json").write_text(json.dumps(manifest))
         res = run_cli("--config", workspace / "config.json", "prepare")
         assert res.returncode == 1
         assert res.stderr.splitlines() == [
-            "error: glyphs 'a b/A' and 'a_b/A' would both be written as prepared/a_b__A.*"
+            "error: glyphs 'Fam/A' and 'fam/A' would both be written as prepared/fam__A.*"
         ]
         assert not (workspace / "out" / "prepared").exists()
 
@@ -190,7 +190,9 @@ class TestTrain:
         for line in log[1:]:
             for cell in line.split(","):
                 float(cell)  # plain numbers, no numpy scalar reprs
-        echo = json.loads((out / "config.echo.json").read_text())
+        from glyphsdf import autodecoder as ad
+
+        echo = ad.load_checkpoint(out / "checkpoint.ckpt").train_config
         assert echo["train"]["epochs"] == 20
 
     def test_seed_determinism_byte_identical(self, workspace):
@@ -402,7 +404,7 @@ class TestRenderCommand:
             got = json.loads((out / f"{name}_contours.json").read_text())
             assert got == [c.tolist() for c in want]
             for c in range(3):
-                want_c = render.opacity(up[c], width, bundle.aa_k, bundle.supervision)
+                want_c, _ = render.compose(bundle, up[c : c + 1], width)
                 render.write_image(out / "want.pgm", want_c)
                 assert (out / f"{name}_c{c}.pgm").read_bytes() == (out / "want.pgm").read_bytes()
 
@@ -429,13 +431,14 @@ class TestRenderCommand:
             bundle.network, bundle.params, pts, 1, bundle.latents.codes[0]
         ).T.reshape(3, 91, 91)
         out, name = ws / "out", "render_fam__B_implicit_91"
-        images = {name: render.compose_image(grid, 91, bundle.aa_k, bundle.supervision)}
+        image, level = render.compose(bundle, grid, 91)
+        images = {name: image}
         for c in range(3):
-            images[f"{name}_c{c}"] = render.opacity(grid[c], 91, bundle.aa_k, bundle.supervision)
+            images[f"{name}_c{c}"] = render.compose(bundle, grid[c : c + 1], 91)[0]
         for stem, img in images.items():
             render.write_image(out / "want.pgm", img)
             assert (out / f"{stem}.pgm").read_bytes() == (out / "want.pgm").read_bytes(), stem
-        want = render.extract_zero_level(render.zero_level_field(grid, bundle.supervision))
+        want = render.extract_zero_level(level)
         got = json.loads((out / f"{name}_contours.json").read_text())
         assert got == [c.tolist() for c in want]
 
@@ -526,7 +529,8 @@ class TestFitCommand:
         from glyphsdf import autodecoder as ad, render as render_mod
 
         bundle = ad.load_checkpoint(ckpt)
-        img = render_mod.render_implicit(bundle, bundle.latents.codes[0], 0, 16)
+        grid = render_mod.field_grid(bundle, bundle.latents.codes[0], 0, 16)
+        img, _ = render_mod.compose(bundle, grid, 16)
         target = ws / "target.pgm"
         render_mod.write_image(target, img)
         res = run_cli(
@@ -602,9 +606,8 @@ def test_labels_outside_letters_and_digits_are_escaped_in_file_names(workspace):
     from glyphsdf import autodecoder as ad, render as render_mod
 
     bundle = ad.load_checkpoint(ckpt)
-    render_mod.write_image(
-        workspace / "target.pgm", render_mod.render_implicit(bundle, bundle.latents.codes[0], 1, 16)
-    )
+    grid = render_mod.field_grid(bundle, bundle.latents.codes[0], 1, 16)
+    render_mod.write_image(workspace / "target.pgm", render_mod.compose(bundle, grid, 16)[0])
     res = run_cli(
         *cfg, "--set", "train.fit_steps=2", "fit", "--checkpoint", ckpt,
         "--target", workspace / "target.pgm", "--label", "/", "--res", "16",
@@ -612,6 +615,29 @@ def test_labels_outside_letters_and_digits_are_escaped_in_file_names(workspace):
     assert res.returncode == 0, res.stderr
     assert sorted(p.name for p in out.glob("completed_*")) == [
         "completed_00_A.pgm", "completed_01_u002f.pgm", "completed_02_u0000.pgm",
+    ]
+
+
+def test_families_differing_outside_letters_and_digits_get_their_own_files(workspace):
+    # "a.b" and "a_b" escape to au002eb and au005fb: neither render
+    # overwrites the other
+    manifest = [
+        {"family": "a.b", "label": "A", "file": "sq.path"},
+        {"family": "a_b", "label": "A", "file": "l.path"},
+    ]
+    (workspace / "manifest.json").write_text(json.dumps(manifest))
+    cfg = ["--config", workspace / "config.json", "--set", 'dataset.alphabet="A"']
+    res = run_cli(*cfg, "train")
+    assert res.returncode == 0, res.stderr
+    out = workspace / "out"
+    for family in ("a.b", "a_b"):
+        res = run_cli(
+            *cfg, "render", "--checkpoint", out / "checkpoint.ckpt", "--family", family,
+            "--label", "A", "--res", "16",
+        )
+        assert res.returncode == 0, res.stderr
+    assert sorted(p.name for p in out.glob("render_*")) == [
+        "render_au002eb__A_implicit_16.pgm", "render_au005fb__A_implicit_16.pgm",
     ]
 
 
@@ -715,6 +741,15 @@ def _fit_label(label):
     return argv
 
 
+def _mask_everything(ws, ckpt):
+    """argv fitting a blank 16x16 target under a mask that hides every pixel."""
+    (ws / "blank.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(256))
+    (ws / "all.pgm").write_bytes(b"P5\n16 16\n255\n" + b"\xff" * 256)
+    return ["--config", ws / "config.json", "fit", "--checkpoint", ckpt,
+            "--target", ws / "blank.pgm", "--mask", ws / "all.pgm", "--label", "A",
+            "--res", "16"]
+
+
 def _empty_manifest(ws, ckpt):
     """argv training on a manifest with no records, into its own output dir."""
     (ws / "empty.json").write_text("[]")
@@ -793,6 +828,7 @@ BAD_INPUTS = [
         "interpolate", "--checkpoint", CKPT, "--family-a", "fam", "--family-b", "fam",
         "--label", "", "--steps", "2", "--res", "16"), 1),
     ("fit --label AB", _fit_label("AB"), 1),
+    ("fit --mask hiding every pixel", _mask_everything, 1),
     ("train on an empty manifest", _empty_manifest, 1),
     ("render --res 4", _command(
         "render", "--checkpoint", CKPT, "--family", "fam", "--label", "A", "--res", "4"), 1),

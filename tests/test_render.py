@@ -1,6 +1,7 @@
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,29 @@ def tiny_bundle():
     ts = TrainSettings(epochs=80, seed=0, anneal_epochs=30, min_homogeneous=16, threads=1)
     bundle, _ = train(dataset, "A", fs, ts)
     return bundle
+
+
+def _implicit(bundle, z, label, width):
+    """The implicit render: the network's channels at width W, composed."""
+    return render.compose(bundle, render.field_grid(bundle, z, label, width), width)[0]
+
+
+class TestCompose:
+    @pytest.mark.parametrize("supervision", ["sdf", "pixel"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_image_and_level_are_the_median_through_the_opacity(self, n, supervision):
+        rng = np.random.default_rng(n)
+        channels = rng.normal(scale=0.3, size=(n, 24, 24)) + (supervision == "pixel") * 0.5
+        channels[:, 0, :4] = [0.0, -0.0, 1.0, -1.0]
+        model = SimpleNamespace(aa_k=4.0, supervision=supervision)
+        image, level = render.compose(model, channels, 24)
+        med = field.compose_median(channels, axis=0)
+        if supervision == "sdf":
+            helpers.assert_same_floats(image, field.kernel(med, 4.0 / 24))
+            helpers.assert_same_floats(level, med)
+        else:
+            helpers.assert_same_floats(image, np.clip(med, 0.0, 1.0))
+            helpers.assert_same_floats(level, med - 0.5)
 
 
 class TestBilinear:
@@ -72,7 +96,9 @@ class TestBilinear:
     def test_render_bilateral_equals_median_kernel_at_grid_width(self):
         rng = np.random.default_rng(2)
         grid = rng.normal(scale=0.2, size=(3, 16, 16))
-        img = render.render_bilateral(grid, 16, aa_k=4.0)
+        img, _ = render.compose(
+            SimpleNamespace(aa_k=4.0, supervision="sdf"), render.bilinear_resample(grid, 16), 16
+        )
         ref = field.kernel(np.median(grid, axis=0), 4.0 / 16)
         assert np.allclose(img, ref, atol=1e-12)
 
@@ -81,7 +107,7 @@ class TestRenderImplicit:
     def test_matches_train_time_median_composition(self, tiny_bundle):
         b = tiny_bundle
         z = b.latents.codes[0]
-        img = render.render_implicit(b, z, 0, b.train_width)
+        img = _implicit(b, z, 0, b.train_width)
         grid = render.field_grid(b, z, 0, b.train_width)
         ref = field.kernel(np.median(grid, axis=0), b.aa_k / b.train_width)
         assert np.max(np.abs(img - ref)) < 1e-6
@@ -89,12 +115,12 @@ class TestRenderImplicit:
     def test_channel_order_never_changes_the_render(self, tiny_bundle):
         b = tiny_bundle
         z = b.latents.codes[0]
-        ref = render.render_implicit(b, z, 0, 32)
+        ref = _implicit(b, z, 0, 32)
         perm = [1, 2, 0]
         b.params.weights[-1] = b.params.weights[-1][:, perm]
         b.params.biases[-1] = b.params.biases[-1][perm]
         try:
-            img = render.render_implicit(b, z, 0, 32)
+            img = _implicit(b, z, 0, 32)
         finally:
             inv = np.argsort(perm)
             b.params.weights[-1] = b.params.weights[-1][:, inv]
@@ -107,14 +133,14 @@ class TestRenderImplicit:
         # difference only drops below the 0.02 budget from width 64 up
         b = tiny_bundle
         z = b.latents.codes[0]
-        lo = render.render_implicit(b, z, 0, 64)
-        hi = render.render_implicit(b, z, 0, 128)
+        lo = _implicit(b, z, 0, 64)
+        hi = _implicit(b, z, 0, 128)
         pooled = hi.reshape(64, 2, 64, 2).mean(axis=(1, 3))
         assert np.mean(np.abs(pooled - lo)) < 0.02
 
     def test_min_width(self, tiny_bundle):
         with pytest.raises(ValueError):
-            render.render_implicit(tiny_bundle, tiny_bundle.latents.codes[0], 0, 4)
+            render.field_grid(tiny_bundle, tiny_bundle.latents.codes[0], 0, 4)
 
     def test_non_finite_network_output_raises(self, tiny_bundle):
         b = tiny_bundle
@@ -127,7 +153,7 @@ class TestRenderImplicit:
             b.params.biases[-1][:] = head
 
     def test_values_clamped(self, tiny_bundle):
-        img = render.render_implicit(tiny_bundle, tiny_bundle.latents.codes[0], 0, 48)
+        img = _implicit(tiny_bundle, tiny_bundle.latents.codes[0], 0, 48)
         assert img.min() >= 0.0 and img.max() <= 1.0
 
 

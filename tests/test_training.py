@@ -367,13 +367,11 @@ class TestFitLatent:
         bundle, _ = train(dataset, "A", fs, ts)
         return bundle, dataset[0]
 
-    def test_fully_masked_target_shrinks_latent(self):
+    def test_fully_masked_target_is_rejected(self):
         bundle, _ = self._trained()
-        target = np.zeros((24, 24))
         mask = np.ones((24, 24), dtype=bool)
-        ts = TrainSettings(fit_steps=300, fit_lr=1e-2)
-        z, history = fit_latent(bundle, target, 0, ts, mask=mask)
-        assert np.linalg.norm(z) < 0.02
+        with pytest.raises(ValueError, match="hides every pixel"):
+            fit_latent(bundle, np.zeros((24, 24)), 0, TrainSettings(), mask=mask)
 
     def test_mask_dimension_mismatch(self):
         bundle, _ = self._trained()
