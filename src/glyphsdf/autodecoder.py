@@ -22,10 +22,10 @@ shrinks to one block.
 :func:`evaluate` (rendering, no gradients) bounds its memory instead.  It
 takes the points in chunks of ``CHUNK_ROWS`` (8192) rows, a module
 constant that tests patch to get short chunks; each chunk runs its hidden
-layers in sub-blocks of ``SUB_ROWS`` rows, the last taking the remainder,
-which write their last activation into one chunk-sized buffer, and then
-its head as one GEMM over the whole chunk.  At 8x384 that holds about
-37 MB of buffers where whole chunks held about 93 MB.
+layers in the row blocks of :func:`_row_parts`, which write their last
+activation into one chunk-sized buffer, and then its head as one GEMM over
+the whole chunk.  At 8x384 that holds about 37 MB of buffers where whole
+chunks held about 93 MB.
 
 The bits stay those of whole arrays, since OpenBLAS gives a row of a GEMM
 the same bits at any row count, with two exceptions.  First, it sends a
@@ -33,17 +33,16 @@ GEMM with M*N*K at or below ``SMALL_GEMM`` to a small-matrix kernel with
 other bits, so a split is made only where every hidden GEMM on the
 smaller part stays above it (:func:`_sub_blocks`), and a head keeps all
 its rows (a 3-channel head on 868 rows or fewer already takes that
-kernel).  With two hidden layers or more, a network under width 32 runs
-evaluate's chunks whole.  Second, split rows of ``dz @ W.T`` changed bits
-where that product has 135 or 519 columns, layer 0's and the skip layer's
-input gradients at alphabet 5: at 614 rows, a cut at row 256, 296, 304,
-307 or 320 changed the last 7 columns of ``dX`` by up to 6.5e-19, in the
-rows before the cut and in rows 604-609 (cuts at 300 and 312 kept them).
-Those two products therefore stay whole; a 384-column one held its bits
-at every cut from row 20 to 594 of 614.  Both rules are facts of
-OpenBLAS's AVX-512 kernels (0.3.31, with its 10^6 small-matrix permit),
-so the tests compare every split against whole-array references at
-production size.
+kernel).  Second, split rows of ``dz @ W.T`` changed bits where that
+product has 135 or 519 columns, layer 0's and the skip layer's input
+gradients at alphabet 5: at 614 rows, a cut at row 256, 296, 304, 307 or
+320 changed the last 7 columns of ``dX`` by up to 6.5e-19, in the rows
+before the cut and in rows 604-609 (cuts at 300 and 312 kept them).  Those
+two products therefore stay whole, as does ``d_out @ W_head.T``; a
+384-column one held its bits at every cut from row 20 to 594 of 614.
+Both rules are facts of OpenBLAS's AVX-512 kernels (0.3.31, with its 10^6
+small-matrix permit), so the tests compare every split against
+whole-array references at production size.
 
 The rows are independent, so the network spreads its work over
 ``ROW_THREADS`` row threads, fixed when this module loads: the CPUs the
@@ -52,24 +51,20 @@ process may run on, at most 2, when ``OPENBLAS_NUM_THREADS`` is ``"1"``
 spreads each GEMM over its own threads.  :func:`_in_threads` runs one
 call's tasks, the first on the calling thread.  Each thread writes its
 own rows, or its own arrays, of buffers the one-thread path allocates
-too, and no result depends on the thread count:
-
-* :func:`evaluate` runs a chunk's sub-blocks of ``SUB_ROWS // T`` rows on
-  T threads, so ``SUB_ROWS`` rows are still in flight; each thread owns
-  its buffers and the calling thread runs the head.  The small-matrix
-  check is made on the sub-block's row count, so at two threads a width
-  under 45 and at three one under 55 runs its chunks whole;
-* :func:`forward` runs its hidden layers in T row parts of ``m // T``
-  rows, the last taking the remainder, and its head whole;
-* :func:`backward` with parameter gradients runs each layer's weight
-  gradient ``a_in.T @ dz`` (with the bias gradient) on one thread and its
-  input gradient on another.  Every reduction keeps its summation order:
-  ``gw``, ``gb`` and the head's gradients are whole-array on one thread,
-  as is the latent sum ``total_loss`` takes of ``dX``;
-* :func:`backward` without them (latent fitting) runs the slope passes
-  and the ``width``-column input gradients in forward's row parts; layer
-  0's and the skip layer's input gradients and ``d_out @ W_head.T`` stay
-  whole.
+too (evaluate's threads own theirs), and no result depends on the thread
+count.  One rule, :func:`_row_parts`, cuts the rows of every pass: T
+blocks per ``SUB_ROWS`` rows, rounded up, of one size but the last, which
+takes the remainder; thread t runs blocks t, t + T, ... (:func:`_spread`).
+:func:`forward` and :func:`evaluate` run their hidden layers in these
+blocks and :func:`backward` each layer's slope pass, with the
+``width``-column input gradients when no weight gradient is wanted (latent
+fitting); then one :func:`_in_threads` call runs the weight gradient
+``a_in.T @ dz`` (with the bias gradient) beside the whole input gradient,
+wherever either is needed.  Every sum keeps its order: ``gw``, ``gb``, the
+head's gradients and the latent sum ``total_loss`` takes of ``dX`` are
+whole-array on one thread.  With two hidden layers or more, a width under
+32, 45 and 55 runs evaluate's full chunks whole at one, two and three
+threads; a short last chunk's smaller blocks fall back at larger widths.
 
 The cache of :func:`forward` is the tuple ``(X, acts, skip_in)``:
 
@@ -120,7 +115,7 @@ LATENT_DIM = 128
 # activation are 384 KB, which stays in a core's L2 between passes
 BLOCK_ROWS = 128
 
-# rows per chunk of evaluate, and of a chunk's hidden layers in flight at once
+# rows per chunk of evaluate, and rows a pass cuts into one block per row thread
 CHUNK_ROWS = 8192
 SUB_ROWS = 1024
 # the row threads were measured at 2 CPUs, where two threads of evaluate's
@@ -314,14 +309,16 @@ def _sub_blocks(config, m, rows):
 
 
 def _row_parts(config, m):
-    """Row slices of an m-row :func:`forward`, one per row thread."""
-    return _sub_blocks(config, m, max(1, m // ROW_THREADS))
+    """Row slices of m rows: ROW_THREADS blocks per SUB_ROWS rows, rounded
+    up, by :func:`_sub_blocks`."""
+    blocks = ROW_THREADS * max(1, math.ceil(m / SUB_ROWS))
+    return _sub_blocks(config, m, max(1, m // blocks))
 
 
 def forward(config, params, X):
     """Evaluate the network on rows of X; returns (out, cache).
 
-    The hidden layers run in row parts on the row threads, the head whole.
+    The hidden layers run in row blocks on the row threads, the head whole.
     The cache ``(X, acts, skip_in)`` holds what :func:`backward` needs (see
     the module docstring).
     """
@@ -365,9 +362,8 @@ def backward(config, params, cache, d_out, need_param_grads=True):
     when only the input/latent gradient is wanted) and returns None for
     the first element.
 
-    With parameter gradients, each layer's weight gradient and input
-    gradient run on two row threads; without, each layer runs in row parts
-    (see the module docstring).
+    Each layer runs in row blocks on the row threads, its weight gradient
+    beside its whole input gradient (see the module docstring).
 
     The cache serves one backward and is consumed by it: each layer's
     gradient is written over its activation, which then leaves ``acts``.
@@ -389,7 +385,7 @@ def backward(config, params, cache, d_out, need_param_grads=True):
     da = d_out @ params.weights[-1].T
     da_buf = da
     m = len(X)
-    parts = [slice(0, m)] if need_param_grads else _row_parts(config, m)
+    parts = _row_parts(config, m)
     # a (factor, mask) block per row thread for the slope passes
     block = (min(m, BLOCK_ROWS), width)
     scratch = [(np.empty(block), np.empty(block, dtype=bool))
@@ -405,6 +401,8 @@ def backward(config, params, cache, d_out, need_param_grads=True):
         # the input gradient of every layer but 0 and the skip layer has
         # width columns, and its rows may be split
         row_local = l != 0 and not (skip and l == skip)
+        # with no weight gradient to pair it with, it runs in the slope pass
+        split_d_in = row_local and not need_param_grads
         if l == skip:  # the first layer down that adds to dX (layer 0 without a skip)
             dX = np.zeros_like(X)
         # the input gradient goes to da's buffer, except where it is wider
@@ -413,27 +411,21 @@ def backward(config, params, cache, d_out, need_param_grads=True):
         # allocates nothing: memory a thread allocates stays in its malloc
         # arena, which raised the benchmark's peak RSS by about 15 MB
         d_in = da_buf if row_local and dz is not da_buf else np.empty((m, wt.shape[1]))
-        if need_param_grads:
-            _slope_times(acts[l], da, dz, slope, scratch[0])
-            if l == 0:
-                a_in = X
-            elif skip and l == skip:
-                a_in = skip_in
-            else:
-                a_in = acts[l - 1]
-            (gw[l], gb[l]), _ = _in_threads([
-                lambda: (a_in.T @ dz, dz.sum(axis=0)),
-                lambda: np.matmul(dz, wt, out=d_in),
-            ])
-        else:
-            def run(t, p):
-                _slope_times(acts[l][p], da[p], dz[p], slope, scratch[t])
-                if row_local:
-                    np.matmul(dz[p], wt, out=d_in[p])
 
-            _spread(parts, run)
-            if not row_local:
-                np.matmul(dz, wt, out=d_in)
+        def run(t, p):
+            _slope_times(acts[l][p], da[p], dz[p], slope, scratch[t])
+            if split_d_in:
+                np.matmul(dz[p], wt, out=d_in[p])
+
+        _spread(parts, run)
+        a_in = X if l == 0 else skip_in if skip and l == skip else acts[l - 1]
+        # the weight gradient first, so that the calling thread allocates it
+        tasks = [lambda: (a_in.T @ dz, dz.sum(axis=0))] if need_param_grads else []
+        if not split_d_in:
+            tasks.append(lambda: np.matmul(dz, wt, out=d_in))
+        done = _in_threads(tasks)
+        if need_param_grads:
+            gw[l], gb[l] = done[0]
         if l == 0:
             dX += d_in
         elif skip and l == skip:
@@ -460,13 +452,11 @@ def evaluate(config, params, points, label, z):
     if n == 0:
         return out
     chunks = [slice(s, min(s + CHUNK_ROWS, n)) for s in range(0, n, CHUNK_ROWS)]
-    blocks = [_sub_blocks(config, c.stop - c.start, max(1, SUB_ROWS // ROW_THREADS))
-              for c in chunks]
-    # no more threads than the first, largest, chunk has sub-blocks
-    threads = min(ROW_THREADS, len(blocks[0]))
-    # each thread's buffers fit the largest sub-block of any chunk: all
-    # chunks but the last have the first one's size
-    rows = max(b.stop - b.start for bs in (blocks[0], blocks[-1]) for b in bs)
+    blocks = [_row_parts(config, c.stop - c.start) for c in chunks]
+    # no more threads than a chunk has blocks, and each thread's buffers
+    # fit the largest block of any chunk
+    threads = min(ROW_THREADS, max(map(len, blocks)))
+    rows = max(b.stop - b.start for bs in blocks for b in bs)
     # per thread: the pair of hidden buffers, the skip input, and the input
     # rows, whose one-hot and latent columns are the same on every row
     owned = [

@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 # imports nothing, so numpy still loads after the thread pins
@@ -122,6 +123,23 @@ def _safe_name(family, label_char):
     return f"{_file_part(family)}__{_file_part(label_char)}"
 
 
+def _folds_case(directory):
+    """Whether ``directory``'s file system ignores case (a probe file tells)."""
+    with tempfile.NamedTemporaryFile(dir=directory) as probe:
+        return (directory / Path(probe.name).name.swapcase()).exists()
+
+
+def _check_file_names(directory, owners, kind, written_as):
+    """Refuse two (owner, name) pairs whose names are one file in ``directory``."""
+    fold = str.casefold if _folds_case(directory) else str
+    seen = {}
+    for owner, name in owners:
+        if fold(name) in seen:
+            raise _UsageError(f"{kind} {seen[fold(name)]!r} and {owner!r} would both "
+                              f"be written as {written_as.format(name)}")
+        seen[fold(name)] = owner
+
+
 def _manifest_entries(cfg):
     from .glyphs import load_manifest
 
@@ -137,10 +155,8 @@ def _parse_glyphs(cfg, entries):
     pairs = []
     for entry in entries:
         try:
-            glyph = glyph_from_path(
-                entry.path.read_text(encoding="utf-8"), label=entry.label,
-                family_id=entry.family_id, margin=cfg.dataset.margin,
-            )
+            glyph = glyph_from_path(entry.path.read_text(encoding="utf-8"),
+                                    label=entry.label, margin=cfg.dataset.margin)
         except (GlyphSdfError, UnicodeDecodeError) as exc:
             raise GlyphSdfError(
                 f"glyph {entry.family_id}/{entry.label_char} ({entry.path}): {exc}"
@@ -187,31 +203,20 @@ def cmd_prepare(cfg, args):
     from .render import write_image
     from .templates import templates_to_arrays
 
-    dataset = _prepare_dataset(cfg, _manifest_entries(cfg))
-    named = []  # (file name stem, label character, glyph)
-    owners = {}  # casefolded stem -> "family/label" written under it
-    for item in dataset:
-        label_char = cfg.dataset.alphabet[item.label]
-        name = _safe_name(item.family_id, label_char)
-        glyph = f"{item.family_id}/{label_char}"
-        # casefolded, because "A" and "a" name one file where the
-        # filesystem ignores case
-        key = name.casefold()
-        if key in owners:
-            raise _UsageError(
-                f"glyphs {owners[key]!r} and {glyph!r} would both be written as prepared/{name}.*"
-            )
-        owners[key] = glyph
-        named.append((name, label_char, item))
+    entries = _manifest_entries(cfg)
+    names = [_safe_name(e.family_id, e.label_char) for e in entries]
     prep_dir = _out_dir(cfg) / "prepared"
     prep_dir.mkdir(exist_ok=True)
-    for name, label_char, item in named:
+    _check_file_names(prep_dir, [(f"{e.family_id}/{e.label_char}", name)
+                                 for e, name in zip(entries, names)], "glyphs", "prepared/{}.*")
+    dataset = _prepare_dataset(cfg, entries)
+    for entry, name, item in zip(entries, names, dataset):
         stem = prep_dir / name
         field_mod.write_grid(stem.with_suffix(".sdf.grid"), item.sdf)
         write_image(stem.with_suffix(".pgm"), field_mod.kernel(item.sdf, cfg.field.gamma_final))
         meta = {
             "family": item.family_id,
-            "label": label_char,
+            "label": entry.label_char,
             "train_width": cfg.field.train_width,
             "corners": templates_to_arrays(item.templates),
         }
@@ -230,6 +235,9 @@ def cmd_train(cfg, args):
     if not entries:
         raise _UsageError(f"manifest {cfg.dataset.manifest} lists no glyphs to train on")
     out = _out_dir(cfg)
+    # render and interpolate name their files after the families
+    _check_file_names(out, [(f, _file_part(f)) for f in latent_families(entries)],
+                      "families", "{} in output file names")
     resume = None
     if args.resume:
         resume = ad.load_checkpoint(args.resume, expect_alphabet=cfg.dataset.alphabet)

@@ -82,11 +82,10 @@ class Contour:
 
 @dataclass
 class Glyph:
-    """Contours plus the glyph label index and owning font family id."""
+    """Contours plus the glyph label index."""
 
     contours: list
     label: int = 0
-    family_id: str = ""
 
     def control_points(self):
         if not self.contours:
@@ -210,12 +209,12 @@ def normalize(glyph, margin=DEFAULT_MARGIN):
         Contour([Segment((s.points - center) * scale) for s in c.segments])
         for c in glyph.contours
     ]
-    return Glyph(contours, label=glyph.label, family_id=glyph.family_id)
+    return Glyph(contours, label=glyph.label)
 
 
-def glyph_from_path(text, label=0, family_id="", margin=DEFAULT_MARGIN):
+def glyph_from_path(text, label=0, margin=DEFAULT_MARGIN):
     """Parse + normalize in one go."""
-    return normalize(Glyph(parse_path(text), label=label, family_id=family_id), margin)
+    return normalize(Glyph(parse_path(text), label=label), margin)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ RING_PATH = (
 )
 
 
-def square_glyph(label=0, family_id="fam"):
-    return glyphs.glyph_from_path(SQUARE_PATH, label=label, family_id=family_id)
+def square_glyph(label=0):
+    return glyphs.glyph_from_path(SQUARE_PATH, label=label)
 
 
 def ring_path(margin):
@@ -71,16 +71,16 @@ def minifam_dataset():
     out = []
     for fi, (fam, paths) in enumerate(MINIFAM_PATHS.items()):
         for label, path in enumerate(paths):
-            out.append((fam, fi, label, glyphs.glyph_from_path(path, label=label, family_id=fam)))
+            out.append((fam, fi, label, glyphs.glyph_from_path(path, label=label)))
     return out
 
 
-def l_glyph(label=0, family_id="fam"):
-    return glyphs.glyph_from_path(L_PATH, label=label, family_id=family_id)
+def l_glyph(label=0):
+    return glyphs.glyph_from_path(L_PATH, label=label)
 
 
-def ring_glyph(label=0, family_id="fam"):
-    return glyphs.glyph_from_path(RING_PATH, label=label, family_id=family_id)
+def ring_glyph(label=0):
+    return glyphs.glyph_from_path(RING_PATH, label=label)
 
 
 def edit_checkpoint_manifest(path, edit):

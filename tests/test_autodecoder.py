@@ -782,19 +782,63 @@ class TestBackwardInPlace:
             assert peak < 60e6, threads
 
 
+@st.composite
+def network_shapes(draw):
+    """A network description of any shape, from one unit wide to wider
+    than production."""
+    hidden = draw(st.integers(1, 10))
+    return ad.NetworkConfig(
+        alphabet_size=draw(st.integers(1, 60)),
+        hidden_layers=hidden,
+        width=draw(st.integers(1, 2048)),
+        skip_layer=draw(st.integers(0, hidden - 1)),
+        out_channels=draw(st.integers(1, 4)),
+        latent_dim=draw(st.integers(1, 256)),
+    )
+
+
 class TestForwardBackwardThreads:
-    """forward splits its rows over the row threads, and backward its GEMMs
-    or its rows; a failing thread and a busy scheduler must not show."""
+    """forward, evaluate and backward split their rows over the row threads
+    by one rule; a failing thread and a busy scheduler must not show."""
 
     def test_row_parts(self):
         cfg = ad.NetworkConfig(alphabet_size=5)
         with mock.patch.object(ad, "ROW_THREADS", 2):
-            # a part of 19 rows would take the small-matrix kernel at layer 0
+            # a block of 19 rows would take the small-matrix kernel at layer 0
             assert ad._row_parts(cfg, 39) == [slice(0, 39)]
             assert ad._row_parts(cfg, 40) == [slice(0, 20), slice(20, 40)]
-            assert ad._row_parts(cfg, 1895) == [slice(0, 947), slice(947, 1895)]
+            # the benchmark's fit, and two blocks per SUB_ROWS rows, rounded
+            # up, for a training batch, a tail chunk and a full chunk
+            assert ad._row_parts(cfg, 608) == [slice(0, 304), slice(304, 608)]
+            assert ad._row_parts(cfg, 1895) == [
+                slice(0, 473), slice(473, 946), slice(946, 1419), slice(1419, 1895)
+            ]
+            assert ad._row_parts(cfg, 1808) == [slice(s, s + 452) for s in range(0, 1808, 452)]
+            assert ad._row_parts(cfg, 8192) == [slice(s, s + 512) for s in range(0, 8192, 512)]
         with mock.patch.object(ad, "ROW_THREADS", 1):
-            assert ad._row_parts(cfg, 1895) == [slice(0, 1895)]
+            assert ad._row_parts(cfg, 1895) == [slice(0, 947), slice(947, 1895)]
+            assert ad._row_parts(cfg, 608) == [slice(0, 608)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(network_shapes(), st.integers(1, 20_000), st.integers(1, 3))
+    def test_row_parts_cover_the_rows_above_the_small_kernel(self, cfg, m, threads):
+        with mock.patch.object(ad, "ROW_THREADS", threads):
+            parts = ad._row_parts(cfg, m)
+        assert [p.start for p in parts] == [0] + [p.stop for p in parts[:-1]]
+        assert parts[-1].stop == m
+        if len(parts) > 1:
+            rows = min(p.stop - p.start for p in parts)
+            assert all(rows * k * n > ad.SMALL_GEMM for k, n in cfg.layer_dims()[:-1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([5, 52]), st.integers(1, 20_000), st.integers(1, 3))
+    def test_row_parts_of_the_production_network(self, alphabet_size, m, threads):
+        # a very wide network can take 1-row blocks, and then m = 5 at three
+        # threads gives 5 blocks; the production network's stay above 19 rows
+        cfg = ad.NetworkConfig(alphabet_size=alphabet_size)
+        with mock.patch.object(ad, "ROW_THREADS", threads):
+            parts = ad._row_parts(cfg, m)
+        assert len(parts) <= threads * -(-m // ad.SUB_ROWS)
 
     def test_one_task_starts_no_thread(self):
         threads_before = threading.active_count()

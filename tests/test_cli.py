@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,36 +140,55 @@ class TestPrepare:
         assert len(res.stderr.splitlines()) == 1
         assert "sq.path" in res.stderr and "can't decode" in res.stderr
 
-    def test_families_sharing_a_file_name_rejected(self, workspace):
-        # Fam__A and fam__A are one file where the filesystem ignores case
+    def _prepare_in_case_folding_dir_then_not(self, workspace, capsys, argv):
+        """(exit code, stderr lines, prepared file names) of an in-process
+        prepare with the file system reported to fold case, then of one on
+        the real file system, which keeps case."""
+        from glyphsdf import cli
+
+        def prepare():
+            code = cli.main(["--config", str(workspace / "config.json"), *argv, "prepare"])
+            prep = workspace / "out" / "prepared"
+            names = sorted(p.name for p in prep.glob("*.pgm")) if prep.exists() else []
+            return code, capsys.readouterr().err.splitlines(), names
+
+        with mock.patch.object(cli, "_folds_case", return_value=True):
+            folded = prepare()
+        return [folded, prepare()]
+
+    def test_case_probe_leaves_no_file(self, tmp_path):
+        from glyphsdf import cli
+
+        (tmp_path / "a").touch()
+        assert cli._folds_case(tmp_path) == (tmp_path / "A").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+
+    def test_families_sharing_a_file_name_rejected(self, workspace, capsys):
+        # Fam__A and fam__A are one file where the file system ignores case
         manifest = [
             {"family": "Fam", "label": "A", "file": "sq.path"},
             {"family": "fam", "label": "A", "file": "l.path"},
         ]
         (workspace / "manifest.json").write_text(json.dumps(manifest))
-        res = run_cli("--config", workspace / "config.json", "prepare")
-        assert res.returncode == 1
-        assert res.stderr.splitlines() == [
-            "error: glyphs 'Fam/A' and 'fam/A' would both be written as prepared/fam__A.*"
+        assert self._prepare_in_case_folding_dir_then_not(workspace, capsys, []) == [
+            (1, ["error: glyphs 'Fam/A' and 'fam/A' would both be written as prepared/fam__A.*"],
+             []),
+            (0, [], ["Fam__A.pgm", "fam__A.pgm"]),
         ]
-        assert not (workspace / "out" / "prepared").exists()
 
-    def test_labels_differing_in_case_rejected(self, workspace):
-        # fam__A and fam__a are one file where the filesystem ignores case
+    def test_labels_differing_in_case_rejected(self, workspace, capsys):
+        # fam__A and fam__a are one file where the file system ignores case
         manifest = [
             {"family": "fam", "label": "A", "file": "sq.path"},
             {"family": "fam", "label": "a", "file": "l.path"},
         ]
         (workspace / "manifest.json").write_text(json.dumps(manifest))
-        res = run_cli(
-            "--config", workspace / "config.json",
-            "--set", 'dataset.alphabet="Aa"', "prepare",
-        )
-        assert res.returncode == 1
-        assert res.stderr.splitlines() == [
-            "error: glyphs 'fam/A' and 'fam/a' would both be written as prepared/fam__a.*"
+        argv = ["--set", 'dataset.alphabet="Aa"']
+        assert self._prepare_in_case_folding_dir_then_not(workspace, capsys, argv) == [
+            (1, ["error: glyphs 'fam/A' and 'fam/a' would both be written as prepared/fam__a.*"],
+             []),
+            (0, [], ["fam__A.pgm", "fam__a.pgm"]),
         ]
-        assert not (workspace / "out" / "prepared").exists()
 
     def test_missing_manifest(self, workspace):
         res = run_cli(
@@ -750,6 +770,16 @@ def _mask_everything(ws, ckpt):
             "--res", "16"]
 
 
+def _families_escaping_alike(ws, ckpt):
+    """argv training on families "a.b" and "au002eb", whose file name parts
+    are both au002eb."""
+    (ws / "alike.json").write_text(json.dumps(
+        [{"family": f, "label": "A", "file": "sq.path"} for f in ("a.b", "au002eb")]
+    ))
+    return ["--config", ws / "config.json",
+            "--set", f"dataset.manifest={json.dumps(str(ws / 'alike.json'))}", "train"]
+
+
 def _empty_manifest(ws, ckpt):
     """argv training on a manifest with no records, into its own output dir."""
     (ws / "empty.json").write_text("[]")
@@ -830,6 +860,7 @@ BAD_INPUTS = [
     ("fit --label AB", _fit_label("AB"), 1),
     ("fit --mask hiding every pixel", _mask_everything, 1),
     ("train on an empty manifest", _empty_manifest, 1),
+    ("train on families a.b and au002eb", _families_escaping_alike, 1),
     ("render --res 4", _command(
         "render", "--checkpoint", CKPT, "--family", "fam", "--label", "A", "--res", "4"), 1),
     ("interpolate --res 0", _command(

@@ -22,7 +22,7 @@ from helpers import box_sdf, square_glyph
 def tiny_bundle():
     """A quickly trained tiny-resolution model for render plumbing tests."""
     fs = FieldSettings(train_width=24)
-    g = square_glyph(label=0, family_id="fam")
+    g = square_glyph(label=0)
     dataset = [prepare_glyph(g, "fam", 0, 0, fs)]
     ts = TrainSettings(epochs=80, seed=0, anneal_epochs=30, min_homogeneous=16, threads=1)
     bundle, _ = train(dataset, "A", fs, ts)

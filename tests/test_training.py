@@ -249,7 +249,7 @@ class TestWarmup:
 
 def desk_dataset(width=24):
     fs = FieldSettings(train_width=width)
-    g = square_glyph(label=0, family_id="fam")
+    g = square_glyph(label=0)
     return [prepare_glyph(g, "fam", 0, 0, fs)], fs
 
 
