@@ -49,12 +49,16 @@ The rows are independent, so the network spreads its work over
 process may run on, at most 2, when ``OPENBLAS_NUM_THREADS`` is ``"1"``
 (``--threads 1`` sets it before numpy loads), else 1, since BLAS then
 spreads each GEMM over its own threads.  :func:`_in_threads` runs one
-call's tasks, the first on the calling thread.  Each thread writes its
-own rows, or its own arrays, of buffers the one-thread path allocates
-too (evaluate's threads own theirs), and no result depends on the thread
-count.  One rule, :func:`_row_parts`, cuts the rows of every pass: T
-blocks per ``SUB_ROWS`` rows, rounded up, of one size but the last, which
-takes the remainder; thread t runs blocks t, t + T, ... (:func:`_spread`).
+call's tasks, the first on the calling thread and the others on one pool
+of ``ROW_THREADS - 1`` workers per process, opened by the first call that
+has more than one task and kept, so a training step starts no thread; a
+forked child drops the pool it inherits and opens its own.  Each thread
+writes its own rows, or its own arrays, of buffers the one-thread path
+allocates too (evaluate's threads own theirs), and no result depends on
+the thread count.  One rule, :func:`_row_parts`, cuts the rows of every
+pass: T blocks per ``SUB_ROWS`` rows, rounded up, of one size but the
+last, which takes the remainder; thread t runs blocks t, t + T, ...
+(:func:`_spread`).
 :func:`forward` and :func:`evaluate` run their hidden layers in these
 blocks and :func:`backward` each layer's slope pass, with the
 ``width``-column input gradients when no weight gradient is wanted (latent
@@ -65,6 +69,8 @@ head's gradients and the latent sum ``total_loss`` takes of ``dX`` are
 whole-array on one thread.  With two hidden layers or more, a width under
 32, 45 and 55 runs evaluate's full chunks whole at one, two and three
 threads; a short last chunk's smaller blocks fall back at larger widths.
+:func:`adam_step` runs on the row threads too, in blocks of
+``ADAM_BLOCK`` elements of each tensor's flat view.
 
 The cache of :func:`forward` is the tuple ``(X, acts, skip_in)``:
 
@@ -101,7 +107,8 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -115,6 +122,11 @@ LATENT_DIM = 128
 # activation are 384 KB, which stays in a core's L2 between passes
 BLOCK_ROWS = 128
 
+# elements per block of adam_step's update: on a 2-vCPU AVX-512 Xeon, one
+# step of the 8x384 network took 10 ms in 64K-element blocks at two threads
+# and 16-18 ms in whole-tensor passes; 8K-element blocks took 25 ms, 128K 12
+ADAM_BLOCK = 1 << 16
+
 # rows per chunk of evaluate, and rows a pass cuts into one block per row thread
 CHUNK_ROWS = 8192
 SUB_ROWS = 1024
@@ -126,9 +138,9 @@ _MAX_ROW_THREADS = 2
 
 
 def _row_threads():
-    """Threads of :func:`evaluate`, :func:`forward` and :func:`backward`:
-    when BLAS runs one thread per call, the CPUs the process may run on, at
-    most ``_MAX_ROW_THREADS``, else 1."""
+    """Threads of :func:`evaluate`, :func:`forward`, :func:`backward` and
+    :func:`adam_step`: when BLAS runs one thread per call, the CPUs the
+    process may run on, at most ``_MAX_ROW_THREADS``, else 1."""
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         return 1
     try:
@@ -145,26 +157,65 @@ ROW_THREADS = _row_threads()
 SMALL_GEMM = 10**6
 
 
+# the row threads' pool: None, or (workers, ThreadPoolExecutor) with
+# ROW_THREADS - 1 workers, kept from the first call that needs it
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _row_pool(needed):
+    """The pool of the row threads beside the calling one, of ROW_THREADS - 1
+    workers; a pool of another size is shut down first.  Opened only if
+    ``needed``, else None when none is kept."""
+    global _pool
+    workers = ROW_THREADS - 1
+    with _pool_lock:
+        if _pool is not None and _pool[0] != workers:
+            _pool[1].shutdown()
+            _pool = None
+        if _pool is None and needed:
+            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="glyphsdf-row"))
+        return None if _pool is None else _pool[1]
+
+
+def _drop_pool():
+    # a forked child has none of its parent's threads: the pool it inherits
+    # would queue every task forever, so the child opens its own
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork outside POSIX
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
 def _in_threads(tasks):
     """The results of calling each of ``tasks``, at most ROW_THREADS at once.
 
-    The first task runs on the calling thread and the others on a pool
-    opened for this call, so one task starts no thread.  An exception from
-    any task reaches the caller once every task has ended.
+    The first task runs on the calling thread and the others on the row
+    threads' pool, one per process: the first call with more than one task
+    opens it and later calls reuse it; a call after ROW_THREADS changed
+    shuts it down first.  One task, or ROW_THREADS 1, starts no thread.  A
+    task must not call this function itself: it would wait for a worker
+    that waits for it.  An exception from any task reaches the caller once
+    every task has ended.
     """
     threads = min(ROW_THREADS, len(tasks))
+    pool = _row_pool(threads > 1)
     if threads <= 1:
         return [task() for task in tasks]
-    with ThreadPoolExecutor(threads - 1) as pool:
-        futures = [pool.submit(task) for task in tasks[1:]]
+    futures = [pool.submit(task) for task in tasks[1:]]
+    try:
         first = tasks[0]()
-        return [first] + [f.result() for f in futures]
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
 
 
 def _spread(blocks, run):
-    """Call ``run(t, block)`` for every row block on up to ROW_THREADS
-    threads: thread t takes the blocks t, t + threads, ... in turn, and
-    thread 0 is the calling thread."""
+    """Call ``run(t, block)`` for every block on up to ROW_THREADS threads:
+    thread t takes the blocks t, t + threads, ... in turn, and thread 0 is
+    the calling thread."""
     threads = min(ROW_THREADS, len(blocks))
     _in_threads([
         lambda t=t: [run(t, b) for b in blocks[t::threads]] for t in range(threads)
@@ -513,25 +564,41 @@ def adam_step(state, arrays, grads):
     ``arrays`` and ``grads`` are dicts name -> ndarray with matching
     shapes.  A non-finite gradient aborts with the offending tensor named,
     and a bad one of either kind before any parameter, moment or the step
-    count changes.
+    count changes; so does a parameter or moment array whose flat view
+    would be a copy, since the update writes through that view.
+
+    The update runs on the row threads in blocks of ``ADAM_BLOCK`` elements
+    of each tensor's flat view, each thread with its own scratch: every
+    element sees the same IEEE operations in the same order as in one
+    whole-tensor pass, at any thread count.
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for tensor {name!r}")
         if arrays[name].shape != g.shape:
             raise ValueError(f"gradient shape mismatch for {name!r}")
+        for a in (arrays[name], state.m.get(name), state.v.get(name)):
+            if a is not None and a.size and not np.may_share_memory(a.reshape(-1), a):
+                raise ValueError(f"tensor {name!r} cannot be updated in place: "
+                                 "its flat view would be a copy")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    scratch = np.empty(2 * max((g.size for g in grads.values()), default=0))
+    blocks = []
     for name, g in grads.items():
         p = arrays[name]
         state.ensure(name, p)
-        m = state.m[name]
-        v = state.v[name]
-        s = scratch[: g.size].reshape(g.shape)
-        u = scratch[g.size : 2 * g.size].reshape(g.shape)
+        flat = [a.reshape(-1) for a in (p, state.m[name], state.v[name], g)]
+        blocks += [(flat, slice(s, s + ADAM_BLOCK)) for s in range(0, g.size, ADAM_BLOCK)]
+    # allocated on the calling thread, as in backward
+    size = min(ADAM_BLOCK, max((g.size for g in grads.values()), default=0))
+    scratch = [(np.empty(size), np.empty(size)) for _ in range(min(ROW_THREADS, len(blocks)))]
+
+    def run(thread, block):
+        flat, elements = block
+        p, m, v, g = (a[elements] for a in flat)
+        s, u = (a[: g.size] for a in scratch[thread])
         # in place, the same operations in the same order as
         #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*(g*g)
         #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
@@ -548,6 +615,8 @@ def adam_step(state, arrays, grads):
         u += state.eps
         s /= u
         p -= s
+
+    _spread(blocks, run)
 
 
 # ---------------------------------------------------------------------------

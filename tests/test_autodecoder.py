@@ -1,4 +1,6 @@
 import dataclasses
+import multiprocessing
+import os
 import sys
 import tempfile
 import threading
@@ -237,6 +239,53 @@ class TestAdam:
         assert state.step_count == 1
         for got, want in zip((arrays["a"], state.m["a"], state.v["a"]), before):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("alphabet_size", [2, 52])
+    def test_production_network_keeps_the_reference_bits(self, alphabet_size):
+        # 8x384 in blocks of ADAM_BLOCK elements: the biases, the head and
+        # the latent row are smaller than a block, w0 at alphabet 2 too, and
+        # no weight is a whole number of blocks
+        cfg = ad.NetworkConfig(alphabet_size=alphabet_size)
+        rng = np.random.default_rng(alphabet_size)
+        params = ad.init_parameters(cfg, rng)
+        codes = rng.normal(size=(3, cfg.latent_dim))
+        assert any(w.size % ad.ADAM_BLOCK and w.size > ad.ADAM_BLOCK for w in params.weights)
+        steps = [
+            {name: rng.normal(size=w.shape) for name, w in [*params.named(), ("z1", codes[1])]}
+            for _ in range(3)
+        ]
+        ref_params, ref_codes, ref_state = params.copy(), codes.copy(), ad.AdamState(lr=1e-2)
+        for grads in steps:
+            helpers.reference_adam_step(
+                ref_state, {**dict(ref_params.named()), "z1": ref_codes[1]}, grads
+            )
+        for threads in THREADS:
+            run_params, run_codes, state = params.copy(), codes.copy(), ad.AdamState(lr=1e-2)
+            with mock.patch.object(ad, "ROW_THREADS", threads):
+                for grads in steps:
+                    ad.adam_step(state, {**dict(run_params.named()), "z1": run_codes[1]}, grads)
+            _assert_params_equal(run_params, ref_params)
+            assert np.array_equal(run_codes, ref_codes), threads
+            for name in ref_state.m:
+                assert np.array_equal(state.m[name], ref_state.m[name]), (threads, name)
+                assert np.array_equal(state.v[name], ref_state.v[name]), (threads, name)
+
+    @pytest.mark.parametrize("kind", ["parameter", "moment"])
+    def test_array_without_a_flat_view_rejected(self, kind):
+        # an update written through a copy would be lost without a sign
+        state = ad.AdamState()
+        arrays = {"a": np.ones(4), "odd": np.ones((4, 6))}
+        ad.adam_step(state, arrays, {"a": np.ones(4), "odd": np.ones((4, 6))})
+        if kind == "parameter":
+            arrays["odd"] = np.ones((4, 12))[:, :6]
+        else:
+            state.v["odd"] = np.array(state.v["odd"], order="F")
+        before = [a.copy() for a in (arrays["a"], arrays["odd"], state.m["a"], state.v["a"])]
+        with pytest.raises(ValueError, match="'odd'"):
+            ad.adam_step(state, arrays, {"a": np.ones(4), "odd": np.ones((4, 6))})
+        assert state.step_count == 1
+        after = (arrays["a"], arrays["odd"], state.m["a"], state.v["a"])
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
     def test_two_seeded_runs_bit_identical(self):
         def run():
@@ -623,6 +672,11 @@ class TestReferenceEquality:
 THREADS = (1, 2, 3)
 
 
+def row_workers():
+    """The live threads of the row threads' pool."""
+    return {t for t in threading.enumerate() if t.name.startswith("glyphsdf-row")}
+
+
 def _evaluate_case(cfg, rows, seed=0, chunk=ad.CHUNK_ROWS):
     """evaluate, in chunks of ``chunk`` rows, at each thread count of
     THREADS, and the reference on the same random parameters and points."""
@@ -709,20 +763,24 @@ class TestEvaluateSubBlocks:
     def test_worker_error_reaches_caller(self):
         cfg = ad.NetworkConfig(alphabet_size=2)
         params = ad.init_parameters(cfg, np.random.default_rng(0))
-        pts = np.zeros((4096, 2))
+        pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(4096, 2))
+        z = np.zeros(cfg.latent_dim)
         hidden_layers = ad._hidden_layers
-        threads_before = threading.active_count()
 
         def fail_off_the_main_thread(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("worker failed")
             return hidden_layers(*args)
 
-        with mock.patch.object(ad, "ROW_THREADS", 2), \
-                mock.patch.object(ad, "_hidden_layers", fail_off_the_main_thread):
-            with pytest.raises(RuntimeError, match="worker failed"):
-                ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
-        assert threading.active_count() == threads_before
+        with mock.patch.object(ad, "ROW_THREADS", 2):
+            with mock.patch.object(ad, "_hidden_layers", fail_off_the_main_thread):
+                with pytest.raises(RuntimeError, match="worker failed"):
+                    ad.evaluate(cfg, params, pts, 0, z)
+            # the pool outlives the error: the next call runs on its worker
+            workers = row_workers()
+            out = ad.evaluate(cfg, params, pts, 0, z)
+            assert row_workers() == workers and len(workers) == 1
+        assert np.array_equal(out, helpers.reference_evaluate(cfg, params, pts, 0, z))
 
 
 def _production_case(alphabet_size, rows, seed=0):
@@ -780,6 +838,63 @@ class TestBackwardInPlace:
             finally:
                 tracemalloc.stop()
             assert peak < 60e6, threads
+
+
+class TestRowPool:
+    """The row threads run on one pool per process, kept from call to call;
+    run each of these tests in a fresh interpreter too, where no earlier
+    test has opened the pool."""
+
+    def test_pool_follows_row_threads(self):
+        cfg, params, X, d_out = _production_case(5, 1895, seed=4)
+        ref_out, ref_cache = helpers.reference_forward(cfg, params, X)
+        ref_grads, ref_dX = helpers.reference_backward(cfg, params, ref_cache, d_out)
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3000, 2))
+        z = np.zeros(cfg.latent_dim)
+        ref_eval = helpers.reference_evaluate(cfg, params, pts, 1, z)
+        for threads in (2, 3, 1):
+            with mock.patch.object(ad, "ROW_THREADS", threads):
+                for call in range(2):
+                    out, cache = ad.forward(cfg, params, X)
+                    grads, dX = ad.backward(cfg, params, cache, d_out)
+                    evaluated = ad.evaluate(cfg, params, pts, 1, z)
+                    assert np.array_equal(out, ref_out), threads
+                    assert np.array_equal(dX, ref_dX), threads
+                    _assert_params_equal(grads, ref_grads)
+                    assert np.array_equal(evaluated, ref_eval), threads
+                    # the second round starts no thread: the same workers run it
+                    if call == 0:
+                        workers = row_workers()
+                    assert row_workers() == workers, threads
+            assert len(workers) == threads - 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork outside POSIX")
+    # Python 3.12 warns that a fork with threads alive may deadlock the child,
+    # which is what this test checks does not happen
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_forked_child_opens_its_own_pool(self):
+        cfg = ad.NetworkConfig(alphabet_size=2)
+        rng = np.random.default_rng(6)
+        params = ad.init_parameters(cfg, rng)
+        pts = rng.uniform(-1.0, 1.0, size=(2048, 2))
+        z = rng.normal(scale=0.1, size=cfg.latent_dim)
+        ref = helpers.reference_evaluate(cfg, params, pts, 1, z)
+
+        def evaluate_in_child():
+            sys.exit(0 if np.array_equal(ad.evaluate(cfg, params, pts, 1, z), ref) else 1)
+
+        with mock.patch.object(ad, "ROW_THREADS", 2):
+            assert np.array_equal(ad.evaluate(cfg, params, pts, 1, z), ref)
+            assert len(row_workers()) == 1
+            child = multiprocessing.get_context("fork").Process(target=evaluate_in_child)
+            child.start()
+            try:
+                child.join(timeout=60)
+                assert not child.is_alive(), "the forked child hung"
+            finally:
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
 
 
 @st.composite
@@ -841,7 +956,7 @@ class TestForwardBackwardThreads:
         assert len(parts) <= threads * -(-m // ad.SUB_ROWS)
 
     def test_one_task_starts_no_thread(self):
-        threads_before = threading.active_count()
+        threads_before = set(threading.enumerate())
         no_pool = mock.Mock(side_effect=AssertionError("a pool was opened"))
         with mock.patch.object(ad, "ROW_THREADS", 2), \
                 mock.patch.object(ad, "ThreadPoolExecutor", no_pool):
@@ -849,26 +964,30 @@ class TestForwardBackwardThreads:
             cfg, params, X, d_out = _production_case(5, 19)
             _, cache = ad.forward(cfg, params, X)
             ad.backward(cfg, params, cache, d_out, need_param_grads=False)
+        # a pool kept from an earlier call may stay, or go if its size differs
+        assert set(threading.enumerate()) <= threads_before
         with mock.patch.object(ad, "ROW_THREADS", 1), \
                 mock.patch.object(ad, "ThreadPoolExecutor", no_pool):
             assert ad._in_threads([lambda: 1, lambda: 2]) == [1, 2]
-        assert threading.active_count() == threads_before
+        assert row_workers() == set()
 
     def test_forward_worker_error_reaches_caller(self):
         cfg, params, X, _ = _production_case(5, 1895)
         hidden_layers = ad._hidden_layers
-        threads_before = threading.active_count()
 
         def fail_off_the_main_thread(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("worker failed")
             return hidden_layers(*args)
 
-        with mock.patch.object(ad, "ROW_THREADS", 2), \
-                mock.patch.object(ad, "_hidden_layers", fail_off_the_main_thread):
-            with pytest.raises(RuntimeError, match="worker failed"):
-                ad.forward(cfg, params, X)
-        assert threading.active_count() == threads_before
+        with mock.patch.object(ad, "ROW_THREADS", 2):
+            with mock.patch.object(ad, "_hidden_layers", fail_off_the_main_thread):
+                with pytest.raises(RuntimeError, match="worker failed"):
+                    ad.forward(cfg, params, X)
+            workers = row_workers()
+            out, _ = ad.forward(cfg, params, X)
+            assert row_workers() == workers and len(workers) == 1
+        assert np.array_equal(out, helpers.reference_forward(cfg, params, X)[0])
 
     @pytest.mark.parametrize("need_param_grads", [True, False])
     def test_backward_worker_error_reaches_caller(self, need_param_grads):
@@ -877,7 +996,7 @@ class TestForwardBackwardThreads:
         cfg, params, X, d_out = _production_case(5, 1895)
         with mock.patch.object(ad, "ROW_THREADS", 2):
             _, cache = ad.forward(cfg, params, X)
-        threads_before = threading.active_count()
+        workers = row_workers()
 
         class FailingNumpy:
             def __getattr__(self, name):
@@ -893,7 +1012,16 @@ class TestForwardBackwardThreads:
                 mock.patch.object(ad, "np", FailingNumpy()):
             with pytest.raises(RuntimeError, match="worker failed"):
                 ad.backward(cfg, params, cache, d_out, need_param_grads)
-        assert threading.active_count() == threads_before
+        with mock.patch.object(ad, "ROW_THREADS", 2):
+            _, cache = ad.forward(cfg, params, X)
+            grads, dX = ad.backward(cfg, params, cache, d_out, need_param_grads)
+        assert row_workers() == workers and len(workers) == 1
+        ref_grads, ref_dX = helpers.reference_backward(
+            cfg, params, helpers.reference_forward(cfg, params, X)[1], d_out, need_param_grads
+        )
+        assert np.array_equal(dX, ref_dX)
+        if need_param_grads:
+            _assert_params_equal(grads, ref_grads)
 
     @pytest.mark.parametrize("need_param_grads", [True, False])
     def test_more_threads_than_cpus_switching_often(self, need_param_grads):
