@@ -52,13 +52,13 @@ spreads each GEMM over its own threads.  :func:`_in_threads` runs one
 call's tasks, the first on the calling thread and the others on one pool
 of ``ROW_THREADS - 1`` workers per process, opened by the first call that
 has more than one task and kept, so a training step starts no thread; a
-forked child drops the pool it inherits and opens its own.  Each thread
+forked child drops the pool it inherits and opens its own.  A thread
 writes its own rows, or its own arrays, of buffers the one-thread path
-allocates too (evaluate's threads own theirs), and no result depends on
-the thread count.  One rule, :func:`_row_parts`, cuts the rows of every
-pass: T blocks per ``SUB_ROWS`` rows, rounded up, of one size but the
-last, which takes the remainder; thread t runs blocks t, t + T, ...
-(:func:`_spread`).
+allocates too, with scratch that :func:`_spread` makes for it, and no
+result depends on the thread count.  One rule, :func:`_row_parts`, cuts
+the rows of every pass: T blocks per ``SUB_ROWS`` rows, rounded up, of one
+size but the last, which takes the remainder; thread t runs blocks t,
+t + T, ... (:func:`_spread`).
 :func:`forward` and :func:`evaluate` run their hidden layers in these
 blocks and :func:`backward` each layer's slope pass, with the
 ``width``-column input gradients when no weight gradient is wanted (latent
@@ -212,13 +212,18 @@ def _in_threads(tasks):
     return [first] + [f.result() for f in futures]
 
 
-def _spread(blocks, run):
-    """Call ``run(t, block)`` for every block on up to ROW_THREADS threads:
-    thread t takes the blocks t, t + threads, ... in turn, and thread 0 is
-    the calling thread."""
+def _spread(blocks, run, workspace):
+    """Call ``run(block, space)`` for every block on up to ROW_THREADS
+    threads: thread t takes the blocks t, t + threads, ... in turn, and
+    thread 0 is the calling thread.  ``space`` is the thread's own
+    ``workspace()``, made on the calling thread before any block runs, like
+    every buffer of a pass, so that ``run`` allocates nothing: memory a
+    thread allocates stays in its malloc arena, which raised the
+    benchmark's peak RSS by about 15 MB."""
     threads = min(ROW_THREADS, len(blocks))
+    spaces = [workspace() for _ in range(threads)]
     _in_threads([
-        lambda t=t: [run(t, b) for b in blocks[t::threads]] for t in range(threads)
+        lambda t=t: [run(b, spaces[t]) for b in blocks[t::threads]] for t in range(threads)
     ])
 
 
@@ -233,6 +238,9 @@ class NetworkConfig:
     latent_dim: int = LATENT_DIM
 
     def __post_init__(self):
+        # the in-place leaky ReLU and the slope mask need it; first, so NaN fails it
+        if not 0.0 < self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must be in (0, 1], got {self.leaky_slope}")
         require_types(self, "network")
         if self.hidden_layers < 1 or self.width < 1:
             raise ValueError("network needs at least one hidden unit/layer")
@@ -240,9 +248,6 @@ class NetworkConfig:
             raise ValueError(
                 f"skip_layer must be in [0, hidden_layers), got {self.skip_layer}"
             )
-        # forward's in-place leaky ReLU and backward's slope mask rely on it
-        if not 0.0 < self.leaky_slope <= 1.0:
-            raise ValueError(f"leaky_slope must be in (0, 1], got {self.leaky_slope}")
 
     @property
     def in_dim(self):
@@ -315,20 +320,19 @@ def assemble_inputs(points, label, z, alphabet_size):
     return X
 
 
-def _hidden_layers(config, params, X, skip_in, buffer):
-    """Run the hidden layers on the rows X.
+def _hidden_layers(config, params, X, skip_in, buffer, scratch):
+    """Run the hidden layers on the rows X; allocates nothing.
 
     Layer l writes into ``buffer(l)``, an (m, width) array, except the layer
     feeding the skip, which writes into the left block of ``skip_in``, the
     (m, width + in_dim) input of the skip layer.  The last output is the
-    head's input.
+    head's input.  ``scratch`` has width columns and min(m, BLOCK_ROWS) rows.
     """
     if X.shape[1] != config.in_dim:
         raise ValueError(f"input width {X.shape[1]} != expected {config.in_dim}")
     slope = config.leaky_slope
     width, skip = config.width, config.skip_layer
     m = len(X)
-    scratch = np.empty((min(m, BLOCK_ROWS), width))
     if skip:
         skip_in[:, width:] = X
     a = X
@@ -378,11 +382,11 @@ def forward(config, params, X):
     acts = [skip_in[:, :width] if skip and l == skip - 1 else np.empty((m, width))
             for l in range(config.hidden_layers)]
 
-    def run(t, p):
+    def run(p, scratch):
         part_skip_in = None if skip_in is None else skip_in[p]
-        _hidden_layers(config, params, X[p], part_skip_in, lambda l: acts[l][p])
+        _hidden_layers(config, params, X[p], part_skip_in, lambda l: acts[l][p], scratch)
 
-    _spread(_row_parts(config, m), run)
+    _spread(_row_parts(config, m), run, lambda: np.empty((min(m, BLOCK_ROWS), width)))
     out = acts[-1] @ params.weights[-1] + params.biases[-1]
     return out, (X, acts, skip_in)
 
@@ -437,10 +441,7 @@ def backward(config, params, cache, d_out, need_param_grads=True):
     da_buf = da
     m = len(X)
     parts = _row_parts(config, m)
-    # a (factor, mask) block per row thread for the slope passes
     block = (min(m, BLOCK_ROWS), width)
-    scratch = [(np.empty(block), np.empty(block, dtype=bool))
-               for _ in range(min(ROW_THREADS, len(parts)))]
     for l in range(config.hidden_layers - 1, -1, -1):
         # dz is written over the activation, whose last use is its slope
         # mask.  Layer skip - 1's activation is the left block of skip_in,
@@ -458,17 +459,16 @@ def backward(config, params, cache, d_out, need_param_grads=True):
             dX = np.zeros_like(X)
         # the input gradient goes to da's buffer, except where it is wider
         # (layer 0 and the skip layer) or dz took that buffer (layer skip -
-        # 1).  A new array is allocated here, so that a second thread
-        # allocates nothing: memory a thread allocates stays in its malloc
-        # arena, which raised the benchmark's peak RSS by about 15 MB
+        # 1); a new one is allocated here, as _spread asks
         d_in = da_buf if row_local and dz is not da_buf else np.empty((m, wt.shape[1]))
 
-        def run(t, p):
-            _slope_times(acts[l][p], da[p], dz[p], slope, scratch[t])
+        def run(p, scratch):
+            _slope_times(acts[l][p], da[p], dz[p], slope, scratch)
             if split_d_in:
                 np.matmul(dz[p], wt, out=d_in[p])
 
-        _spread(parts, run)
+        # a (factor, mask) block per row thread for the slope pass
+        _spread(parts, run, lambda: (np.empty(block), np.empty(block, dtype=bool)))
         a_in = X if l == 0 else skip_in if skip and l == skip else acts[l - 1]
         # the weight gradient first, so that the calling thread allocates it
         tasks = [lambda: (a_in.T @ dz, dz.sum(axis=0))] if need_param_grads else []
@@ -502,37 +502,33 @@ def evaluate(config, params, points, label, z):
     out = np.empty((n, config.out_channels))
     if n == 0:
         return out
-    chunks = [slice(s, min(s + CHUNK_ROWS, n)) for s in range(0, n, CHUNK_ROWS)]
-    blocks = [_row_parts(config, c.stop - c.start) for c in chunks]
-    # no more threads than a chunk has blocks, and each thread's buffers
-    # fit the largest block of any chunk
-    threads = min(ROW_THREADS, max(map(len, blocks)))
-    rows = max(b.stop - b.start for bs in blocks for b in bs)
-    # per thread: the pair of hidden buffers, the skip input, and the input
-    # rows, whose one-hot and latent columns are the same on every row
-    owned = [
-        ((np.empty((rows, width)), np.empty((rows, width))),
-         np.empty((rows, width + config.in_dim)) if config.skip_layer else None,
-         assemble_inputs(np.zeros((rows, 2)), label, z, config.alphabet_size))
-        for _ in range(threads)
-    ]
-    # allocated after the sub-block buffers: on glibc's heap the other order
-    # left the benchmark's peak RSS about 8 MB higher
-    last = np.empty((chunks[0].stop, width))
-    for chunk, chunk_blocks in zip(chunks, blocks):
-        def run(t, b):
-            # thread t writes the last activations of its sub-blocks into
-            # their rows of last
-            pair, skip_in, X = owned[t]
+    last = np.empty((min(n, CHUNK_ROWS), width))
+    for s in range(0, n, CHUNK_ROWS):
+        chunk = slice(s, min(s + CHUNK_ROWS, n))
+        m = chunk.stop - chunk.start
+        blocks = _row_parts(config, m)
+        rows = max(b.stop - b.start for b in blocks)
+
+        def workspace():
+            # the pair of hidden buffers, the skip input, the input rows (one
+            # label and latent on every row) and the scratch of _hidden_layers
+            return ((np.empty((rows, width)), np.empty((rows, width))),
+                    np.empty((rows, width + config.in_dim)) if config.skip_layer else None,
+                    assemble_inputs(np.zeros((rows, 2)), label, z, config.alphabet_size),
+                    np.empty((min(rows, BLOCK_ROWS), width)))
+
+        def run(b, space):
+            # each sub-block writes its last activations into its rows of last
+            pair, skip_in, X, scratch = space
             k = b.stop - b.start
             X[:k, :2] = P[chunk][b]
             _hidden_layers(
                 config, params, X[:k], None if skip_in is None else skip_in[:k],
                 lambda l: last[b] if l == config.hidden_layers - 1 else pair[l % 2][:k],
+                scratch,
             )
 
-        _spread(chunk_blocks, run)
-        m = chunk.stop - chunk.start
+        _spread(blocks, run, workspace)
         np.matmul(last[:m], params.weights[-1], out=out[chunk])
         out[chunk] += params.biases[-1]
     return out
@@ -591,14 +587,12 @@ def adam_step(state, arrays, grads):
         state.ensure(name, p)
         flat = [a.reshape(-1) for a in (p, state.m[name], state.v[name], g)]
         blocks += [(flat, slice(s, s + ADAM_BLOCK)) for s in range(0, g.size, ADAM_BLOCK)]
-    # allocated on the calling thread, as in backward
     size = min(ADAM_BLOCK, max((g.size for g in grads.values()), default=0))
-    scratch = [(np.empty(size), np.empty(size)) for _ in range(min(ROW_THREADS, len(blocks)))]
 
-    def run(thread, block):
+    def run(block, scratch):
         flat, elements = block
         p, m, v, g = (a[elements] for a in flat)
-        s, u = (a[: g.size] for a in scratch[thread])
+        s, u = (a[: g.size] for a in scratch)
         # in place, the same operations in the same order as
         #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*(g*g)
         #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
@@ -616,7 +610,7 @@ def adam_step(state, arrays, grads):
         s /= u
         p -= s
 
-    _spread(blocks, run)
+    _spread(blocks, run, lambda: (np.empty(size), np.empty(size)))
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +688,8 @@ def save_checkpoint(path, bundle):
 
 def load_checkpoint(path, expect_alphabet=None):
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if len(raw) < len(CKPT_MAGIC) + 4 or raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:

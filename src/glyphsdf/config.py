@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import string
+import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -38,7 +39,7 @@ def _require(ok, message):
 
 _KINDS = {
     "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
+    "float": ((int, float), "a finite number"),
     "str": ((str,), "a string"),
     "list": ((list,), "a list"),
 }
@@ -47,14 +48,17 @@ _KINDS = {
 def require_types(obj, name):
     """Each ``int``, ``float``, ``str`` or ``list`` field of the dataclass
     ``obj`` (or ``T | None`` field) holds a value of that type; a float
-    field also takes an int, and no field takes a bool.  The annotations
-    are strings under the module's ``from __future__ import annotations``."""
+    field holds a finite float or an int that a float can hold, and no field
+    takes a bool.  The annotations are strings under the module's
+    ``from __future__ import annotations``."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         kind = f.type.removesuffix(" | None")
         if kind in _KINDS and not (value is None and kind != f.type):
             types, what = _KINDS[kind]
-            _require(type(value) in types, f"{name}.{f.name} must be {what}, got {value!r}")
+            # NaN fails the comparison, and an int compares exactly
+            ok = type(value) in types and (kind != "float" or abs(value) <= sys.float_info.max)
+            _require(ok, f"{name}.{f.name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -225,9 +229,9 @@ class RunConfig:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: arrays or objects nested too deeply to decode
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+            raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
         return cls.from_dict(doc)
 
     def to_dict(self):

@@ -128,7 +128,8 @@ def corner_loss_grad(pred, template, gamma):
     best injective assignment of the two targets onto the predictions is
     chosen and squared errors averaged over the 2 * |Q2 u Q3| assigned
     (point, channel) pairs.  Ties pick the first assignment in a fixed
-    enumeration order.
+    enumeration order.  A NaN error is picked before any other, so NaN
+    predictions give a NaN loss.
     """
     pred = np.asarray(pred, dtype=np.float64)
     if pred.ndim != 2 or pred.shape[1] != 3:
@@ -142,15 +143,13 @@ def corner_loss_grad(pred, template, gamma):
         return 0.0, grad
     targets = template.targets(gamma)[mask]
     p = pred[mask]
-    best = None
-    best_sse = np.inf
+    sse = []
     for assign in _ASSIGNMENTS:
         r0 = p[:, assign[0]] - targets[:, 0]
         r1 = p[:, assign[1]] - targets[:, 1]
-        sse = float(r0 @ r0 + r1 @ r1)
-        if sse < best_sse:
-            best_sse = sse
-            best = assign
+        sse.append(float(r0 @ r0 + r1 @ r1))
+    k = int(np.argmin(sse))
+    best, best_sse = _ASSIGNMENTS[k], sse[k]
     denom = 2.0 * m23
     sub = np.zeros_like(p)
     sub[:, best[0]] += 2.0 * (p[:, best[0]] - targets[:, 0]) / denom

@@ -231,8 +231,8 @@ def _glyph_cache(prepared, gamma, rho, min_h, seed, gi):
 def _capped_view(samples, cap, rng):
     """Per-step subset: keep all corner-window rows, cap the rest.
 
-    Returns a SampleSet sharing no rows semantics with the original (the
-    template row indices are remapped into the subset).
+    Returns ``samples`` itself when its other rows fit under the cap, else a
+    new SampleSet of the kept rows with template row indices remapped to it.
     """
     keep_mask = np.zeros(len(samples), dtype=bool)
     for rows in samples.template_rows:

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import multiprocessing
 import os
 import sys
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -356,6 +358,15 @@ class TestCheckpoint:
         ad.save_checkpoint(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_load_closes_the_file(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        ad.save_checkpoint(path, self._bundle())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            ad.load_checkpoint(path)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_arrays_round_trip_exactly(self, tmp_path):
         bundle = self._bundle(seed=3)
         path = tmp_path / "x.ckpt"
@@ -435,6 +446,7 @@ class TestCheckpoint:
         ("negative shape", lambda m: m["arrays"][0].update(shape=[-1, 16])),
         ("aa_k 0", lambda m: m.update(aa_k=0)),
         ("aa_k x", lambda m: m.update(aa_k="x")),
+        ("aa_k Infinity", lambda m: m.update(aa_k=float("inf"))),
         ("train_width 4", lambda m: m.update(train_width=4)),
         ("alphabet 5", lambda m: m.update(alphabet=5)),
         ("alphabet AA", lambda m: m.update(alphabet="AA")),
@@ -970,6 +982,37 @@ class TestForwardBackwardThreads:
                 mock.patch.object(ad, "ThreadPoolExecutor", no_pool):
             assert ad._in_threads([lambda: 1, lambda: 2]) == [1, 2]
         assert row_workers() == set()
+
+    def test_no_thread_but_the_calling_one_allocates(self):
+        # off the calling thread every numpy call must write into an out=
+        # array: one without it, np.empty included, allocates
+        calls = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if not callable(attr) or isinstance(attr, type):
+                    return attr
+
+                def call(*args, **kwargs):
+                    if threading.current_thread() is not threading.main_thread():
+                        calls.append((name, "out" in kwargs))
+                    return attr(*args, **kwargs)
+
+                return call
+
+        cfg, params, X, d_out = _production_case(5, 1895)
+        pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(4096, 2))
+        grads = {name: np.full_like(w, 0.25) for name, w in params.named()}
+        with mock.patch.object(ad, "ROW_THREADS", 2), \
+                mock.patch.object(ad, "np", RecordingNumpy()):
+            for need_param_grads in (True, False):
+                _, cache = ad.forward(cfg, params, X)
+                ad.backward(cfg, params, cache, d_out, need_param_grads)
+            ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
+            ad.adam_step(ad.AdamState(), dict(params.named()), grads)
+        assert {name for name, _ in calls} >= {"matmul", "multiply", "sqrt"}
+        assert [name for name, out in calls if not out] == []
 
     def test_forward_worker_error_reaches_caller(self):
         cfg, params, X, _ = _production_case(5, 1895)

@@ -263,6 +263,25 @@ class TestTrain:
         # loading checks that the manifest's channel count is the network's
         assert bundle.network.out_channels == 1
 
+    def test_divergence_to_nan_writes_the_last_good_checkpoint(self, workspace):
+        # one glyph per epoch: epoch 0's one step at lr 1e300 stays finite,
+        # and epoch 1's predictions are not, which the corner loss passes on
+        (workspace / "one.json").write_text(
+            json.dumps([{"family": "fam", "label": "A", "file": "sq.path"}])
+        )
+        res = run_cli(
+            "--config", workspace / "config.json",
+            "--set", f"dataset.manifest={json.dumps(str(workspace / 'one.json'))}",
+            "--set", "train.hidden_layers=2", "--set", "train.hidden_width=16",
+            "--set", "train.epochs=2", "--set", "train.lr=1e300", "train",
+        )
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "training diverged at epoch 1; last good checkpoint written" in res.stderr
+        from glyphsdf import autodecoder as ad
+
+        assert ad.load_checkpoint(workspace / "out" / "checkpoint.diverged.ckpt").epoch == 1
+
 
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
@@ -800,6 +819,11 @@ def _nested_config(ws, ckpt):
     return ["--config", ws / "nest.json", "prepare"]
 
 
+def _latin1_config(ws, ckpt):
+    (ws / "latin1.json").write_bytes('{"paths": {"output_dir": "é"}}'.encode("latin-1"))
+    return ["--config", ws / "latin1.json", "prepare"]
+
+
 def _nest_manifest(path):
     """Replace a checkpoint's manifest blob by 100,000 opening brackets."""
     raw = path.read_bytes()
@@ -880,6 +904,12 @@ BAD_INPUTS = [
     ("config nested 100,000 deep", _nested_config, 1),
     ("--set nested 100,000 deep", _with_set("train.epochs=" + "[" * 100_000), 1),
     ("checkpoint manifest nested 100,000 deep", _render_edited("nested", _nest_manifest), 3),
+    ("train.rho=1e400", _with_set("train.rho=1e400"), 1),
+    ("field.aa_k=1e400", _with_set("field.aa_k=1e400"), 1),
+    ("config not UTF-8", _latin1_config, 1),
+    ("checkpoint with aa_k Infinity", _render_edited(
+        "aa_k_inf",
+        lambda p: edit_checkpoint_manifest(p, lambda m: m.update(aa_k=float("inf")))), 3),
 ]
 
 

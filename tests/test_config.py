@@ -30,6 +30,22 @@ def test_numbers_and_strings_have_their_annotated_type(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FieldSettings(aa_k=float("inf")),
+        lambda: TrainSettings(rho=float("inf")),
+        lambda: TrainSettings(gamma_reg=float("inf")),
+        # an int that no float holds
+        lambda: TrainSettings(lr=10**400),
+    ],
+    ids=["aa_k inf", "rho inf", "gamma_reg inf", "lr 10**400"],
+)
+def test_float_fields_take_finite_values_only(build):
+    with pytest.raises(ConfigError, match="finite"):
+        build()
+
+
 def test_float_fields_take_ints_and_optional_fields_none():
     assert FieldSettings(aa_k=4).aa_k == 4
     assert TrainSettings(samples_cap=None, freeze_epoch=None).samples_cap is None

@@ -171,6 +171,23 @@ class TestCornerLoss:
         )  # every assignment has identical error for a constant prediction
         assert got == pytest.approx(best / (2 * m), abs=1e-15)
         assert got == pytest.approx(np.mean((0.5 - t) ** 2), abs=1e-15)
+        # the tie goes to the first assignment, channels 0 and 1
+        grad = templates.corner_loss_grad(pred, tpl, gamma)[1]
+        assert grad[:, :2].any() and not grad[:, 2].any()
+
+    @pytest.mark.parametrize(
+        "channels, value, loss",
+        [((0, 1, 2), np.nan, "nan"), ((2,), np.nan, "nan"), ((0, 1, 2), np.inf, "inf")],
+        ids=["nan everywhere", "nan in channel 2", "inf everywhere"],
+    )
+    def test_non_finite_prediction_gives_non_finite_loss(self, channels, value, loss):
+        # a diverged network: its loss must reach the training loop's check
+        tpl = self._template()
+        pred = np.random.default_rng(4).uniform(0, 1, (len(tpl.points), 3))
+        pred[:, channels] = value
+        got, grad = templates.corner_loss_grad(pred, tpl, 4 / 128)
+        assert str(got) == loss
+        assert not np.all(np.isfinite(grad))
 
     def test_nonnegative_and_zero_only_on_match(self):
         tpl = self._template()
