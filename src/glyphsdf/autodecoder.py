@@ -31,7 +31,7 @@ The bits stay those of whole arrays, since OpenBLAS gives a row of a GEMM
 the same bits at any row count, with two exceptions.  First, it sends a
 GEMM with M*N*K at or below ``SMALL_GEMM`` to a small-matrix kernel with
 other bits, so a split is made only where every hidden GEMM on the
-smaller part stays above it (:func:`_sub_blocks`), and a head keeps all
+smaller part stays above it (:func:`_row_parts`), and a head keeps all
 its rows (a 3-channel head on 868 rows or fewer already takes that
 kernel).  Second, split rows of ``dz @ W.T`` changed bits where that
 product has 135 or 519 columns, layer 0's and the skip layer's input
@@ -49,16 +49,16 @@ The rows are independent, so the network spreads its work over
 process may run on, at most 2, when ``OPENBLAS_NUM_THREADS`` is ``"1"``
 (``--threads 1`` sets it before numpy loads), else 1, since BLAS then
 spreads each GEMM over its own threads.  :func:`_in_threads` runs one
-call's tasks, the first on the calling thread and the others on one pool
-of ``ROW_THREADS - 1`` workers per process, opened by the first call that
-has more than one task and kept, so a training step starts no thread; a
-forked child drops the pool it inherits and opens its own.  A thread
-writes its own rows, or its own arrays, of buffers the one-thread path
-allocates too, with scratch that :func:`_spread` makes for it, and no
-result depends on the thread count.  One rule, :func:`_row_parts`, cuts
-the rows of every pass: T blocks per ``SUB_ROWS`` rows, rounded up, of one
-size but the last, which takes the remainder; thread t runs blocks t,
-t + T, ... (:func:`_spread`).
+call's tasks, the first on the calling thread and the others, under the
+caller's numpy error state, on one pool of ``ROW_THREADS - 1`` workers per
+process.  The first call that has more than one task opens the pool once
+and it is kept, so a training step starts no thread; a forked child drops
+the pool it inherits and opens its own.  A thread writes its own rows, or
+its own arrays, of buffers the one-thread path allocates too, with scratch
+that :func:`_spread` makes for it, and no result depends on the thread
+count.  One rule, :func:`_row_parts`, cuts the rows of every pass: T
+blocks per ``SUB_ROWS`` rows, rounded up, of one size but the last, which
+takes the remainder; thread t runs blocks t, t + T, ... (:func:`_spread`).
 :func:`forward` and :func:`evaluate` run their hidden layers in these
 blocks and :func:`backward` each layer's slope pass, with the
 ``width``-column input gradients when no weight gradient is wanted (latent
@@ -157,25 +157,10 @@ ROW_THREADS = _row_threads()
 SMALL_GEMM = 10**6
 
 
-# the row threads' pool: None, or (workers, ThreadPoolExecutor) with
-# ROW_THREADS - 1 workers, kept from the first call that needs it
+# the row threads' pool: None, or a ThreadPoolExecutor of ROW_THREADS - 1
+# workers, opened by the first call that needs it and kept
 _pool = None
 _pool_lock = threading.Lock()
-
-
-def _row_pool(needed):
-    """The pool of the row threads beside the calling one, of ROW_THREADS - 1
-    workers; a pool of another size is shut down first.  Opened only if
-    ``needed``, else None when none is kept."""
-    global _pool
-    workers = ROW_THREADS - 1
-    with _pool_lock:
-        if _pool is not None and _pool[0] != workers:
-            _pool[1].shutdown()
-            _pool = None
-        if _pool is None and needed:
-            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="glyphsdf-row"))
-        return None if _pool is None else _pool[1]
 
 
 def _drop_pool():
@@ -192,19 +177,23 @@ if hasattr(os, "register_at_fork"):  # no fork outside POSIX
 def _in_threads(tasks):
     """The results of calling each of ``tasks``, at most ROW_THREADS at once.
 
-    The first task runs on the calling thread and the others on the row
-    threads' pool, one per process: the first call with more than one task
-    opens it and later calls reuse it; a call after ROW_THREADS changed
-    shuts it down first.  One task, or ROW_THREADS 1, starts no thread.  A
-    task must not call this function itself: it would wait for a worker
-    that waits for it.  An exception from any task reaches the caller once
-    every task has ended.
+    The first task runs on the calling thread and the others, under the
+    caller's numpy error state (numpy keeps one per thread), on the row
+    threads' pool: the first call with more than one task opens it once,
+    with ROW_THREADS - 1 workers, and every later call reuses it.  One
+    task, or ROW_THREADS 1, starts no thread.  A task must not call this
+    function itself: it would wait for a worker that waits for it.  An
+    exception from any task reaches the caller once every task has ended.
     """
-    threads = min(ROW_THREADS, len(tasks))
-    pool = _row_pool(threads > 1)
-    if threads <= 1:
+    global _pool
+    if min(ROW_THREADS, len(tasks)) <= 1:
         return [task() for task in tasks]
-    futures = [pool.submit(task) for task in tasks[1:]]
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(ROW_THREADS - 1, thread_name_prefix="glyphsdf-row")
+        pool = _pool
+    state = np.geterr()
+    futures = [pool.submit(np.errstate(**state)(task)) for task in tasks[1:]]
     try:
         first = tasks[0]()
     finally:
@@ -350,24 +339,18 @@ def _hidden_layers(config, params, X, skip_in, buffer, scratch):
         a = skip_in if skip and l == skip - 1 else h
 
 
-def _sub_blocks(config, m, rows):
+def _row_parts(config, m):
     """Row slices of m rows for the hidden layers or their gradients.
 
-    Blocks of ``rows`` rows, the last taking the remainder, when every
-    hidden layer's GEMM on ``rows`` rows stays above SMALL_GEMM; otherwise
-    the whole m rows.
+    ROW_THREADS blocks per SUB_ROWS rows, rounded up, of one size but the
+    last, which takes the remainder; the whole m rows instead where a
+    hidden layer's GEMM on one block would be at or below SMALL_GEMM.
     """
+    rows = max(1, m // (ROW_THREADS * max(1, math.ceil(m / SUB_ROWS))))
     if any(rows * k * n <= SMALL_GEMM for k, n in config.layer_dims()[:-1]):
         return [slice(0, m)]
     starts = [i * rows for i in range(max(1, m // rows))]
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
-
-
-def _row_parts(config, m):
-    """Row slices of m rows: ROW_THREADS blocks per SUB_ROWS rows, rounded
-    up, by :func:`_sub_blocks`."""
-    blocks = ROW_THREADS * max(1, math.ceil(m / SUB_ROWS))
-    return _sub_blocks(config, m, max(1, m // blocks))
 
 
 def forward(config, params, X):

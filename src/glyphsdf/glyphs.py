@@ -200,11 +200,15 @@ def normalize(glyph, margin=DEFAULT_MARGIN):
     if box is None:
         raise GeometryError("cannot normalize an empty glyph")
     lo, hi = box
-    extent = float(np.max(hi - lo))
+    with np.errstate(over="ignore"):
+        extent = float(np.max(hi - lo))
+        center = (lo + hi) / 2.0
     if extent <= 0:
         raise GeometryError("cannot normalize a zero-extent glyph")
-    center = (lo + hi) / 2.0
     scale = 2.0 * (1.0 - margin) / extent
+    if not np.all(np.isfinite([extent, scale, *center])):
+        raise GeometryError(f"cannot normalize a glyph of extent {extent:g}: "
+                            "its size or its scale to the unit box overflows a float")
     contours = [
         Contour([Segment((s.points - center) * scale) for s in c.segments])
         for c in glyph.contours

@@ -372,52 +372,55 @@ def train(
         ).permutation(len(dataset))
         sums = np.zeros(5)
         t0 = time.perf_counter()
-        for gi in order:
-            prepared = dataset[gi]
-            samples = caches[gi]
-            if len(samples) == 0:
-                continue
-            step_rng = np.random.default_rng(
-                np.random.SeedSequence([ts.seed, 3, epoch, int(gi)])
-            )
-            if ts.samples_cap is not None:
-                samples = _capped_view(samples, ts.samples_cap, step_rng)
-            n = len(samples)
-            if ts.eikonal_ratio >= 1.0:
-                eik = None
-            elif ts.eikonal_ratio <= 0.0:
-                eik = np.zeros(0, dtype=np.int64)
-            else:
-                k = max(1, round(ts.eikonal_ratio * n))
-                eik = step_rng.choice(n, k, replace=False)
-            z = latents.codes[prepared.family_index]
-            terms, grads, dz = total_loss(
-                net,
-                params,
-                z,
-                prepared.label,
-                samples,
-                prepared.templates,
-                gamma=gamma,
-                composer=composer,
-                weights=weights,
-                supervision=ts.supervision,
-                train_width=fs.train_width,
-                eikonal_rows=eik,
-            )
-            if not np.isfinite(terms.total):
-                raise TrainingDiverged(epoch, last_good)
-            arrays = dict(params.named())
-            grad_map = dict(grads.named())
-            if not frozen:
-                name = f"z{prepared.family_index}"
-                arrays[name] = latents.codes[prepared.family_index]
-                grad_map[name] = dz
-            try:
-                ad.adam_step(adam, arrays, grad_map)
-            except NumericalError:
-                raise TrainingDiverged(epoch, last_good) from None
-            sums += (terms.total, terms.global_, terms.local, terms.grad, terms.latent_norm)
+        # a non-finite loss or gradient ends the run, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            for gi in order:
+                prepared = dataset[gi]
+                samples = caches[gi]
+                if len(samples) == 0:
+                    continue
+                step_rng = np.random.default_rng(
+                    np.random.SeedSequence([ts.seed, 3, epoch, int(gi)])
+                )
+                if ts.samples_cap is not None:
+                    samples = _capped_view(samples, ts.samples_cap, step_rng)
+                n = len(samples)
+                if ts.eikonal_ratio >= 1.0:
+                    eik = None
+                elif ts.eikonal_ratio <= 0.0:
+                    eik = np.zeros(0, dtype=np.int64)
+                else:
+                    k = max(1, round(ts.eikonal_ratio * n))
+                    eik = step_rng.choice(n, k, replace=False)
+                z = latents.codes[prepared.family_index]
+                terms, grads, dz = total_loss(
+                    net,
+                    params,
+                    z,
+                    prepared.label,
+                    samples,
+                    prepared.templates,
+                    gamma=gamma,
+                    composer=composer,
+                    weights=weights,
+                    supervision=ts.supervision,
+                    train_width=fs.train_width,
+                    eikonal_rows=eik,
+                )
+                if not np.isfinite(terms.total):
+                    raise TrainingDiverged(epoch, last_good)
+                arrays = dict(params.named())
+                grad_map = dict(grads.named())
+                if not frozen:
+                    name = f"z{prepared.family_index}"
+                    arrays[name] = latents.codes[prepared.family_index]
+                    grad_map[name] = dz
+                try:
+                    ad.adam_step(adam, arrays, grad_map)
+                except NumericalError:
+                    raise TrainingDiverged(epoch, last_good) from None
+                sums += (terms.total, terms.global_, terms.local, terms.grad, terms.latent_norm)
+            latent_norm = float(np.mean(np.linalg.norm(latents.codes, axis=1)))
         wall_ms = 0.0 if deterministic else (time.perf_counter() - t0) * 1000.0
         means = sums / max(len(order), 1)
         log_rows.append(
@@ -428,7 +431,7 @@ def train(
                 "loss_global": float(means[1]),
                 "loss_local": float(means[2]),
                 "loss_grad": float(means[3]),
-                "latent_norm": float(np.mean(np.linalg.norm(latents.codes, axis=1))),
+                "latent_norm": latent_norm,
                 "wall_ms": wall_ms,
             }
         )
@@ -456,7 +459,8 @@ def fit_latent(bundle, target_image, label, settings, mask=None):
     subset.  ``mask`` is an optional boolean array (True = ignored) aligned
     with the target; masked pixels contribute no loss and no gradient.  The
     network stays frozen; the code starts at the latent-table mean.
-    Returns (z, history) with per-step objective values.
+    Returns (z, history) with per-step objective values; a non-finite
+    objective raises NumericalError naming its step.
     """
     img = np.asarray(target_image, dtype=np.float64)
     if img.ndim != 2:
@@ -496,20 +500,26 @@ def fit_latent(bundle, target_image, label, settings, mask=None):
     z = bundle.latents.mean_code().copy()
     adam = ad.AdamState(lr=settings.fit_lr)
     history = []
-    for _ in range(settings.fit_steps):
-        terms, _, dz = total_loss(
-            bundle.network,
-            bundle.params,
-            z,
-            label,
-            samples,
-            [],
-            gamma=samples.gamma,
-            composer="median_pair",
-            weights=weights,
-            supervision=bundle.supervision,
-            need_param_grads=False,
-        )
-        history.append(terms.total)
-        ad.adam_step(adam, {"z": z}, {"z": dz})
+    # as in train, a non-finite objective or gradient ends the fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(settings.fit_steps):
+            terms, _, dz = total_loss(
+                bundle.network,
+                bundle.params,
+                z,
+                label,
+                samples,
+                [],
+                gamma=samples.gamma,
+                composer="median_pair",
+                weights=weights,
+                supervision=bundle.supervision,
+                need_param_grads=False,
+            )
+            if not np.isfinite(terms.total):
+                raise NumericalError(
+                    f"fit diverged at step {step}: non-finite objective {terms.total}"
+                )
+            history.append(terms.total)
+            ad.adam_step(adam, {"z": z}, {"z": dz})
     return z, history

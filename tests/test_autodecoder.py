@@ -689,6 +689,15 @@ def row_workers():
     return {t for t in threading.enumerate() if t.name.startswith("glyphsdf-row")}
 
 
+@pytest.fixture(autouse=True)
+def no_row_pool():
+    """Each test starts as a new process does, with no row pool: the pool
+    opens once, at the ROW_THREADS of its first call."""
+    if ad._pool is not None:
+        ad._pool.shutdown()
+    ad._pool = None
+
+
 def _evaluate_case(cfg, rows, seed=0, chunk=ad.CHUNK_ROWS):
     """evaluate, in chunks of ``chunk`` rows, at each thread count of
     THREADS, and the reference on the same random parameters and points."""
@@ -720,8 +729,8 @@ class TestEvaluateSubBlocks:
     def test_production_network(self, alphabet_size, channels, rows):
         cfg = ad.NetworkConfig(alphabet_size=alphabet_size, out_channels=channels)
         for threads in THREADS:
-            sub = ad.SUB_ROWS // threads
-            assert len(ad._sub_blocks(cfg, 8192, sub)) == 8192 // sub
+            with mock.patch.object(ad, "ROW_THREADS", threads):
+                assert len(ad._row_parts(cfg, 8192)) == 8192 // (ad.SUB_ROWS // threads)
         outs, ref = _evaluate_case(cfg, rows)
         for threads, out in outs.items():
             assert np.array_equal(out, ref), threads
@@ -733,8 +742,8 @@ class TestEvaluateSubBlocks:
     def test_hidden_width_sweep(self, width):
         cfg = ad.NetworkConfig(alphabet_size=2, hidden_layers=3, width=width, skip_layer=1)
         for threads, min_width in zip(THREADS, (32, 45, 55)):
-            sub = ad.SUB_ROWS // threads
-            assert (len(ad._sub_blocks(cfg, 3100, sub)) > 1) == (width >= min_width)
+            with mock.patch.object(ad, "ROW_THREADS", threads):
+                assert (len(ad._row_parts(cfg, 8192)) > 1) == (width >= min_width)
         for rows, chunk in [(1, 8192), (900, 8192), (2100, 8192), (3100, 8192), (3100, 2500)]:
             outs, ref = _evaluate_case(cfg, rows, seed=width, chunk=chunk)
             for threads, out in outs.items():
@@ -854,19 +863,23 @@ class TestBackwardInPlace:
 
 class TestRowPool:
     """The row threads run on one pool per process, kept from call to call;
-    run each of these tests in a fresh interpreter too, where no earlier
-    test has opened the pool."""
+    the autouse fixture ``no_row_pool`` starts each of these tests with none
+    open."""
 
     def test_pool_follows_row_threads(self):
+        # the first call that splits its work opens the pool; later calls, at
+        # any ROW_THREADS, run on its one worker and start no thread
         cfg, params, X, d_out = _production_case(5, 1895, seed=4)
         ref_out, ref_cache = helpers.reference_forward(cfg, params, X)
         ref_grads, ref_dX = helpers.reference_backward(cfg, params, ref_cache, d_out)
         pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3000, 2))
         z = np.zeros(cfg.latent_dim)
         ref_eval = helpers.reference_evaluate(cfg, params, pts, 1, z)
-        for threads in (2, 3, 1):
+        assert row_workers() == set()
+        workers = None
+        for threads in (2, 3, 1, 2):
             with mock.patch.object(ad, "ROW_THREADS", threads):
-                for call in range(2):
+                for _ in range(2):
                     out, cache = ad.forward(cfg, params, X)
                     grads, dX = ad.backward(cfg, params, cache, d_out)
                     evaluated = ad.evaluate(cfg, params, pts, 1, z)
@@ -874,11 +887,22 @@ class TestRowPool:
                     assert np.array_equal(dX, ref_dX), threads
                     _assert_params_equal(grads, ref_grads)
                     assert np.array_equal(evaluated, ref_eval), threads
-                    # the second round starts no thread: the same workers run it
-                    if call == 0:
+                    if workers is None:
                         workers = row_workers()
                     assert row_workers() == workers, threads
-            assert len(workers) == threads - 1
+        assert len(workers) == 1
+
+    def test_workers_take_the_callers_error_state(self):
+        # numpy's error state is per thread: a worker runs each task under
+        # the state of the call's thread, and keeps none of it afterwards
+        with mock.patch.object(ad, "ROW_THREADS", 2):
+            with np.errstate(over="raise"):
+                raising = ad._in_threads([np.geterr, np.geterr])
+            default = ad._in_threads([np.geterr, np.geterr])
+        assert raising[0]["over"] == "raise"
+        assert raising[1] == raising[0]
+        assert default[1] == default[0] == np.geterr()
+        assert len(row_workers()) == 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork outside POSIX")
     # Python 3.12 warns that a fork with threads alive may deadlock the child,
@@ -976,7 +1000,6 @@ class TestForwardBackwardThreads:
             cfg, params, X, d_out = _production_case(5, 19)
             _, cache = ad.forward(cfg, params, X)
             ad.backward(cfg, params, cache, d_out, need_param_grads=False)
-        # a pool kept from an earlier call may stay, or go if its size differs
         assert set(threading.enumerate()) <= threads_before
         with mock.patch.object(ad, "ROW_THREADS", 1), \
                 mock.patch.object(ad, "ThreadPoolExecutor", no_pool):

@@ -276,7 +276,7 @@ class TestTrain:
             "--set", "train.epochs=2", "--set", "train.lr=1e300", "train",
         )
         assert res.returncode == 2, res.stderr
-        assert "Traceback" not in res.stderr
+        assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
         assert "training diverged at epoch 1; last good checkpoint written" in res.stderr
         from glyphsdf import autodecoder as ad
 
@@ -464,7 +464,7 @@ class TestRenderCommand:
             "--family", "fam", "--label", "B", "--res", "91", "--channels", "--contours",
         ]) == 0
         bundle = ad.load_checkpoint(ckpt)
-        assert len(ad._sub_blocks(bundle.network, 8192, ad.SUB_ROWS // 2)) > 1
+        assert len(ad._row_parts(bundle.network, 8192)) > 1
         pts = geometry.pixel_centers(91).reshape(-1, 2)
         grid = helpers.reference_evaluate(
             bundle.network, bundle.params, pts, 1, bundle.latents.codes[0]
@@ -584,6 +584,23 @@ class TestFitCommand:
         assert len(z) == 128
         assert (out / "completed_00_A.pgm").is_file()
         assert (out / "completed_01_B.pgm").is_file()
+
+    def test_diverging_fit_is_one_line_and_writes_nothing(self, trained):
+        # at lr 1e300 the first step moves the latent to about 1e300 a
+        # coordinate, and the next objective overflows
+        ws, ckpt = trained
+        (ws / "blank.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(256))
+        res = run_cli(
+            "--config", ws / "config.json",
+            "--set", "train.fit_lr=1e300", "--set", "train.fit_steps=5",
+            "fit", "--checkpoint", ckpt, "--target", ws / "blank.pgm",
+            "--label", "A", "--res", "16",
+        )
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert "fit diverged at step 1: non-finite objective" in res.stderr
+        assert not (ws / "out").exists()
 
     def test_mask_dimension_mismatch(self, trained):
         ws, ckpt = trained
@@ -814,6 +831,20 @@ def test_train_on_an_empty_manifest_writes_nothing(workspace):
     assert not (workspace / "empty_out").exists()
 
 
+def _prepare_outline(text):
+    """argv preparing a manifest of one glyph with the outline ``text``."""
+
+    def argv(ws, ckpt):
+        (ws / "outline.path").write_text(text)
+        (ws / "outline.json").write_text(
+            json.dumps([{"family": "fam", "label": "A", "file": "outline.path"}])
+        )
+        return ["--config", ws / "config.json",
+                "--set", f"dataset.manifest={json.dumps(str(ws / 'outline.json'))}", "prepare"]
+
+    return argv
+
+
 def _nested_config(ws, ckpt):
     (ws / "nest.json").write_text("[" * 100_000)
     return ["--config", ws / "nest.json", "prepare"]
@@ -910,6 +941,8 @@ BAD_INPUTS = [
     ("checkpoint with aa_k Infinity", _render_edited(
         "aa_k_inf",
         lambda p: edit_checkpoint_manifest(p, lambda m: m.update(aa_k=float("inf")))), 3),
+    ("outline whose extent overflows", _prepare_outline("M -1e308 0 L 1e308 0 L 0 1e308 Z"), 1),
+    ("outline whose scale overflows", _prepare_outline("M 0 0 L 1e-320 0 L 0 1e-320 Z"), 1),
 ]
 
 
@@ -1009,12 +1042,11 @@ def test_eval_threads_on_a_large_host_keep_sub_blocks(monkeypatch):
 
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)), raising=False)
-    threads = ad._row_threads()
+    monkeypatch.setattr(ad, "ROW_THREADS", ad._row_threads())
     cfg = ad.NetworkConfig(alphabet_size=52)
-    assert len(ad._sub_blocks(cfg, ad.CHUNK_ROWS, ad.SUB_ROWS // threads)) > 1
+    assert len(ad._row_parts(cfg, ad.CHUNK_ROWS)) > 1
     params = ad.init_parameters(cfg, np.random.default_rng(0))
     pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(16384, 2))
-    monkeypatch.setattr(ad, "ROW_THREADS", threads)
     tracemalloc.start()
     try:
         ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))

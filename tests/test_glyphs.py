@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -131,6 +132,17 @@ class TestNormalize:
         seg = glyphs.Segment([[1.0, 1.0], [1.0, 1.0]])
         g = glyphs.Glyph([glyphs.Contour([seg])])
         with pytest.raises(GeometryError, match="zero-extent"):
+            glyphs.normalize(g)
+
+    @pytest.mark.parametrize("text, extent", [
+        ("M -1e308 0 L 1e308 0 L 0 1e308 Z", "inf"),  # the extent overflows
+        ("M 1e308 0 L 1.7e308 0 L 1.7e308 1 Z", "7e+307"),  # so does the center
+        ("M 0 0 L 1e-320 0 L 0 1e-320 Z", "9.99989e-321"),  # so does the scale
+    ])
+    def test_extent_a_float_cannot_scale_rejected(self, text, extent):
+        # one GeometryError naming the extent, and no numpy warning before it
+        g = glyphs.Glyph(glyphs.parse_path(text))
+        with pytest.raises(GeometryError, match=re.escape(f"glyph of extent {extent}: ")):
             glyphs.normalize(g)
 
     def test_empty_glyph_rejected(self):

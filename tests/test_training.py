@@ -7,6 +7,7 @@ import pytest
 from glyphsdf import autodecoder as ad
 from glyphsdf import field, geometry, sampling, templates, training
 from glyphsdf.config import FieldSettings, TrainSettings
+from glyphsdf.errors import NumericalError
 from glyphsdf.training import (
     LossWeights, WarmupSchedule, fit_latent, prepare_glyph, total_loss, train,
 )
@@ -384,6 +385,14 @@ class TestFitLatent:
         bundle, _ = self._trained()
         with pytest.raises(ValueError, match="label"):
             fit_latent(bundle, np.zeros((24, 24)), 5, TrainSettings())
+
+    def test_diverging_fit_names_the_step(self):
+        # at lr 1e300 the first step moves z to about 1e300 a coordinate,
+        # whose squared norm overflows; no numpy warning comes first
+        bundle, prepared = self._trained()
+        target = field.kernel(prepared.sdf, bundle.aa_k / 24)
+        with pytest.raises(NumericalError, match="fit diverged at step 1: non-finite"):
+            fit_latent(bundle, target, 0, TrainSettings(fit_steps=5, fit_lr=1e300))
 
     def test_deterministic(self):
         bundle, prepared = self._trained()
