@@ -91,18 +91,10 @@ def _nearest_curve(pts, P):
     """
     ts = np.linspace(0.0, 1.0, _N_INIT)
     C = eval_segment(pts, ts)  # (_N_INIT, 2)
-    best_t = np.empty(len(P))
-    best_d2 = np.full(len(P), np.inf)
-    # distance to every sample; chunk the point axis to bound memory
-    for s in range(0, len(P), _CHUNK):
-        block = P[s : s + _CHUNK]
-        d2 = (
-            (block[:, None, 0] - C[None, :, 0]) ** 2
-            + (block[:, None, 1] - C[None, :, 1]) ** 2
-        )
-        j = np.argmin(d2, axis=1)
-        best_t[s : s + _CHUNK] = ts[j]
-        best_d2[s : s + _CHUNK] = d2[np.arange(len(block)), j]
+    # distance to every sample; the caller bounds len(P)
+    d2 = (P[:, None, 0] - C[None, :, 0]) ** 2 + (P[:, None, 1] - C[None, :, 1]) ** 2
+    j = np.argmin(d2, axis=1)
+    best_t, best_d2 = ts[j], d2[np.arange(len(P)), j]
     h = 1.0 / (_N_INIT - 1)
     lo = np.clip(best_t - h, 0.0, 1.0)
     hi = np.clip(best_t + h, 0.0, 1.0)
@@ -126,7 +118,9 @@ def _nearest_curve(pts, P):
 
 
 def nearest_on_segment(points, segment):
-    """Unsigned distance and nearest parameter for a batch of points."""
+    """Unsigned distance and nearest parameter for a batch of points; a
+    curve's search holds (points, _N_INIT) distances, so callers chunk
+    large batches (:func:`_distance_grid` hands it at most _CHUNK)."""
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if len(segment.points) == 2:
         return _nearest_line(segment.points, P)
@@ -277,10 +271,6 @@ def pixel_centers(width, height=None):
 # signed distance
 
 
-def _all_segments(glyph):
-    return [seg for contour in glyph.contours for seg in contour.segments]
-
-
 def _halve(pts):
     """de Casteljau split of a Bezier segment at t = 1/2."""
     left, right = [pts[0]], [pts[-1]]
@@ -318,46 +308,45 @@ def _distance_grid(segments, xs, ys, band):
     to a segment's hull boxes bounds the segment's distance from below, so
     ``nearest_on_segment`` runs only on tiles whose bound is within the
     clamp: ``band``, tightened to the tile's worst running best.  Tiles take
-    their segments nearest bound first, one rank per pass.  A skipped
+    their segments nearest bound first, one rank per pass; a rank touches
+    only the tiles still active (bounds grow with the rank, clamps shrink)
+    and hands each segment its tiles' pixels in row-major order.  A skipped
     segment cannot lower a pixel's minimum below the clamp, so every pixel
     below it keeps the exact minimum over all segments.
     """
     height, width = len(ys), len(xs)
-    best = np.full((height, width), np.inf)
     if not segments:
-        return best
+        return np.full((height, width), np.inf)
+    # each tile's pixel indices, -1 past the grid's edge: ``flat`` ends in a
+    # -inf there, which no tile maximum takes
     ty, tx = -(-height // _TILE), -(-width // _TILE)
-    i0, j0 = np.arange(ty) * _TILE, np.arange(tx) * _TILE
-    tiles = np.stack(np.broadcast_arrays(
-        xs[j0][None, :], ys[i0][:, None],
-        xs[np.minimum(j0 + _TILE, width) - 1][None, :],
-        ys[np.minimum(i0 + _TILE, height) - 1][:, None],
-    ), axis=-1).reshape(-1, 4)
-    # (tiles, segments): box gap from each tile to the nearest hull box
+    r, c = np.arange(ty * _TILE)[:, None], np.arange(tx * _TILE)[None, :]
+    tile_pix = np.where((r < height) & (c < width), r * width + c, -1).reshape(
+        ty, _TILE, tx, _TILE).transpose(0, 2, 1, 3).reshape(ty * tx, -1)
+    # a tile's box spans its first and last pixel centers; (tiles, segments):
+    # box gap from each tile to the segment's nearest hull box
+    (i0, j0), (i1, j1) = np.divmod(tile_pix[:, 0], width), np.divmod(tile_pix.max(axis=1), width)
+    tiles = np.stack([xs[j0], ys[i0], xs[j1], ys[i1]], axis=1)
     bound = np.stack([_box_gap(tiles, _hull_boxes(seg.points)) for seg in segments], axis=1)
     order = np.argsort(bound, axis=1, kind="stable")
-    tile_of = ((np.arange(height) // _TILE)[:, None] * tx
-               + (np.arange(width) // _TILE)[None, :]).ravel()
+    flat = np.full(height * width + 1, np.inf)
+    flat[-1] = -np.inf
     clamp = np.full(len(tiles), np.inf if band is None else float(band))
-    flat = best.reshape(-1)
+    act = np.arange(len(tiles))
     for rank in range(len(segments)):
-        seg_of = order[:, rank]
-        active = bound[np.arange(len(tiles)), seg_of] <= clamp + _SLACK
-        if not active.any():
+        act = act[bound[act, order[act, rank]] <= clamp[act] + _SLACK]
+        if not act.size:
             break
-        for k, seg in enumerate(segments):
-            take = active & (seg_of == k)
-            if not take.any():
-                continue
-            pix = np.flatnonzero(take[tile_of])
-            for s in range(0, len(pix), _CHUNK):
+        seg_of = order[act, rank]
+        for k in np.unique(seg_of):
+            pix = np.sort(tile_pix[act[seg_of == k]], axis=None)
+            for s in range(np.searchsorted(pix, 0), len(pix), _CHUNK):
                 chunk = pix[s : s + _CHUNK]
                 i, j = np.divmod(chunk, width)
-                d, _ = nearest_on_segment(np.stack([xs[j], ys[i]], axis=1), seg)
+                d, _ = nearest_on_segment(np.stack([xs[j], ys[i]], axis=1), segments[k])
                 flat[chunk] = np.minimum(flat[chunk], d)
-        worst = np.maximum.reduceat(np.maximum.reduceat(best, i0, axis=0), j0, axis=1)
-        clamp = np.minimum(clamp, worst.reshape(-1))
-    return best
+        clamp[act] = np.minimum(clamp[act], flat[tile_pix[act]].max(axis=1))
+    return flat[:-1].reshape(height, width)
 
 
 def sdf_grid(glyph, width, band=None):
@@ -368,7 +357,7 @@ def sdf_grid(glyph, width, band=None):
     an anti-aliased raster with gamma = band reads.
     """
     xs = ys = pixel_center(np.arange(width), width)
-    d = _distance_grid(_all_segments(glyph), xs, ys, band)
+    d = _distance_grid([s for c in glyph.contours for s in c.segments], xs, ys, band)
     if band is not None:
         d = np.minimum(d, band)
     w = _winding_grid(monotone_pieces(glyph), xs, ys)

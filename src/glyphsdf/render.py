@@ -28,7 +28,9 @@ def field_grid(bundle, z, label, width):
     if width < MIN_WIDTH:
         raise ValueError(f"render width must be >= {MIN_WIDTH}, got {width}")
     pts = geometry.pixel_centers(width).reshape(-1, 2)
-    out = ad.evaluate(bundle.network, bundle.params, pts, label, z)
+    # a non-finite result is the error below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ad.evaluate(bundle.network, bundle.params, pts, label, z)
     if not np.isfinite(out).all():
         raise NumericalError(f"the network returned non-finite values at width {width}")
     n = bundle.network.out_channels

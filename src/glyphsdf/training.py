@@ -421,6 +421,10 @@ def train(
                     raise TrainingDiverged(epoch, last_good) from None
                 sums += (terms.total, terms.global_, terms.local, terms.grad, terms.latent_norm)
             latent_norm = float(np.mean(np.linalg.norm(latents.codes, axis=1)))
+            # the next step's loss checks every update but the run's last
+            if epoch == ts.epochs - 1 and not (np.isfinite(latent_norm) and all(
+                    np.isfinite(a).all() for _, a in params.named())):
+                raise TrainingDiverged(epoch, last_good)
         wall_ms = 0.0 if deterministic else (time.perf_counter() - t0) * 1000.0
         means = sums / max(len(order), 1)
         log_rows.append(
@@ -459,8 +463,9 @@ def fit_latent(bundle, target_image, label, settings, mask=None):
     subset.  ``mask`` is an optional boolean array (True = ignored) aligned
     with the target; masked pixels contribute no loss and no gradient.  The
     network stays frozen; the code starts at the latent-table mean.
-    Returns (z, history) with per-step objective values; a non-finite
-    objective raises NumericalError naming its step.
+    Returns (z, history) with per-step objective values, each at the
+    latent before that step's update; a non-finite objective, or a final
+    latent of non-finite norm, raises NumericalError naming its step.
     """
     img = np.asarray(target_image, dtype=np.float64)
     if img.ndim != 2:
@@ -522,4 +527,7 @@ def fit_latent(bundle, target_image, label, settings, mask=None):
                 )
             history.append(terms.total)
             ad.adam_step(adam, {"z": z}, {"z": dz})
+        # the next objective checks every update but the last
+        if history and not np.isfinite(norm := np.linalg.norm(z)):
+            raise NumericalError(f"fit diverged at step {step}: non-finite latent norm {norm}")
     return z, history

@@ -283,6 +283,29 @@ class TestTrain:
         assert ad.load_checkpoint(workspace / "out" / "checkpoint.diverged.ckpt").epoch == 1
 
 
+    @pytest.mark.parametrize("overrides", [
+        # the latents reach about 1e300 a coordinate; their norm overflows
+        ["train.lr=1e300"],
+        # with the latents frozen, weight gradients above 1 overflow the update
+        ["train.lr=1.79e308", "train.freeze_epoch=0", "train.alpha=1e3"],
+    ], ids=["latents", "parameters"])
+    def test_overflowing_last_update_writes_nothing(self, workspace, overrides):
+        # one glyph, one epoch: no later step's loss would see the update
+        (workspace / "one.json").write_text(
+            json.dumps([{"family": "fam", "label": "A", "file": "sq.path"}])
+        )
+        res = run_cli(
+            "--config", workspace / "config.json",
+            "--set", f"dataset.manifest={json.dumps(str(workspace / 'one.json'))}",
+            "--set", "train.hidden_layers=2", "--set", "train.hidden_width=16",
+            "--set", "train.epochs=1", *(a for o in overrides for a in ("--set", o)), "train",
+        )
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == "training diverged at epoch 0\n"
+        assert not (workspace / "out" / "checkpoint.ckpt").exists()
+        assert not (workspace / "out" / "train_log.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
     """One training run shared by the module; its tests read the checkpoint."""
@@ -600,6 +623,22 @@ class TestFitCommand:
         assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1, res.stderr
         assert "fit diverged at step 1: non-finite objective" in res.stderr
+        assert not (ws / "out").exists()
+
+    def test_overflowing_last_step_writes_nothing(self, trained):
+        # the one step's update moves the latent to about 1e300 a coordinate,
+        # and no later objective would see it
+        ws, ckpt = trained
+        (ws / "blank.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(256))
+        res = run_cli(
+            "--config", ws / "config.json",
+            "--set", "train.fit_lr=1e300", "--set", "train.fit_steps=1",
+            "fit", "--checkpoint", ckpt, "--target", ws / "blank.pgm",
+            "--label", "A", "--res", "16",
+        )
+        assert res.returncode == 2, res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert "fit diverged at step 0: non-finite latent norm inf" in res.stderr
         assert not (ws / "out").exists()
 
     def test_mask_dimension_mismatch(self, trained):
@@ -979,6 +1018,26 @@ def test_non_finite_network_is_numerical_error(trained, command):
     assert res.returncode == 2, res.stderr
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
     assert "non-finite" in res.stderr and "Warning" not in res.stderr
+
+
+@pytest.mark.parametrize("command", NAN_HEAD_COMMANDS.values(), ids=NAN_HEAD_COMMANDS)
+def test_overflowing_network_is_one_line_error(trained, command):
+    # weights near 1e300 overflow the first hidden layers to inf and then
+    # to nan, which numpy would warn about before the one-line error
+    from glyphsdf import autodecoder as ad, render
+
+    ws, ckpt = trained
+    bundle = ad.load_checkpoint(ckpt)
+    for w in bundle.params.weights:
+        w *= 1e300
+    path = ws / "overflow.ckpt"
+    ad.save_checkpoint(path, bundle)
+    render.write_image(ws / "target.pgm", np.zeros((16, 16)))
+    extra = ["--checkpoint", path] + (["--target", ws / "target.pgm"] if "fit" in command else [])
+    res = run_cli("--config", ws / "config.json", *command, *extra)
+    assert res.returncode == 2, res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+    assert "non-finite" in res.stderr and "RuntimeWarning" not in res.stderr
 
 
 _PIN_SCRIPT = """

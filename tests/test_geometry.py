@@ -8,9 +8,13 @@ from glyphsdf import field, geometry, glyphs
 from glyphsdf.errors import GeometryError
 
 from helpers import (
-    box_sdf, dense_sweep_nearest, edt_sdf_oracle, l_glyph, outlines, ring_glyph,
-    sdf_batch, square_glyph, winding_batch, winding_number,
+    RING_PATH, box_sdf, dense_sweep_nearest, edt_sdf_oracle, l_glyph, outlines,
+    ring_glyph, sdf_batch, square_glyph, winding_batch, winding_number,
 )
+
+
+# quadratics and a cubic: the curve distance and the bisection-based winding
+BLOB_PATH = "M 0 0 Q 0.5 0.9 1 0.1 C 1.4 -0.3 0.9 -0.9 0.5 -0.7 Q 0.1 -0.5 0 0 Z"
 
 
 def nearest(p, seg):
@@ -113,11 +117,7 @@ class TestSdfOracles:
         assert self._compare(ring_glyph(), holes=[1]) <= 2.0 / self.WIDTH
 
     def test_curved_blob(self):
-        # quadratics + a cubic: exercises the curve distance and the
-        # bisection-based winding paths
-        g = glyphs.glyph_from_path(
-            "M 0 0 Q 0.5 0.9 1 0.1 C 1.4 -0.3 0.9 -0.9 0.5 -0.7 Q 0.1 -0.5 0 0 Z"
-        )
+        g = glyphs.glyph_from_path(BLOB_PATH)
         width = 1024
         oracle = edt_sdf_oracle(g, width)
         ours = geometry.sdf_grid(g, width)
@@ -144,6 +144,18 @@ class TestExactGrid:
         centers = geometry.pixel_centers(width).reshape(-1, 2)
         ref = field.kernel(sdf_batch(centers, glyph), gamma).reshape(width, width)
         assert field.rasterize_ground_truth(glyph, width, gamma).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("band", [None, 4 / 200], ids=["exact", "band"])
+    @pytest.mark.parametrize("path", [BLOB_PATH, RING_PATH], ids=["blob", "ring"])
+    def test_many_tiles_equal_per_point_reference(self, path, band):
+        # 200 px is 13 tiles a side, the last 8 px wide; at margin 0.01 the
+        # outline runs through those partial edge tiles, which several
+        # culling ranks then take
+        glyph = glyphs.glyph_from_path(path, margin=0.01)
+        ref = sdf_batch(geometry.pixel_centers(200).reshape(-1, 2), glyph)
+        if band is not None:
+            ref = np.clip(ref, -band, band)
+        assert geometry.sdf_grid(glyph, 200, band).tobytes() == ref.reshape(200, 200).tobytes()
 
     @given(outlines(), WIDTHS)
     @settings(max_examples=40, deadline=None)

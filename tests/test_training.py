@@ -394,6 +394,14 @@ class TestFitLatent:
         with pytest.raises(NumericalError, match="fit diverged at step 1: non-finite"):
             fit_latent(bundle, target, 0, TrainSettings(fit_steps=5, fit_lr=1e300))
 
+    def test_overflowing_last_step_names_the_step(self):
+        # one step at lr 1e300: the objective was finite, the latent's norm
+        # after the update is not
+        bundle, prepared = self._trained()
+        target = field.kernel(prepared.sdf, bundle.aa_k / 24)
+        with pytest.raises(NumericalError, match="fit diverged at step 0: non-finite latent norm"):
+            fit_latent(bundle, target, 0, TrainSettings(fit_steps=1, fit_lr=1e300))
+
     def test_deterministic(self):
         bundle, prepared = self._trained()
         target = field.kernel(prepared.sdf, bundle.aa_k / 24)
