@@ -315,22 +315,17 @@ def _distance_grid(segments, xs, ys, band):
     below it keeps the exact minimum over all segments.
     """
     height, width = len(ys), len(xs)
+    flat = np.full(height * width, np.inf)
     if not segments:
-        return np.full((height, width), np.inf)
-    # each tile's pixel indices, -1 past the grid's edge: ``flat`` ends in a
-    # -inf there, which no tile maximum takes
-    ty, tx = -(-height // _TILE), -(-width // _TILE)
-    r, c = np.arange(ty * _TILE)[:, None], np.arange(tx * _TILE)[None, :]
-    tile_pix = np.where((r < height) & (c < width), r * width + c, -1).reshape(
-        ty, _TILE, tx, _TILE).transpose(0, 2, 1, 3).reshape(ty * tx, -1)
-    # a tile's box spans its first and last pixel centers; (tiles, segments):
-    # box gap from each tile to the segment's nearest hull box
-    (i0, j0), (i1, j1) = np.divmod(tile_pix[:, 0], width), np.divmod(tile_pix.max(axis=1), width)
+        return flat.reshape(height, width)
+    # each tile's first and last pixel row and column
+    i0, j0 = np.indices((-(-height // _TILE), -(-width // _TILE))).reshape(2, -1) * _TILE
+    i1, j1 = np.minimum(i0 + _TILE, height) - 1, np.minimum(j0 + _TILE, width) - 1
     tiles = np.stack([xs[j0], ys[i0], xs[j1], ys[i1]], axis=1)
+    # (tiles, segments): box gap from each tile to the nearest hull box
     bound = np.stack([_box_gap(tiles, _hull_boxes(seg.points)) for seg in segments], axis=1)
     order = np.argsort(bound, axis=1, kind="stable")
-    flat = np.full(height * width + 1, np.inf)
-    flat[-1] = -np.inf
+    di, dj = np.indices((_TILE, _TILE)).reshape(2, -1)
     clamp = np.full(len(tiles), np.inf if band is None else float(band))
     act = np.arange(len(tiles))
     for rank in range(len(segments)):
@@ -339,14 +334,19 @@ def _distance_grid(segments, xs, ys, band):
             break
         seg_of = order[act, rank]
         for k in np.unique(seg_of):
-            pix = np.sort(tile_pix[act[seg_of == k]], axis=None)
-            for s in range(np.searchsorted(pix, 0), len(pix), _CHUNK):
+            # the tiles' pixels; offsets past the grid's edge repeat an edge
+            # pixel, which np.unique drops and no tile maximum notices
+            take = act[seg_of == k]
+            tile_pix = (np.minimum(i0[take, None] + di, i1[take, None]) * width
+                        + np.minimum(j0[take, None] + dj, j1[take, None]))
+            pix = np.unique(tile_pix)
+            for s in range(0, len(pix), _CHUNK):
                 chunk = pix[s : s + _CHUNK]
                 i, j = np.divmod(chunk, width)
                 d, _ = nearest_on_segment(np.stack([xs[j], ys[i]], axis=1), segments[k])
                 flat[chunk] = np.minimum(flat[chunk], d)
-        clamp[act] = np.minimum(clamp[act], flat[tile_pix[act]].max(axis=1))
-    return flat[:-1].reshape(height, width)
+            clamp[take] = np.minimum(clamp[take], flat[tile_pix].max(axis=1))
+    return flat.reshape(height, width)
 
 
 def sdf_grid(glyph, width, band=None):
