@@ -118,9 +118,8 @@ def _nearest_curve(pts, P):
 
 
 def nearest_on_segment(points, segment):
-    """Unsigned distance and nearest parameter for a batch of points; a
-    curve's search holds (points, _N_INIT) distances, so callers chunk
-    large batches (:func:`_distance_grid` hands it at most _CHUNK)."""
+    """Unsigned distance and nearest parameter for a batch of points; callers
+    chunk large batches, as a curve's search holds (points, _N_INIT) distances."""
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if len(segment.points) == 2:
         return _nearest_line(segment.points, P)
@@ -334,12 +333,13 @@ def _distance_grid(segments, xs, ys, band):
             break
         seg_of = order[act, rank]
         for k in np.unique(seg_of):
-            # the tiles' pixels; offsets past the grid's edge repeat an edge
-            # pixel, which np.unique drops and no tile maximum notices
+            # the tiles' pixels; an offset past the grid's edge repeats an edge
+            # pixel, which the sorted batch drops and no tile maximum notices
             take = act[seg_of == k]
             tile_pix = (np.minimum(i0[take, None] + di, i1[take, None]) * width
                         + np.minimum(j0[take, None] + dj, j1[take, None]))
-            pix = np.unique(tile_pix)
+            pix = np.sort(tile_pix, axis=None)
+            pix = pix[np.r_[True, pix[1:] != pix[:-1]]]
             for s in range(0, len(pix), _CHUNK):
                 chunk = pix[s : s + _CHUNK]
                 i, j = np.divmod(chunk, width)
@@ -359,9 +359,9 @@ def sdf_grid(glyph, width, band=None):
     xs = ys = pixel_center(np.arange(width), width)
     d = _distance_grid([s for c in glyph.contours for s in c.segments], xs, ys, band)
     if band is not None:
-        d = np.minimum(d, band)
+        np.minimum(d, band, out=d)
     w = _winding_grid(monotone_pieces(glyph), xs, ys)
-    return np.where(w != 0, d, -d)
+    return np.negative(d, out=d, where=w == 0)
 
 
 # ---------------------------------------------------------------------------
