@@ -282,7 +282,6 @@ class TestTrain:
 
         assert ad.load_checkpoint(workspace / "out" / "checkpoint.diverged.ckpt").epoch == 1
 
-
     @pytest.mark.parametrize("overrides", [
         # the latents reach about 1e300 a coordinate; their norm overflows
         ["train.lr=1e300"],
