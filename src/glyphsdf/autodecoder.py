@@ -66,9 +66,9 @@ fitting); then one :func:`_in_threads` call runs the weight gradient
 ``a_in.T @ dz`` (with the bias gradient) beside the whole input gradient,
 wherever either is needed.  Every sum keeps its order: ``gw``, ``gb``, the
 head's gradients and the latent sum ``total_loss`` takes of ``dX`` are
-whole-array on one thread.  With two hidden layers or more, a width under
-32, 45 and 55 runs evaluate's full chunks whole at one, two and three
-threads; a short last chunk's smaller blocks fall back at larger widths.
+whole-array on one thread.  A width under 32, 45 and 55 runs evaluate's
+full chunks whole at one, two and three threads; a short last chunk's
+smaller blocks fall back at larger widths.
 :func:`adam_step` runs on the row threads too, in blocks of
 ``ADAM_BLOCK`` elements of each tensor's flat view.
 
@@ -81,7 +81,7 @@ The cache of :func:`forward` is the tuple ``(X, acts, skip_in)``:
   nothing.  (The one exception is a negative pre-activation so small that
   ``slope * z`` rounds to -0.0, below about 2.5e-322 at slope 0.01.);
 * ``skip_in``: the ``[a | X]`` input of the skip layer (its left block is
-  ``acts[skip_layer - 1]``), or None without a skip.
+  ``acts[skip_layer - 1]``).
 
 A cache serves one :func:`backward`, which consumes it.  From the top
 layer down, backward writes each layer's gradient ``dz`` over that layer's
@@ -221,7 +221,7 @@ class NetworkConfig:
     alphabet_size: int
     hidden_layers: int = TrainSettings.hidden_layers
     width: int = TrainSettings.hidden_width
-    skip_layer: int = 3          # input concat after this hidden layer; 0 disables
+    skip_layer: int = 3          # input concat after this hidden layer
     out_channels: int = FieldSettings.channels
     leaky_slope: float = 0.01
     latent_dim: int = LATENT_DIM
@@ -231,12 +231,12 @@ class NetworkConfig:
         if not 0.0 < self.leaky_slope <= 1.0:
             raise ValueError(f"leaky_slope must be in (0, 1], got {self.leaky_slope}")
         require_types(self, "network")
-        if self.hidden_layers < 1 or self.width < 1:
-            raise ValueError("network needs at least one hidden unit/layer")
-        if not 0 <= self.skip_layer < self.hidden_layers:
-            raise ValueError(
-                f"skip_layer must be in [0, hidden_layers), got {self.skip_layer}"
-            )
+        if self.width < 1:
+            raise ValueError("network needs at least one hidden unit")
+        # every network carries the paper's input skip, below its last hidden layer
+        if not 1 <= self.skip_layer < self.hidden_layers:
+            raise ValueError(f"skip_layer must be in [1, hidden_layers {self.hidden_layers}), "
+                             f"got {self.skip_layer}")
 
     @property
     def in_dim(self):
@@ -247,7 +247,7 @@ class NetworkConfig:
         dims = []
         for l in range(self.hidden_layers):
             fan_in = self.in_dim if l == 0 else self.width
-            if self.skip_layer and l == self.skip_layer:
+            if l == self.skip_layer:
                 fan_in = self.width + self.in_dim
             dims.append((fan_in, self.width))
         dims.append((self.width, self.out_channels))
@@ -288,8 +288,8 @@ class LatentTable:
         return self.codes.mean(axis=0)
 
 
-def init_latents(family_ids, rng, latent_dim=LATENT_DIM, std=0.01):
-    codes = rng.normal(0.0, std, size=(len(family_ids), latent_dim))
+def init_latents(family_ids, rng):
+    codes = rng.normal(0.0, 0.01, size=(len(family_ids), LATENT_DIM))
     return LatentTable(codes=codes, family_ids=list(family_ids))
 
 
@@ -322,11 +322,10 @@ def _hidden_layers(config, params, X, skip_in, buffer, scratch):
     slope = config.leaky_slope
     width, skip = config.width, config.skip_layer
     m = len(X)
-    if skip:
-        skip_in[:, width:] = X
+    skip_in[:, width:] = X
     a = X
     for l in range(config.hidden_layers):
-        h = skip_in[:, :width] if skip and l == skip - 1 else buffer(l)
+        h = skip_in[:, :width] if l == skip - 1 else buffer(l)
         np.matmul(a, params.weights[l], out=h)
         for rows in _row_blocks(m):
             hb = h[rows]
@@ -336,7 +335,7 @@ def _hidden_layers(config, params, X, skip_in, buffer, scratch):
             # bit for bit when 0 < slope <= 1
             np.multiply(hb, slope, out=sb)
             np.maximum(hb, sb, out=hb)
-        a = skip_in if skip and l == skip - 1 else h
+        a = skip_in if l == skip - 1 else h
 
 
 def _row_parts(config, m):
@@ -361,13 +360,12 @@ def forward(config, params, X):
     the module docstring).
     """
     m, width, skip = len(X), config.width, config.skip_layer
-    skip_in = np.empty((m, width + config.in_dim)) if skip else None
-    acts = [skip_in[:, :width] if skip and l == skip - 1 else np.empty((m, width))
+    skip_in = np.empty((m, width + config.in_dim))
+    acts = [skip_in[:, :width] if l == skip - 1 else np.empty((m, width))
             for l in range(config.hidden_layers)]
 
     def run(p, scratch):
-        part_skip_in = None if skip_in is None else skip_in[p]
-        _hidden_layers(config, params, X[p], part_skip_in, lambda l: acts[l][p], scratch)
+        _hidden_layers(config, params, X[p], skip_in[p], lambda l: acts[l][p], scratch)
 
     _spread(_row_parts(config, m), run, lambda: np.empty((min(m, BLOCK_ROWS), width)))
     out = acts[-1] @ params.weights[-1] + params.biases[-1]
@@ -431,14 +429,14 @@ def backward(config, params, cache, d_out, need_param_grads=True):
         # a strided view, and a strided dz can give X.T @ dz other bits (a
         # one-wide dz does), so that layer's dz goes to da_buf instead,
         # which is free there: da is a view of the skip layer's d_in
-        dz = da_buf if skip and l == skip - 1 else acts[l]
+        dz = da_buf if l == skip - 1 else acts[l]
         wt = params.weights[l].T
         # the input gradient of every layer but 0 and the skip layer has
         # width columns, and its rows may be split
-        row_local = l != 0 and not (skip and l == skip)
+        row_local = l not in (0, skip)
         # with no weight gradient to pair it with, it runs in the slope pass
         split_d_in = row_local and not need_param_grads
-        if l == skip:  # the first layer down that adds to dX (layer 0 without a skip)
+        if l == skip:  # the first layer down that adds to dX
             dX = np.zeros_like(X)
         # the input gradient goes to da's buffer, except where it is wider
         # (layer 0 and the skip layer) or dz took that buffer (layer skip -
@@ -452,7 +450,7 @@ def backward(config, params, cache, d_out, need_param_grads=True):
 
         # a (factor, mask) block per row thread for the slope pass
         _spread(parts, run, lambda: (np.empty(block), np.empty(block, dtype=bool)))
-        a_in = X if l == 0 else skip_in if skip and l == skip else acts[l - 1]
+        a_in = X if l == 0 else skip_in if l == skip else acts[l - 1]
         # the weight gradient first, so that the calling thread allocates it
         tasks = [lambda: (a_in.T @ dz, dz.sum(axis=0))] if need_param_grads else []
         if not split_d_in:
@@ -462,7 +460,7 @@ def backward(config, params, cache, d_out, need_param_grads=True):
             gw[l], gb[l] = done[0]
         if l == 0:
             dX += d_in
-        elif skip and l == skip:
+        elif l == skip:
             da = d_in[:, :width]
             dX += d_in[:, width:]
         else:
@@ -483,8 +481,6 @@ def evaluate(config, params, points, label, z):
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n, width = len(P), config.width
     out = np.empty((n, config.out_channels))
-    if n == 0:
-        return out
     last = np.empty((min(n, CHUNK_ROWS), width))
     for s in range(0, n, CHUNK_ROWS):
         chunk = slice(s, min(s + CHUNK_ROWS, n))
@@ -496,7 +492,7 @@ def evaluate(config, params, points, label, z):
             # the pair of hidden buffers, the skip input, the input rows (one
             # label and latent on every row) and the scratch of _hidden_layers
             return ((np.empty((rows, width)), np.empty((rows, width))),
-                    np.empty((rows, width + config.in_dim)) if config.skip_layer else None,
+                    np.empty((rows, width + config.in_dim)),
                     assemble_inputs(np.zeros((rows, 2)), label, z, config.alphabet_size),
                     np.empty((min(rows, BLOCK_ROWS), width)))
 
@@ -505,11 +501,9 @@ def evaluate(config, params, points, label, z):
             pair, skip_in, X, scratch = space
             k = b.stop - b.start
             X[:k, :2] = P[chunk][b]
-            _hidden_layers(
-                config, params, X[:k], None if skip_in is None else skip_in[:k],
-                lambda l: last[b] if l == config.hidden_layers - 1 else pair[l % 2][:k],
-                scratch,
-            )
+            _hidden_layers(config, params, X[:k], skip_in[:k],
+                           lambda l: last[b] if l == config.hidden_layers - 1 else pair[l % 2][:k],
+                           scratch)
 
         _spread(blocks, run, workspace)
         np.matmul(last[:m], params.weights[-1], out=out[chunk])

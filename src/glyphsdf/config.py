@@ -139,10 +139,9 @@ class TrainSettings:
         _require(self.gamma_start > 0, f"train.gamma_start must be > 0, got {self.gamma_start!r}")
         _require(self.epochs >= 1, f"train.epochs must be >= 1, got {self.epochs!r}")
         _require(self.lr > 0 and self.fit_lr > 0, "train.lr and train.fit_lr must be > 0")
-        _require(
-            self.hidden_layers >= 1 and self.hidden_width >= 1,
-            "train.hidden_layers and train.hidden_width must be >= 1",
-        )
+        # the paper's input skip follows a hidden layer below the last
+        _require(self.hidden_layers >= 2 and self.hidden_width >= 1,
+                 "train.hidden_layers must be >= 2 and train.hidden_width >= 1")
         _require(
             self.samples_cap is None or self.samples_cap >= 1,
             f"train.samples_cap must be null or >= 1, got {self.samples_cap!r}",

@@ -370,6 +370,9 @@ def train(
         order = np.random.default_rng(
             np.random.SeedSequence([ts.seed, 2, epoch])
         ).permutation(len(dataset))
+        # the state the run's previous epoch ended with: a finite loss and
+        # finite gradients of this epoch's first step make it last_good
+        unproven = epoch > start_epoch
         sums = np.zeros(5)
         t0 = time.perf_counter()
         # a non-finite loss or gradient ends the run, so numpy need not warn
@@ -415,15 +418,32 @@ def train(
                     name = f"z{prepared.family_index}"
                     arrays[name] = latents.codes[prepared.family_index]
                     grad_map[name] = dz
+                if unproven:
+                    # the gradients are checked here, before ADAM checks them,
+                    # so that the old last_good is dropped before the copy and
+                    # one snapshot is held at a time
+                    if not all(np.isfinite(g).all() for g in grad_map.values()):
+                        raise TrainingDiverged(epoch, last_good)
+                    last_good = None
+                    last_good = dataclasses.replace(
+                        bundle,
+                        params=params.copy(),
+                        latents=ad.LatentTable(latents.codes.copy(), list(latents.family_ids)),
+                        epoch=epoch,
+                        adam=None,
+                    )
+                    unproven = False
                 try:
                     ad.adam_step(adam, arrays, grad_map)
                 except NumericalError:
                     raise TrainingDiverged(epoch, last_good) from None
                 sums += (terms.total, terms.global_, terms.local, terms.grad, terms.latent_norm)
             latent_norm = float(np.mean(np.linalg.norm(latents.codes, axis=1)))
-            # the next step's loss checks every update but the run's last
-            if epoch == ts.epochs - 1 and not (np.isfinite(latent_norm) and all(
-                    np.isfinite(a).all() for _, a in params.named())):
+            # no next step checks the last epoch's updates: the network's
+            # output on each glyph's first samples does
+            if epoch == ts.epochs - 1 and not all(np.isfinite(ad.evaluate(
+                    net, params, caches[gi].positions[:64], p.label,
+                    latents.codes[p.family_index])).all() for gi, p in enumerate(dataset)):
                 raise TrainingDiverged(epoch, last_good)
         wall_ms = 0.0 if deterministic else (time.perf_counter() - t0) * 1000.0
         means = sums / max(len(order), 1)
@@ -438,13 +458,6 @@ def train(
                 "latent_norm": latent_norm,
                 "wall_ms": wall_ms,
             }
-        )
-        last_good = dataclasses.replace(
-            bundle,
-            params=params.copy(),
-            latents=ad.LatentTable(latents.codes.copy(), list(latents.family_ids)),
-            epoch=epoch + 1,
-            adam=None,
         )
         if progress is not None:
             progress(epoch, log_rows[-1])

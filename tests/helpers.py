@@ -394,7 +394,7 @@ def reference_forward(config, params, X, need_cache=True):
     zs = [] if need_cache else None
     a = X
     for l in range(config.hidden_layers):
-        if config.skip_layer and l == config.skip_layer:
+        if l == config.skip_layer:
             a = np.concatenate([a, X], axis=1)
         z = a @ params.weights[l] + params.biases[l]
         if need_cache:
@@ -428,7 +428,7 @@ def reference_backward(config, params, cache, d_out, need_param_grads=True):
         if need_param_grads:
             if l == 0:
                 a_in = X
-            elif config.skip_layer and l == config.skip_layer:
+            elif l == config.skip_layer:
                 a_in = np.concatenate([activation(l - 1), X], axis=1)
             else:
                 a_in = activation(l - 1)
@@ -437,7 +437,7 @@ def reference_backward(config, params, cache, d_out, need_param_grads=True):
         d_in = dz @ params.weights[l].T
         if l == 0:
             dX += d_in
-        elif config.skip_layer and l == config.skip_layer:
+        elif l == config.skip_layer:
             da = d_in[:, : config.width]
             dX += d_in[:, config.width :]
         else:

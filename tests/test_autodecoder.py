@@ -42,7 +42,7 @@ def straight_line_forward(cfg, params, x):
     a = np.array(x, dtype=float)
     x0 = np.array(x, dtype=float)
     for l in range(cfg.hidden_layers):
-        if cfg.skip_layer and l == cfg.skip_layer:
+        if l == cfg.skip_layer:
             a = np.concatenate([a, x0])
         w, b = params.weights[l], params.biases[l]
         z = np.empty(w.shape[1])
@@ -108,6 +108,16 @@ class TestForward:
     def test_leaky_slope_outside_unit_interval_rejected(self, slope):
         with pytest.raises(ValueError, match="leaky_slope"):
             ad.NetworkConfig(alphabet_size=2, leaky_slope=slope)
+
+    @pytest.mark.parametrize("hidden, skip", [(1, 0), (2, 0), (3, 3)])
+    def test_network_without_the_input_skip_rejected(self, hidden, skip):
+        with pytest.raises(ValueError, match="skip_layer"):
+            ad.NetworkConfig(alphabet_size=2, hidden_layers=hidden, skip_layer=skip)
+
+    def test_evaluate_of_no_points_is_empty(self):
+        cfg, params = make_net()
+        out = ad.evaluate(cfg, params, np.zeros((0, 2)), 0, np.zeros(cfg.latent_dim))
+        assert out.shape == (0, cfg.out_channels)
 
     def test_default_config_shapes(self):
         cfg = ad.NetworkConfig(alphabet_size=52)
@@ -584,12 +594,12 @@ def test_assemble_inputs_layout():
 def networks(draw):
     """A random small network with random biases, some hidden units with
     zero weights and bias (exact zero pre-activations), and an rng."""
-    hidden = draw(st.integers(1, 4))
+    hidden = draw(st.integers(2, 4))
     cfg = ad.NetworkConfig(
         alphabet_size=draw(st.integers(1, 3)),
         hidden_layers=hidden,
         width=draw(st.integers(1, 24)),
-        skip_layer=draw(st.integers(0, hidden - 1)),
+        skip_layer=draw(st.integers(1, hidden - 1)),
         out_channels=draw(st.integers(1, 4)),
         leaky_slope=draw(st.sampled_from([0.01, 0.3, 1.0])),
         latent_dim=draw(st.integers(1, 6)),
@@ -937,12 +947,12 @@ class TestRowPool:
 def network_shapes(draw):
     """A network description of any shape, from one unit wide to wider
     than production."""
-    hidden = draw(st.integers(1, 10))
+    hidden = draw(st.integers(2, 10))
     return ad.NetworkConfig(
         alphabet_size=draw(st.integers(1, 60)),
         hidden_layers=hidden,
         width=draw(st.integers(1, 2048)),
-        skip_layer=draw(st.integers(0, hidden - 1)),
+        skip_layer=draw(st.integers(1, hidden - 1)),
         out_channels=draw(st.integers(1, 4)),
         latent_dim=draw(st.integers(1, 256)),
     )

@@ -263,42 +263,55 @@ class TestTrain:
         # loading checks that the manifest's channel count is the network's
         assert bundle.network.out_channels == 1
 
-    def test_divergence_to_nan_writes_the_last_good_checkpoint(self, workspace):
-        # one glyph per epoch: epoch 0's one step at lr 1e300 stays finite,
-        # and epoch 1's predictions are not, which the corner loss passes on
+    @staticmethod
+    def _train_one_glyph(workspace, *overrides):
+        """Train a 2x16 network on the square glyph alone: one step an epoch."""
         (workspace / "one.json").write_text(
             json.dumps([{"family": "fam", "label": "A", "file": "sq.path"}])
         )
-        res = run_cli(
+        return run_cli(
             "--config", workspace / "config.json",
             "--set", f"dataset.manifest={json.dumps(str(workspace / 'one.json'))}",
             "--set", "train.hidden_layers=2", "--set", "train.hidden_width=16",
-            "--set", "train.epochs=2", "--set", "train.lr=1e300", "train",
+            *(a for o in overrides for a in ("--set", o)), "train",
         )
+
+    def test_divergence_to_nan_writes_the_last_good_checkpoint(self, workspace):
+        # epoch 2's step diverges; epoch 1's end state was never proven, and
+        # epoch 0's was, by epoch 1's step
+        res = self._train_one_glyph(
+            workspace, "train.epochs=3", "train.lr=2e76", "train.seed=0")
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
-        assert "training diverged at epoch 1; last good checkpoint written" in res.stderr
+        assert "training diverged at epoch 2; last good checkpoint written" in res.stderr
         from glyphsdf import autodecoder as ad
 
-        assert ad.load_checkpoint(workspace / "out" / "checkpoint.diverged.ckpt").epoch == 1
+        ckpt = workspace / "out" / "checkpoint.diverged.ckpt"
+        assert ad.load_checkpoint(ckpt).epoch == 1
+        res = run_cli("--config", workspace / "config.json", "render", "--checkpoint", ckpt,
+                      "--family", "fam", "--label", "A", "--res", "16")
+        assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("lr", ["1e300", "1.7e308"])
+    def test_unproven_snapshot_is_not_written(self, workspace, lr):
+        # epoch 1's first step diverges, so epoch 0's end state, whose
+        # network returns non-finite values, is never proven
+        res = self._train_one_glyph(workspace, "train.epochs=2", f"train.lr={lr}")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.splitlines()[-1] == "training diverged at epoch 1"
+        assert not list((workspace / "out").glob("*.ckpt"))
 
     @pytest.mark.parametrize("overrides", [
         # the latents reach about 1e300 a coordinate; their norm overflows
         ["train.lr=1e300"],
         # with the latents frozen, weight gradients above 1 overflow the update
         ["train.lr=1.79e308", "train.freeze_epoch=0", "train.alpha=1e3"],
-    ], ids=["latents", "parameters"])
+        # finite weights near 1e300 whose outputs overflow
+        ["train.lr=1e300", "train.freeze_epoch=0"],
+    ], ids=["latents", "parameters", "outputs"])
     def test_overflowing_last_update_writes_nothing(self, workspace, overrides):
-        # one glyph, one epoch: no later step's loss would see the update
-        (workspace / "one.json").write_text(
-            json.dumps([{"family": "fam", "label": "A", "file": "sq.path"}])
-        )
-        res = run_cli(
-            "--config", workspace / "config.json",
-            "--set", f"dataset.manifest={json.dumps(str(workspace / 'one.json'))}",
-            "--set", "train.hidden_layers=2", "--set", "train.hidden_width=16",
-            "--set", "train.epochs=1", *(a for o in overrides for a in ("--set", o)), "train",
-        )
+        # one epoch: no later step's loss would see the update
+        res = self._train_one_glyph(workspace, "train.epochs=1", *overrides)
         assert res.returncode == 2, res.stderr
         assert res.stderr == "training diverged at epoch 0\n"
         assert not (workspace / "out" / "checkpoint.ckpt").exists()
@@ -908,6 +921,7 @@ BAD_INPUTS = [
     ("field.train_width=4", _in_file("field", "train_width", 4, "train"), 1),
     ("eval.resolutions=[4]", _in_file("eval", "resolutions", [4], "eval", "--checkpoint", CKPT), 1),
     ("train.hidden_layers=0", _in_file("train", "hidden_layers", 0, "train"), 1),
+    ("train.hidden_layers=1", _with_set("train.hidden_layers=1"), 1),
     ("train.epochs=-3", _with_set("train.epochs=-3"), 1),
     ("train.lr=-1", _with_set("train.lr=-1"), 1),
     ("train.samples_cap=0", _with_set("train.samples_cap=0"), 1),
@@ -968,6 +982,9 @@ BAD_INPUTS = [
     ("checkpoint with alphabet AA", _render_edited(
         "alphabet_AA",
         lambda p: edit_checkpoint_manifest(p, lambda m: m.update(alphabet="AA"))), 3),
+    ("checkpoint without the input skip", _render_edited(
+        "skip_0",
+        lambda p: edit_checkpoint_manifest(p, lambda m: m["network"].update(skip_layer=0))), 3),
     ("checkpoint with families 5", _render_edited(
         "families_5", lambda p: edit_checkpoint_manifest(p, lambda m: m.update(families=5))), 3),
     ("config nested 100,000 deep", _nested_config, 1),

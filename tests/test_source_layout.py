@@ -2,8 +2,9 @@
 
 Walks the syntax trees of ``src/glyphsdf/*.py`` and fails, naming them, on
 public module-level functions and classes that no other top-level
-statement of the package refers to (by name, attribute or import), and on
-dataclass fields that no code of the package reads.
+statement of the package refers to (by name, attribute or import), on
+dataclass fields that no code of the package reads, and on defaulted
+parameters that no call in the package passes.
 """
 import ast
 from pathlib import Path
@@ -16,6 +17,13 @@ UNREAD_FIELDS_KEPT = {
     # fields its arguments would land in the wrong fields
     "sampling.SampleSet.kinds",
     "sampling.SampleSet.rng_seed",
+}
+
+# defaulted parameters kept although no call under src/ passes them, with the reason
+DEFAULTS_NOT_PASSED = {
+    # the console script and __main__ call main() bare; the tests and the
+    # benchmark pass argv
+    "cli.main(argv)",
 }
 
 
@@ -113,3 +121,60 @@ def test_every_dataclass_field_is_read_by_the_package():
     )
     # an entry whose field has found a reader, or is gone, leaves the list
     assert UNREAD_FIELDS_KEPT <= unread, sorted(UNREAD_FIELDS_KEPT - unread)
+
+
+def _defaulted_parameters(func, bound):
+    """(name, index among the call's positional arguments or None) of each
+    parameter of ``func`` that has a default; ``bound`` when a call passes
+    the first parameter implicitly, as a method call passes self."""
+    positional = [*func.args.posonlyargs, *func.args.args]
+    first = len(positional) - len(func.args.defaults)
+    yield from ((a.arg, i - bound) for i, a in enumerate(positional) if i >= first)
+    yield from ((a.arg, None) for a, default in zip(func.args.kwonlyargs, func.args.kw_defaults)
+                if default is not None)
+
+
+def _passes(call, name, index):
+    """Whether ``call`` passes the parameter ``name`` at positional ``index``."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: a **mapping
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def defaults_never_passed(src=SRC):
+    """``module.function(parameter)`` for each defaulted parameter of a
+    function of the package that no call of the package, to a function of
+    that name, passes by position or keyword."""
+    modules = _modules(src)
+    calls = {}
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_name(node.func), []).append(node)
+    missing = []
+    for stem, tree in modules:
+        for owner in ast.walk(tree):
+            for func in ast.iter_child_nodes(owner):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                bound = isinstance(owner, ast.ClassDef) and not any(
+                    _name(dec) == "staticmethod" for dec in func.decorator_list)
+                prefix = f"{owner.name}." if isinstance(owner, ast.ClassDef) else ""
+                missing += [
+                    f"{stem}.{prefix}{func.name}({name})"
+                    for name, index in _defaulted_parameters(func, bound)
+                    if not any(_passes(c, name, index) for c in calls.get(func.name, []))
+                ]
+    return sorted(missing)
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    unpassed = set(defaults_never_passed())
+    assert not unpassed - DEFAULTS_NOT_PASSED, (
+        f"defaulted parameters that no call under src/ passes: "
+        f"{sorted(unpassed - DEFAULTS_NOT_PASSED)}"
+    )
+    # an entry whose parameter has found a caller, or is gone, leaves the list
+    assert DEFAULTS_NOT_PASSED <= unpassed, sorted(DEFAULTS_NOT_PASSED - unpassed)

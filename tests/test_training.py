@@ -68,19 +68,18 @@ class TestLossPieces:
         assert reference_loss_eikonal(two) == 0.0
 
     def test_eikonal_zero_for_exact_linear_field(self):
-        # a LeakyReLU pair encodes d(x, y) = x exactly, so the stencil sees
-        # a unit gradient everywhere and the penalty vanishes
+        # a LeakyReLU pair on the skip layer's copy of x encodes d(x, y) = x
+        # exactly, so the stencil sees a unit gradient everywhere and the
+        # penalty vanishes
         cfg = ad.NetworkConfig(
-            alphabet_size=1, hidden_layers=1, width=2, skip_layer=0, out_channels=1
+            alphabet_size=1, hidden_layers=2, width=2, skip_layer=1, out_channels=1
         )
         params = ad.init_parameters(cfg, np.random.default_rng(0))
-        params.weights[0][:] = 0.0
-        params.weights[0][0, 0] = 1.0   # unit 0 sees +x
-        params.weights[0][0, 1] = -1.0  # unit 1 sees -x
-        params.biases[0][:] = 0.0
+        for w in params.weights:
+            w[:] = 0.0
+        params.weights[1][cfg.width, :] = [1.0, -1.0]  # units 0 and 1 see +x and -x
         s = 1.0 + cfg.leaky_slope
-        params.weights[1][:, 0] = [1.0 / s, -1.0 / s]
-        params.biases[1][:] = 0.0
+        params.weights[2][:, 0] = [1.0 / s, -1.0 / s]
         sample_set, _ = small_sample_set()
         terms, grads, dz = total_loss(
             cfg, params, np.zeros(LATENT), 0, sample_set, [],
@@ -309,8 +308,8 @@ class TestTrainLoop:
 
     def test_divergence_aborts_with_last_good(self, monkeypatch):
         # corrupt the rebuilt sample targets at the fourth anneal step: the
-        # loss turns NaN and training must abort carrying the last complete
-        # epoch's state
+        # loss turns NaN and training must abort carrying the last proven
+        # state; epoch 3's first step does not prove epoch 2's end state
         dataset, fs = desk_dataset()
         real_cache = training._glyph_cache
         calls = {"n": 0}
@@ -330,7 +329,42 @@ class TestTrainLoop:
             train(dataset, "A", fs, ts)
         assert info.value.epoch == 3
         assert info.value.bundle is not None
-        assert info.value.bundle.epoch == 3  # three complete epochs banked
+        assert info.value.bundle.epoch == 2  # proven by epoch 2's first step
+
+    def test_non_finite_gradients_prove_no_state(self, monkeypatch):
+        # epoch 1's one step returns a finite loss and a NaN gradient: epoch
+        # 0's end state is not proven
+        real, calls = training.total_loss, []
+
+        def nan_gradient(*args, **kwargs):
+            terms, grads, dz = real(*args, **kwargs)
+            calls.append(terms)
+            if len(calls) == 2:
+                grads.weights[0][0, 0] = np.nan
+            return terms, grads, dz
+
+        monkeypatch.setattr(training, "total_loss", nan_gradient)
+        dataset, fs = desk_dataset()
+        with pytest.raises(training.TrainingDiverged) as info:
+            train(dataset, "A", fs, TrainSettings(epochs=3, min_homogeneous=16, threads=1))
+        assert (info.value.epoch, info.value.bundle) == (1, None)
+
+    def test_last_epoch_ends_on_the_network_output(self, monkeypatch):
+        # no later step checks the last epoch's updates: evaluate on each
+        # glyph's first samples does, and its NaN ends the run with the state
+        # epoch 2's first step proved
+        real, seen = ad.evaluate, []
+
+        def nan_output(config, params, points, label, z):
+            seen.append(len(points))
+            return np.full_like(real(config, params, points, label, z), np.nan)
+
+        monkeypatch.setattr(ad, "evaluate", nan_output)
+        dataset, fs = desk_dataset()
+        with pytest.raises(training.TrainingDiverged) as info:
+            train(dataset, "A", fs, TrainSettings(epochs=3, min_homogeneous=16, threads=1))
+        assert seen == [64]
+        assert info.value.epoch == 2 and info.value.bundle.epoch == 2
 
     def _eikonal_rows_and_log(self, monkeypatch, ratio):
         # the eikonal_rows train hands total_loss each step, and its log
