@@ -46,11 +46,11 @@ whole-array references at production size.
 
 The rows are independent, so the network spreads its work over
 ``ROW_THREADS`` row threads, fixed when this module loads: the CPUs the
-process may run on, at most 2, when ``OPENBLAS_NUM_THREADS`` is ``"1"``
-(``--threads 1`` sets it before numpy loads), else 1, since BLAS then
-spreads each GEMM over its own threads.  :func:`_in_threads` runs one
-call's tasks, the first on the calling thread and the others, under the
-caller's numpy error state, on one pool of ``ROW_THREADS - 1`` workers per
+process may run on, at most 2, when ``OPENBLAS_NUM_THREADS`` is ``"1"``,
+as :mod:`glyphsdf.cli` always sets it before numpy loads.  A library
+caller that leaves it unset gets 1, since BLAS then spreads each GEMM over
+its own threads.  :func:`_in_threads` runs one call's tasks, the first on
+the calling thread and the others, under the caller's numpy error state, on one pool of ``ROW_THREADS - 1`` workers per
 process.  The first call that has more than one task opens the pool once
 and it is kept, so a training step starts no thread; a forked child drops
 the pool it inherits and opens its own.  A thread writes its own rows, or
@@ -139,8 +139,9 @@ _MAX_ROW_THREADS = 2
 
 def _row_threads():
     """Threads of :func:`evaluate`, :func:`forward`, :func:`backward` and
-    :func:`adam_step`: when BLAS runs one thread per call, the CPUs the
-    process may run on, at most ``_MAX_ROW_THREADS``, else 1."""
+    :func:`adam_step`: when BLAS runs one thread per call, as under the
+    CLI, the CPUs the process may run on, at most ``_MAX_ROW_THREADS``;
+    else 1."""
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         return 1
     try:

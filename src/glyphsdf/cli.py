@@ -1,25 +1,29 @@
 """Command-line pipeline: prepare, train, render, interpolate, fit, eval.
 
 Exit codes: 0 ok, 1 usage/config error, 2 numerical failure, 3 I/O error.
-``train.threads`` (from the config file, ``--set`` or ``--threads``) pins
-the BLAS pools before numpy loads: BLAS threads per call, with 1 the
-bit-reproducible mode used by the determinism tests.  Under that pin, the
+Loading this module pins BLAS to one thread per call, before numpy loads:
+the bit-reproducible mode, and on a 2-vCPU host the faster one.  The
 network (training steps, render, interpolate, fit, eval's implicit renders)
-spreads its work over up to two of the CPUs the process may run on, with
-the same bits at any CPU count; ``autodecoder`` decides this once, when it
-loads.
+then spreads its work over up to two of the CPUs the process may run on,
+with the same bits at any CPU count; ``autodecoder`` decides this once,
+when it loads.
 """
 from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import argparse
 import csv
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
 
-# imports nothing, so numpy still loads after the thread pins
+from . import autodecoder as ad, config, field, geometry, glyphs, metrics, render
+from . import templates, training
 from .errors import CheckpointError, GlyphSdfError, ImageError, NumericalError
 
 CONFIG_ENV = "GLYPHSDF_CONFIG"
@@ -40,8 +44,7 @@ def _build_parser():
     parser.add_argument("--seed", type=int, help="override train.seed")
     parser.add_argument(
         "--threads", type=int,
-        help="BLAS threads per call, pinned before numpy loads; 1 = reproducible, "
-        "and the network then spreads its work over up to 2 CPUs",
+        help="override train.threads: BLAS threads per call, which must be 1",
     )
     parser.add_argument(
         "--set",
@@ -91,10 +94,8 @@ def _build_parser():
 
 
 def _load_config(args):
-    from .config import RunConfig
-
     path = args.config or os.environ.get(CONFIG_ENV)
-    cfg = RunConfig.load(path) if path else RunConfig()
+    cfg = config.RunConfig.load(path) if path else config.RunConfig()
     # flags win over --set, and pass the same validation
     overrides = list(args.set)
     if args.seed is not None:
@@ -141,22 +142,18 @@ def _check_file_names(directory, owners, kind, written_as):
 
 
 def _manifest_entries(cfg):
-    from .glyphs import load_manifest
-
     if not cfg.dataset.manifest:
         raise _UsageError("config has no dataset.manifest")
-    return load_manifest(cfg.dataset.manifest, cfg.dataset.alphabet)
+    return glyphs.load_manifest(cfg.dataset.manifest, cfg.dataset.alphabet)
 
 
 def _parse_glyphs(cfg, entries):
     """Each manifest entry with its parsed glyph, as (entry, glyph) pairs."""
-    from .glyphs import glyph_from_path
-
     pairs = []
     for entry in entries:
         try:
-            glyph = glyph_from_path(entry.path.read_text(encoding="utf-8"),
-                                    label=entry.label, margin=cfg.dataset.margin)
+            glyph = glyphs.glyph_from_path(entry.path.read_text(encoding="utf-8"),
+                                           label=entry.label, margin=cfg.dataset.margin)
         except (GlyphSdfError, UnicodeDecodeError) as exc:
             raise GlyphSdfError(
                 f"glyph {entry.family_id}/{entry.label_char} ({entry.path}): {exc}"
@@ -167,10 +164,8 @@ def _parse_glyphs(cfg, entries):
 
 def _prepare_dataset(cfg, entries):
     """Each manifest entry's glyph, prepared in memory at the training width."""
-    from .training import prepare_glyph
-
     return [
-        prepare_glyph(glyph, entry.family_id, entry.family_index, entry.label, cfg.field)
+        training.prepare_glyph(glyph, entry.family_id, entry.family_index, entry.label, cfg.field)
         for entry, glyph in _parse_glyphs(cfg, entries)
     ]
 
@@ -199,10 +194,6 @@ def _label_index(bundle, label_char):
 
 def cmd_prepare(cfg, args):
     """Write each prepared glyph for inspection; nothing reads these back."""
-    from . import field as field_mod
-    from .render import write_image
-    from .templates import templates_to_arrays
-
     entries = _manifest_entries(cfg)
     names = [_safe_name(e.family_id, e.label_char) for e in entries]
     prep_dir = _out_dir(cfg) / "prepared"
@@ -212,13 +203,13 @@ def cmd_prepare(cfg, args):
     dataset = _prepare_dataset(cfg, entries)
     for entry, name, item in zip(entries, names, dataset):
         stem = prep_dir / name
-        field_mod.write_grid(stem.with_suffix(".sdf.grid"), item.sdf)
-        write_image(stem.with_suffix(".pgm"), field_mod.kernel(item.sdf, cfg.field.gamma_final))
+        field.write_grid(stem.with_suffix(".sdf.grid"), item.sdf)
+        render.write_image(stem.with_suffix(".pgm"), field.kernel(item.sdf, cfg.field.gamma_final))
         meta = {
             "family": item.family_id,
             "label": entry.label_char,
             "train_width": cfg.field.train_width,
-            "corners": templates_to_arrays(item.templates),
+            "corners": templates.templates_to_arrays(item.templates),
         }
         stem.with_suffix(".json").write_text(
             json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -228,23 +219,20 @@ def cmd_prepare(cfg, args):
 
 
 def cmd_train(cfg, args):
-    from . import autodecoder as ad
-    from .training import TrainingDiverged, configured_network, latent_families, train
-
     entries = _manifest_entries(cfg)
     if not entries:
         raise _UsageError(f"manifest {cfg.dataset.manifest} lists no glyphs to train on")
     out = _out_dir(cfg)
     # render and interpolate name their files after the families
-    _check_file_names(out, [(f, _file_part(f)) for f in latent_families(entries)],
+    _check_file_names(out, [(f, _file_part(f)) for f in training.latent_families(entries)],
                       "families", "{} in output file names")
     resume = None
     if args.resume:
         resume = ad.load_checkpoint(args.resume, expect_alphabet=cfg.dataset.alphabet)
         # a checkpoint the config and manifest cannot continue fails before
         # any glyph is prepared
-        configured_network(
-            cfg.dataset.alphabet, cfg.field, cfg.train, resume, latent_families(entries)
+        training.configured_network(
+            cfg.dataset.alphabet, cfg.field, cfg.train, resume, training.latent_families(entries)
         )
     dataset = _prepare_dataset(cfg, entries)
     every = max(1, cfg.train.epochs // 20)
@@ -258,7 +246,7 @@ def cmd_train(cfg, args):
             )
 
     try:
-        bundle, rows = train(
+        bundle, rows = training.train(
             dataset,
             cfg.dataset.alphabet,
             cfg.field,
@@ -266,7 +254,7 @@ def cmd_train(cfg, args):
             resume=resume,
             progress=progress,
         )
-    except TrainingDiverged as exc:
+    except training.TrainingDiverged as exc:
         if exc.bundle is not None:
             ad.save_checkpoint(out / "checkpoint.diverged.ckpt", exc.bundle)
             print(
@@ -288,10 +276,8 @@ def cmd_train(cfg, args):
 
 
 def _check_width(width):
-    from .config import MIN_WIDTH
-
-    if width < MIN_WIDTH:
-        raise _UsageError(f"--res width {width} is below the minimum of {MIN_WIDTH}")
+    if width < config.MIN_WIDTH:
+        raise _UsageError(f"--res width {width} is below the minimum of {config.MIN_WIDTH}")
     return width
 
 
@@ -306,12 +292,6 @@ def _parse_res_list(text):
 
 
 def cmd_render(cfg, args):
-    from . import autodecoder as ad
-    from . import field as field_mod
-    from .render import (
-        bilinear_resample, compose, extract_zero_level, field_grid, write_contours, write_image,
-    )
-
     widths = _parse_res_list(args.res)
     bundle = ad.load_checkpoint(args.checkpoint)
     z = _family_latent(bundle, args.family)
@@ -319,7 +299,7 @@ def cmd_render(cfg, args):
     out = _out_dir(cfg)
     train_grid = None
     if args.method == "bilateral" or args.channels:
-        train_grid = field_grid(bundle, z, label, bundle.train_width)
+        train_grid = render.field_grid(bundle, z, label, bundle.train_width)
     for width in widths:
         name = f"render_{_safe_name(args.family, args.label)}_{args.method}_{width}"
         # one grid per width serves the image, the channel images and the
@@ -328,18 +308,19 @@ def cmd_render(cfg, args):
         # released first, so it is not held while the next one is built.
         grid = image = level = None
         if args.method == "implicit":
-            grid = field_grid(bundle, z, label, width)
+            grid = render.field_grid(bundle, z, label, width)
         else:
-            grid = bilinear_resample(train_grid, width)
-        image, level = compose(bundle, grid, width)
-        write_image(out / f"{name}.pgm", image)
+            grid = render.bilinear_resample(train_grid, width)
+        image, level = render.compose(bundle, grid, width)
+        render.write_image(out / f"{name}.pgm", image)
         if args.channels:
             for c in range(len(grid)):
-                write_image(out / f"{name}_c{c}.pgm", compose(bundle, grid[c : c + 1], width)[0])
+                render.write_image(out / f"{name}_c{c}.pgm",
+                                   render.compose(bundle, grid[c : c + 1], width)[0])
         if args.contours:
-            write_contours(out / f"{name}_contours.json", extract_zero_level(level))
+            render.write_contours(out / f"{name}_contours.json", render.extract_zero_level(level))
     if args.channels and train_grid is not None:
-        field_mod.write_grid(
+        field.write_grid(
             out / f"channels_{_safe_name(args.family, args.label)}.grid", train_grid
         )
     print(f"rendered {len(widths)} image(s) into {out}")
@@ -347,9 +328,6 @@ def cmd_render(cfg, args):
 
 
 def cmd_interpolate(cfg, args):
-    from . import autodecoder as ad
-    from .render import compose, field_grid, write_image
-
     if args.steps < 2:
         raise _UsageError("--steps must be >= 2 (endpoints included)")
     _check_width(args.res)
@@ -361,8 +339,8 @@ def cmd_interpolate(cfg, args):
     for i in range(args.steps):
         t = i / (args.steps - 1)
         z = (1.0 - t) * za + t * zb
-        img = compose(bundle, field_grid(bundle, z, label, args.res), args.res)[0]
-        write_image(
+        img = render.compose(bundle, render.field_grid(bundle, z, label, args.res), args.res)[0]
+        render.write_image(
             out / f"interp_{_safe_name(args.family_a, args.label)}"
                   f"_{_safe_name(args.family_b, args.label)}_{i:03d}.pgm",
             img,
@@ -372,19 +350,13 @@ def cmd_interpolate(cfg, args):
 
 
 def cmd_fit(cfg, args):
-    import numpy as np
-
-    from . import autodecoder as ad
-    from .render import compose, field_grid, read_image, write_image
-    from .training import fit_latent
-
     _check_width(args.res)
     bundle = ad.load_checkpoint(args.checkpoint)
     label = _label_index(bundle, args.label)
-    target = read_image(args.target)
+    target = render.read_image(args.target)
     mask = None
     if args.mask:
-        mask_img = read_image(args.mask)
+        mask_img = render.read_image(args.mask)
         if mask_img.shape != target.shape:
             raise _UsageError(
                 f"mask dimensions {mask_img.shape} do not match target {target.shape}"
@@ -392,26 +364,20 @@ def cmd_fit(cfg, args):
         mask = mask_img >= 0.5
         if mask.all():
             raise _UsageError(f"mask {args.mask} hides every pixel of the target")
-    z, history = fit_latent(bundle, target, label, cfg.train, mask=mask)
+    z, history = training.fit_latent(bundle, target, label, cfg.train, mask=mask)
     out = _out_dir(cfg)
     (out / "fit_z.json").write_text(
         json.dumps({"z": z.tolist(), "final_objective": history[-1] if history else None}),
         encoding="utf-8",
     )
     for idx, char in enumerate(bundle.alphabet):
-        img = compose(bundle, field_grid(bundle, z, idx, args.res), args.res)[0]
-        write_image(out / f"completed_{idx:02d}_{_file_part(char)}.pgm", img)
+        img = render.compose(bundle, render.field_grid(bundle, z, idx, args.res), args.res)[0]
+        render.write_image(out / f"completed_{idx:02d}_{_file_part(char)}.pgm", img)
     print(f"fitted latent + {len(bundle.alphabet)} completions written to {out}")
     return 0
 
 
 def cmd_eval(cfg, args):
-    from . import autodecoder as ad
-    from .field import compose_median, rasterize_ground_truth
-    from .geometry import detect_corners
-    from .metrics import corner_region_metrics, laplacian_smoothness, mse, soft_iou
-    from .render import bilinear_resample, compose, field_grid
-
     # the config's label indices address the network, so the alphabets must agree
     bundle = ad.load_checkpoint(args.checkpoint, expect_alphabet=cfg.dataset.alphabet)
     out = _out_dir(cfg)
@@ -420,27 +386,29 @@ def cmd_eval(cfg, args):
     latents = [_family_latent(bundle, entry.family_id) for entry in entries]
     rows = []
     for (entry, glyph), z in zip(_parse_glyphs(cfg, entries), latents):
-        grid = field_grid(bundle, z, entry.label, bundle.train_width)
-        lap = laplacian_smoothness(compose_median(grid, axis=0))
-        corners = detect_corners(glyph, cfg.field.corner_threshold)
+        grid = render.field_grid(bundle, z, entry.label, bundle.train_width)
+        lap = metrics.laplacian_smoothness(field.compose_median(grid, axis=0))
+        corners = geometry.detect_corners(glyph, cfg.field.corner_threshold)
         truths = {
-            width: rasterize_ground_truth(glyph, width, bundle.aa_k / width)
+            width: field.rasterize_ground_truth(glyph, width, bundle.aa_k / width)
             for width in cfg.eval.resolutions
         }
         for method in cfg.eval.methods:
             for width in cfg.eval.resolutions:
                 truth = truths[width]
+                # the width's grid is not held past compose
                 if method == "implicit":
-                    img = compose(bundle, field_grid(bundle, z, entry.label, width), width)[0]
+                    img = render.compose(
+                        bundle, render.field_grid(bundle, z, entry.label, width), width)[0]
                 else:
-                    img = compose(bundle, bilinear_resample(grid, width), width)[0]
-                corner = corner_region_metrics(img, truth, corners, width)
+                    img = render.compose(bundle, render.bilinear_resample(grid, width), width)[0]
+                corner = metrics.corner_region_metrics(img, truth, corners, width)
                 rows.append(
                     {
                         "method": method,
                         "res": width,
-                        "mse": mse(img, truth),
-                        "siou": soft_iou(img, truth),
+                        "mse": metrics.mse(img, truth),
+                        "siou": metrics.soft_iou(img, truth),
                         "c_mse": corner.mse,
                         "c_siou": corner.siou,
                         "lap": lap,
@@ -473,11 +441,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        # the config module loads no numpy, so the pins still take effect
         cfg = _load_config(args)
-        if cfg.train.threads is not None:
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(cfg.train.threads)
         return _COMMANDS[args.command](cfg, args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-# imports nothing that loads numpy, so the CLI reads the thread count from
-# the config before numpy starts its BLAS pools
 from .errors import ConfigError
 
 # smallest grid width a field is trained or rendered at
@@ -123,7 +121,7 @@ class TrainSettings:
     fit_steps: int = 500
     hidden_layers: int = 8       # network depth (production default)
     hidden_width: int = 384      # units per hidden layer
-    threads: int | None = None   # 1 forces the bit-reproducible mode
+    threads: int = 1             # BLAS threads per call: 1, the one mode
 
     def __post_init__(self):
         require_types(self, "train")
@@ -146,10 +144,8 @@ class TrainSettings:
             self.samples_cap is None or self.samples_cap >= 1,
             f"train.samples_cap must be null or >= 1, got {self.samples_cap!r}",
         )
-        _require(
-            self.threads is None or self.threads >= 1,
-            f"train.threads must be null or >= 1, got {self.threads!r}",
-        )
+        _require(self.threads == 1, f"train.threads must be 1, got {self.threads!r}")
+        _require(self.seed >= 0, f"train.seed must be >= 0, got {self.seed!r}")
         for key in ("anneal_epochs", "freeze_epoch"):
             value = getattr(self, key)
             _require(value is None or value >= 0, f"train.{key} must be null or >= 0, got {value!r}")

@@ -14,12 +14,13 @@ import pytest
 from helpers import L_PATH, SQUARE_PATH, drop_checkpoint_entry, edit_checkpoint_manifest
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "glyphsdf", *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -228,6 +229,24 @@ class TestTrain:
         assert res.returncode == 0, res.stderr
         assert (out / "checkpoint.ckpt").read_bytes() == first_ckpt
         assert (out / "train_log.csv").read_bytes() == first_log
+
+    def test_one_blas_mode_whatever_the_config_and_environment(self, workspace):
+        # run A pins by flag; run B has no threads key and asks the
+        # environment for four BLAS threads, which the CLI overrides before
+        # numpy loads, so both train in the one mode, with the same bytes
+        doc = json.loads((workspace / "config.json").read_text())
+        doc["train"].update(hidden_layers=2, hidden_width=16)
+        del doc["train"]["threads"]
+        (workspace / "no_threads.json").write_text(json.dumps(doc))
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        # one output dir for both runs, as the checkpoint echoes the config
+        out, outputs = workspace / "out", []
+        for flags, run_env in [(["--threads", "1"], None),
+                               ([], {**env, "OPENBLAS_NUM_THREADS": "4"})]:
+            res = run_cli("--config", workspace / "no_threads.json", *flags, "train", env=run_env)
+            assert res.returncode == 0, res.stderr
+            outputs.append([(out / f).read_bytes() for f in ("checkpoint.ckpt", "train_log.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_resume_continues_bit_exactly(self, workspace):
         cfg = workspace / "config.json"
@@ -453,8 +472,10 @@ class TestRenderCommand:
         from glyphsdf import autodecoder as ad, cli, field, render
 
         ws, ckpt = trained
+        # main neither reads nor writes the pins: numpy and autodecoder read
+        # them when they loaded
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)  # restored after the test
+            monkeypatch.delenv(var, raising=False)
         field_grid, evaluated = render.field_grid, []
 
         def counting_field_grid(bundle, z, label, width):
@@ -491,7 +512,7 @@ class TestRenderCommand:
 
         ws, ckpt = trained
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.setenv(var, "1")  # restored after the test
+            monkeypatch.setenv(var, "1")  # the CLI's pins, which main does not read
         # evaluate on two threads of 512-row sub-blocks
         monkeypatch.setattr(ad, "ROW_THREADS", 2)
         assert cli.main([
@@ -523,7 +544,7 @@ class TestRenderCommand:
 
         ws, ckpt = trained
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.setenv(var, "1")  # restored after the test
+            monkeypatch.setenv(var, "1")  # the CLI's pins, which main does not read
         field_grid, seen = render.field_grid, []
 
         def recording_field_grid(*args):
@@ -931,6 +952,10 @@ BAD_INPUTS = [
     ("field.channels=true", _with_set("field.channels=true"), 1),
     ("train.gamma_start=0", _with_set("train.gamma_start=0"), 1),
     ("train.threads=0", _with_set("train.threads=0"), 1),
+    ("train.threads=2", _with_set("train.threads=2"), 1),
+    ("--threads 2", _command("--threads", "2", "train"), 1),
+    ("train.seed=-1", _with_set("train.seed=-1"), 1),
+    ("--seed -1", _command("--seed", "-1", "train"), 1),
     ("train.anneal_epochs=-1", _with_set("train.anneal_epochs=-1"), 1),
     ("train.freeze_epoch=-1", _with_set("train.freeze_epoch=-1"), 1),
     ("train.fit_steps=-1", _with_set("train.fit_steps=-1"), 1),
@@ -1058,28 +1083,25 @@ def test_overflowing_network_is_one_line_error(trained, command):
 
 _PIN_SCRIPT = """
 import os, sys
-from glyphsdf import cli
-argv = ["--config", sys.argv[1], *sys.argv[2:], "prepare"]
-cli._load_config(cli._build_parser().parse_args(argv))
-assert "numpy" not in sys.modules, "the config loaded numpy"
-assert cli.main(argv) == 0
+assert "numpy" not in sys.modules
+import glyphsdf.cli
 from glyphsdf import autodecoder
-print(os.environ["OPENBLAS_NUM_THREADS"], autodecoder.ROW_THREADS)
+pins = [os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")]
+print(*pins, autodecoder.ROW_THREADS)
 """
 
 
-def test_config_threads_pin_blas_before_numpy_loads(workspace):
-    # the workspace config sets "threads": 1 and no flag repeats it; the
-    # row threads follow the pin, so --threads 2 leaves evaluate one
+def test_importing_the_cli_pins_blas_before_numpy_loads():
+    # a fresh interpreter whose environment asks for four BLAS threads: the
+    # CLI's import pins one before numpy loads, so the row threads take the
+    # CPUs, at most two
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = "4"
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    for flags, want in [([], f"1 {min(2, cpus)}"), (["--threads", "2"], "2 1")]:
-        res = subprocess.run(
-            [sys.executable, "-c", _PIN_SCRIPT, str(workspace / "config.json"), *flags],
-            capture_output=True, text=True, env=env,
-        )
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == want
+    res = subprocess.run([sys.executable, "-c", _PIN_SCRIPT], capture_output=True, text=True,
+                         env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1", "1", "1", str(min(2, cpus))]
 
 
 def test_eval_threads_follow_the_blas_threads(monkeypatch):

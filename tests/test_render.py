@@ -24,7 +24,7 @@ def tiny_bundle():
     fs = FieldSettings(train_width=24)
     g = square_glyph(label=0)
     dataset = [prepare_glyph(g, "fam", 0, 0, fs)]
-    ts = TrainSettings(epochs=80, seed=0, anneal_epochs=30, min_homogeneous=16, threads=1)
+    ts = TrainSettings(epochs=80, seed=0, anneal_epochs=30, min_homogeneous=16)
     bundle, _ = train(dataset, "A", fs, ts)
     return bundle
 

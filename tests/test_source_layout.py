@@ -3,8 +3,9 @@
 Walks the syntax trees of ``src/glyphsdf/*.py`` and fails, naming them, on
 public module-level functions and classes that no other top-level
 statement of the package refers to (by name, attribute or import), on
-dataclass fields that no code of the package reads, and on defaulted
-parameters that no call in the package passes.
+dataclass fields that no code of the package reads, on defaulted
+parameters that no call in the package passes, and on imports inside a
+function.
 """
 import ast
 from pathlib import Path
@@ -178,3 +179,28 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
     )
     # an entry whose parameter has found a caller, or is gone, leaves the list
     assert DEFAULTS_NOT_PASSED <= unpassed, sorted(DEFAULTS_NOT_PASSED - unpassed)
+
+
+def _function_imports(node, prefix=""):
+    """Name of each function under ``node``, as ``outer.inner`` or
+    ``Class.method``, whose body holds an import statement, nested
+    functions' bodies included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}{child.name}"
+            if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(sub, (ast.Import, ast.ImportFrom)) for sub in ast.walk(child)):
+                yield name
+            yield from _function_imports(child, f"{name}.")
+
+
+def imports_inside_functions(src=SRC):
+    """``module.function`` for each function of the package that imports
+    something when it runs, rather than where its module loads."""
+    return sorted(f"{stem}.{name}" for stem, tree in _modules(src)
+                  for name in _function_imports(tree))
+
+
+def test_every_import_is_at_module_level():
+    inside = imports_inside_functions()
+    assert not inside, f"functions under src/ that import: {inside}"

@@ -262,7 +262,7 @@ class TestTrainLoop:
     def test_loss_decreases_on_desk_run(self):
         dataset, fs = desk_dataset()
         ts = TrainSettings(
-            epochs=120, seed=0, anneal_epochs=40, min_homogeneous=16, threads=1
+            epochs=120, seed=0, anneal_epochs=40, min_homogeneous=16
         )
         bundle, rows = train(dataset, "A", fs, ts)
         losses = [r["loss_total"] for r in rows]
@@ -272,7 +272,7 @@ class TestTrainLoop:
 
     def test_same_seed_identical_logs(self):
         dataset, fs = desk_dataset()
-        ts = TrainSettings(epochs=12, seed=5, anneal_epochs=6, min_homogeneous=16, threads=1)
+        ts = TrainSettings(epochs=12, seed=5, anneal_epochs=6, min_homogeneous=16)
         _, rows1 = train(dataset, "A", fs, ts)
         _, rows2 = train(dataset, "A", fs, ts)
         assert rows1 == rows2
@@ -281,21 +281,21 @@ class TestTrainLoop:
         # after the freeze epoch the codes never move again, so training 5
         # epochs and 10 epochs (both freezing at 4) must agree bit-exactly
         dataset, fs = desk_dataset()
-        common = dict(seed=1, freeze_epoch=4, anneal_epochs=0, min_homogeneous=16, threads=1)
+        common = dict(seed=1, freeze_epoch=4, anneal_epochs=0, min_homogeneous=16)
         b5, _ = train(dataset, "A", fs, TrainSettings(epochs=5, **common))
         b10, _ = train(dataset, "A", fs, TrainSettings(epochs=10, **common))
         assert np.array_equal(b5.latents.codes, b10.latents.codes)
         # and without freezing they would have kept moving
         b10_free, _ = train(
             dataset, "A", fs,
-            TrainSettings(epochs=10, seed=1, anneal_epochs=0, min_homogeneous=16, threads=1),
+            TrainSettings(epochs=10, seed=1, anneal_epochs=0, min_homogeneous=16),
         )
         assert not np.array_equal(b10_free.latents.codes, b10.latents.codes)
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         dataset, fs = desk_dataset()
-        full = TrainSettings(epochs=8, seed=9, anneal_epochs=4, min_homogeneous=16, threads=1)
-        half = TrainSettings(epochs=4, seed=9, anneal_epochs=4, min_homogeneous=16, threads=1)
+        full = TrainSettings(epochs=8, seed=9, anneal_epochs=4, min_homogeneous=16)
+        half = TrainSettings(epochs=4, seed=9, anneal_epochs=4, min_homogeneous=16)
         b_full, _ = train(dataset, "A", fs, full)
         b_half, _ = train(dataset, "A", fs, half)
         path = tmp_path / "half.ckpt"
@@ -323,7 +323,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training, "_glyph_cache", flaky)
         ts = TrainSettings(
-            epochs=10, seed=2, anneal_epochs=6, min_homogeneous=16, threads=1
+            epochs=10, seed=2, anneal_epochs=6, min_homogeneous=16
         )
         with pytest.raises(training.TrainingDiverged) as info:
             train(dataset, "A", fs, ts)
@@ -346,7 +346,7 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "total_loss", nan_gradient)
         dataset, fs = desk_dataset()
         with pytest.raises(training.TrainingDiverged) as info:
-            train(dataset, "A", fs, TrainSettings(epochs=3, min_homogeneous=16, threads=1))
+            train(dataset, "A", fs, TrainSettings(epochs=3, min_homogeneous=16))
         assert (info.value.epoch, info.value.bundle) == (1, None)
 
     def test_last_epoch_ends_on_the_network_output(self, monkeypatch):
@@ -362,7 +362,7 @@ class TestTrainLoop:
         monkeypatch.setattr(ad, "evaluate", nan_output)
         dataset, fs = desk_dataset()
         with pytest.raises(training.TrainingDiverged) as info:
-            train(dataset, "A", fs, TrainSettings(epochs=3, min_homogeneous=16, threads=1))
+            train(dataset, "A", fs, TrainSettings(epochs=3, min_homogeneous=16))
         assert seen == [64]
         assert info.value.epoch == 2 and info.value.bundle.epoch == 2
 
@@ -377,7 +377,7 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "total_loss", recording)
         dataset, fs = desk_dataset()
         ts = TrainSettings(
-            epochs=4, seed=4, anneal_epochs=2, min_homogeneous=16, threads=1,
+            epochs=4, seed=4, anneal_epochs=2, min_homogeneous=16,
             eikonal_ratio=ratio,
         )
         _, rows = train(dataset, "A", fs, ts)
@@ -398,7 +398,7 @@ class TestTrainLoop:
 class TestFitLatent:
     def _trained(self):
         dataset, fs = desk_dataset()
-        ts = TrainSettings(epochs=60, seed=3, anneal_epochs=20, min_homogeneous=16, threads=1)
+        ts = TrainSettings(epochs=60, seed=3, anneal_epochs=20, min_homogeneous=16)
         bundle, _ = train(dataset, "A", fs, ts)
         return bundle, dataset[0]
 
@@ -447,7 +447,7 @@ class TestFitLatent:
         # 96x96 is 9,216 pixels; with 8 columns masked 8,448 remain, above
         # FIT_MAX_POINTS, so the fit takes a seeded 8,192 of them
         dataset, fs = desk_dataset()
-        ts = TrainSettings(epochs=1, seed=3, anneal_epochs=0, min_homogeneous=16, threads=1)
+        ts = TrainSettings(epochs=1, seed=3, anneal_epochs=0, min_homogeneous=16)
         bundle, _ = train(dataset, "A", fs, ts)
         target = np.random.default_rng(0).uniform(size=(96, 96))
         mask = np.zeros((96, 96), dtype=bool)
