@@ -1,8 +1,8 @@
 """Glyphs as neurally-encoded multi-channel signed distance fields.
 
-The package imports none of its submodules, so importing
-:mod:`glyphsdf.cli`, the command-line entry point, runs its BLAS pin of one
-thread per call before anything loads numpy.
+The package imports none of its submodules, so :mod:`glyphsdf.cli`, the
+command-line entry point, loads before numpy and pins BLAS to one thread
+per call; a caller that loaded numpy first keeps the pin BLAS read.
 """
 
 __version__ = "0.1.0"

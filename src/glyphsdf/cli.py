@@ -1,24 +1,26 @@
 """Command-line pipeline: prepare, train, render, interpolate, fit, eval.
 
 Exit codes: 0 ok, 1 usage/config error, 2 numerical failure, 3 I/O error.
-Loading this module pins BLAS to one thread per call, before numpy loads:
-the bit-reproducible mode, and on a 2-vCPU host the faster one.  The
-network (training steps, render, interpolate, fit, eval's implicit renders)
-then spreads its work over up to two of the CPUs the process may run on,
-with the same bits at any CPU count; ``autodecoder`` decides this once,
-when it loads.
+Loading this module before numpy pins BLAS to one thread per call: the
+bit-reproducible mode, and on a 2-vCPU host the faster one.  Loaded after
+numpy, it leaves the pin as BLAS read it.  The network (training steps,
+render, interpolate, fit, eval's implicit renders) then spreads its work
+over up to two of the CPUs the process may run on, with the same bits at
+any CPU count; ``autodecoder`` decides this once, when it loads.
 """
 from __future__ import annotations
 
 import os
+import sys
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+# BLAS reads its pin when numpy loads, and autodecoder reads the same pin
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import argparse
 import csv
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -59,10 +61,6 @@ def _build_parser():
 
     p_train = sub.add_parser("train", help="fit the network to the prepared dataset")
     p_train.add_argument("--resume", help="checkpoint to continue from")
-    p_train.add_argument(
-        "--mode", choices=["n1", "pixel"], help="n1: single-channel baseline; "
-        "pixel: supervise opacities directly (no distance field)"
-    )
 
     p_render = sub.add_parser("render", help="render a trained glyph")
     p_render.add_argument("--checkpoint", required=True)
@@ -102,10 +100,6 @@ def _load_config(args):
         overrides.append(f"train.seed={args.seed}")
     if args.threads is not None:
         overrides.append(f"train.threads={args.threads}")
-    if getattr(args, "mode", None) == "n1":
-        overrides.append("field.channels=1")
-    elif getattr(args, "mode", None) == "pixel":
-        overrides.append('train.supervision="pixel"')
     return cfg.apply_overrides(overrides)
 
 
@@ -275,24 +269,12 @@ def cmd_train(cfg, args):
     return 0
 
 
-def _check_width(width):
-    if width < config.MIN_WIDTH:
-        raise _UsageError(f"--res width {width} is below the minimum of {config.MIN_WIDTH}")
-    return width
-
-
-def _parse_res_list(text):
-    try:
-        values = [int(v) for v in str(text).split(",") if v]
-    except ValueError:
-        raise _UsageError(f"bad --res list {text!r}") from None
-    if not values:
-        raise _UsageError("--res needs at least one width")
-    return [_check_width(v) for v in values]
-
-
 def cmd_render(cfg, args):
-    widths = _parse_res_list(args.res)
+    try:
+        widths = [int(v) for v in args.res.split(",") if v]
+    except ValueError:
+        raise _UsageError(f"bad --res list {args.res!r}") from None
+    config.check_widths(widths, "--res")
     bundle = ad.load_checkpoint(args.checkpoint)
     z = _family_latent(bundle, args.family)
     label = _label_index(bundle, args.label)
@@ -330,7 +312,7 @@ def cmd_render(cfg, args):
 def cmd_interpolate(cfg, args):
     if args.steps < 2:
         raise _UsageError("--steps must be >= 2 (endpoints included)")
-    _check_width(args.res)
+    config.check_widths([args.res], "--res")
     bundle = ad.load_checkpoint(args.checkpoint)
     za = _family_latent(bundle, args.family_a)
     zb = _family_latent(bundle, args.family_b)
@@ -350,7 +332,7 @@ def cmd_interpolate(cfg, args):
 
 
 def cmd_fit(cfg, args):
-    _check_width(args.res)
+    config.check_widths([args.res], "--res")
     bundle = ad.load_checkpoint(args.checkpoint)
     label = _label_index(bundle, args.label)
     target = render.read_image(args.target)
@@ -452,6 +434,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except GlyphSdfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

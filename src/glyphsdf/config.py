@@ -21,8 +21,10 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-# smallest grid width a field is trained or rendered at
+# the widths a field is trained or rendered at: at least 8, and at most
+# the .grid container's u16 dimension
 MIN_WIDTH = 8
+MAX_WIDTH = 0xFFFF
 DEFAULT_ALPHABET = string.ascii_uppercase + string.ascii_lowercase
 DEFAULT_MARGIN = 0.15
 # a junction is a corner when the angle between its two curve rays is
@@ -33,6 +35,16 @@ CORNER_ANGLE_DEFAULT = 3.0  # radians
 def _require(ok, message):
     if not ok:
         raise ConfigError(message)
+
+
+def check_widths(widths, name):
+    """Raise ConfigError, naming ``widths`` as ``name``, unless they are a
+    non-empty list of distinct integers in [MIN_WIDTH, MAX_WIDTH]."""
+    for width in widths:
+        _require(type(width) is int and MIN_WIDTH <= width <= MAX_WIDTH,
+                 f"{name}: width {width!r} is not an integer in [{MIN_WIDTH}, {MAX_WIDTH}]")
+    _require(widths and len(set(widths)) == len(widths),
+             f"{name} must hold at least one width and none twice, got {widths!r}")
 
 
 _KINDS = {
@@ -85,10 +97,7 @@ class FieldSettings:
         require_types(self, "field")
         _require(self.channels in (1, 3), f"field.channels must be 1 or 3, got {self.channels!r}")
         _require(self.aa_k > 0, f"field.aa_k must be > 0, got {self.aa_k!r}")
-        _require(
-            self.train_width >= MIN_WIDTH,
-            f"field.train_width must be >= {MIN_WIDTH}, got {self.train_width!r}",
-        )
+        check_widths([self.train_width], "field.train_width")
         _require(
             0 < self.corner_threshold < math.pi,
             f"field.corner_threshold must be in (0, pi), got {self.corner_threshold!r}",
@@ -161,13 +170,12 @@ class EvalSettings:
 
     def __post_init__(self):
         require_types(self, "eval")
+        check_widths(self.resolutions, "eval.resolutions")
         _require(
-            all(type(width) is int and width >= MIN_WIDTH for width in self.resolutions),
-            f"eval.resolutions must all be integers >= {MIN_WIDTH}, got {self.resolutions!r}",
-        )
-        _require(
-            all(m in ("implicit", "bilateral") for m in self.methods),
-            f"eval.methods must be 'implicit' or 'bilateral', got {self.methods!r}",
+            self.methods and all(m in ("implicit", "bilateral") for m in self.methods)
+            and len(set(self.methods)) == len(self.methods),
+            f"eval.methods must be non-empty, each 'implicit' or 'bilateral' with no "
+            f"repeat, got {self.methods!r}",
         )
 
 

@@ -274,7 +274,7 @@ class TestTrain:
         assert a[12 + na :] == b[12 + nb :]
 
     def test_n1_mode(self, workspace):
-        res = run_cli("--config", workspace / "config.json", "train", "--mode", "n1")
+        res = run_cli("--config", workspace / "config.json", "--set", "field.channels=1", "train")
         assert res.returncode == 0, res.stderr
         from glyphsdf import autodecoder as ad
 
@@ -472,10 +472,6 @@ class TestRenderCommand:
         from glyphsdf import autodecoder as ad, cli, field, render
 
         ws, ckpt = trained
-        # main neither reads nor writes the pins: numpy and autodecoder read
-        # them when they loaded
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
         field_grid, evaluated = render.field_grid, []
 
         def counting_field_grid(bundle, z, label, width):
@@ -511,8 +507,6 @@ class TestRenderCommand:
         from glyphsdf import autodecoder as ad, cli, geometry, render
 
         ws, ckpt = trained
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.setenv(var, "1")  # the CLI's pins, which main does not read
         # evaluate on two threads of 512-row sub-blocks
         monkeypatch.setattr(ad, "ROW_THREADS", 2)
         assert cli.main([
@@ -543,8 +537,6 @@ class TestRenderCommand:
         from glyphsdf import autodecoder as ad, cli, render
 
         ws, ckpt = trained
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.setenv(var, "1")  # the CLI's pins, which main does not read
         field_grid, seen = render.field_grid, []
 
         def recording_field_grid(*args):
@@ -941,6 +933,16 @@ BAD_INPUTS = [
     ("field.aa_k=0", _in_file("field", "aa_k", 0, "train"), 1),
     ("field.train_width=4", _in_file("field", "train_width", 4, "train"), 1),
     ("eval.resolutions=[4]", _in_file("eval", "resolutions", [4], "eval", "--checkpoint", CKPT), 1),
+    ("eval.resolutions=[]", _in_file("eval", "resolutions", [], "eval", "--checkpoint", CKPT), 1),
+    ("eval.resolutions=[16,16]", _in_file(
+        "eval", "resolutions", [16, 16], "eval", "--checkpoint", CKPT), 1),
+    ("eval.resolutions=[70000]", _in_file(
+        "eval", "resolutions", [70000], "eval", "--checkpoint", CKPT), 1),
+    ("eval.methods=[]", _in_file("eval", "methods", [], "eval", "--checkpoint", CKPT), 1),
+    ('eval.methods=["bilateral","bilateral"]', _in_file(
+        "eval", "methods", ["bilateral", "bilateral"], "eval", "--checkpoint", CKPT), 1),
+    ("field.train_width=70000", _in_file("field", "train_width", 70000, "train"), 1),
+    ("train --mode n1", _command("train", "--mode", "n1"), 1),
     ("train.hidden_layers=0", _in_file("train", "hidden_layers", 0, "train"), 1),
     ("train.hidden_layers=1", _with_set("train.hidden_layers=1"), 1),
     ("train.epochs=-3", _with_set("train.epochs=-3"), 1),
@@ -967,8 +969,8 @@ BAD_INPUTS = [
     ("field.corner_threshold=3.2", _with_set("field.corner_threshold=3.2"), 1),
     ("dataset.margin=1", _with_set("dataset.margin=1"), 1),
     ("dataset.margin=-0.1", _with_set("dataset.margin=-0.1"), 1),
-    ("train --resume --mode n1 on 3 channels", _command(
-        "train", "--resume", CKPT, "--mode", "n1"), 1),
+    ("train --resume with field.channels=1 on 3 channels", _command(
+        "--set", "field.channels=1", "train", "--resume", CKPT), 1),
     ("train --resume with other hidden_layers", _command(
         "--set", "train.hidden_layers=2", "train", "--resume", CKPT), 1),
     ("train --resume with other hidden_width", _command(
@@ -995,6 +997,11 @@ BAD_INPUTS = [
     ("train on families a.b and au002eb", _families_escaping_alike, 1),
     ("render --res 4", _command(
         "render", "--checkpoint", CKPT, "--family", "fam", "--label", "A", "--res", "4"), 1),
+    ("render --res 16,16", _command(
+        "render", "--checkpoint", CKPT, "--family", "fam", "--label", "A", "--res", "16,16"), 1),
+    ("render --res 10000000000", _command(
+        "render", "--checkpoint", CKPT, "--family", "fam", "--label", "A",
+        "--res", "10000000000"), 1),
     ("interpolate --res 0", _command(
         "interpolate", "--checkpoint", CKPT, "--family-a", "fam", "--family-b", "fam",
         "--label", "A", "--steps", "2", "--res", "0"), 1),
@@ -1033,6 +1040,25 @@ def test_bad_input_is_one_line_error(trained, case, argv, code):
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+
+def test_out_of_memory_is_one_line_error(trained, monkeypatch, capsys):
+    # a width inside the limit that the host cannot hold; no test allocates
+    # one for real
+    from glyphsdf import cli, render
+
+    ws, ckpt = trained
+
+    def field_grid(bundle, z, label, width):
+        raise MemoryError(f"Unable to allocate the grid at width {width}")
+
+    monkeypatch.setattr(render, "field_grid", field_grid)
+    assert cli.main([
+        "--config", str(ws / "config.json"), "render", "--checkpoint", str(ckpt),
+        "--family", "fam", "--label", "A", "--res", "60000",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and len(err.strip().splitlines()) == 1, err
 
 
 NAN_HEAD_COMMANDS = {
@@ -1102,6 +1128,26 @@ def test_importing_the_cli_pins_blas_before_numpy_loads():
                          env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["1", "1", "1", str(min(2, cpus))]
+
+
+_LATE_PIN_SCRIPT = """
+import os
+import numpy
+import glyphsdf.cli
+from glyphsdf import autodecoder
+print(os.environ["OPENBLAS_NUM_THREADS"], autodecoder.ROW_THREADS)
+"""
+
+
+def test_importing_the_cli_after_numpy_keeps_the_blas_threads():
+    # numpy loaded first and read four BLAS threads: the CLI's import
+    # leaves the pin as BLAS read it, so the row threads stay off
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = "4"
+    res = subprocess.run([sys.executable, "-c", _LATE_PIN_SCRIPT], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["4", "1"]
 
 
 def test_eval_threads_follow_the_blas_threads(monkeypatch):

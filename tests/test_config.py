@@ -5,7 +5,9 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glyphsdf.config import FieldSettings, RunConfig, TrainSettings
+from glyphsdf.config import (
+    MAX_WIDTH, MIN_WIDTH, EvalSettings, FieldSettings, RunConfig, TrainSettings, check_widths
+)
 from glyphsdf.errors import ConfigError, GlyphSdfError
 
 from helpers import json_values
@@ -49,6 +51,49 @@ def test_float_fields_take_finite_values_only(build):
 def test_float_fields_take_ints_and_optional_fields_none():
     assert FieldSettings(aa_k=4).aa_k == 4
     assert TrainSettings(samples_cap=None, freeze_epoch=None).samples_cap is None
+
+
+def test_width_rule_takes_distinct_integers_in_the_grid_range():
+    check_widths([MIN_WIDTH, 91, MAX_WIDTH], "--res")
+    assert FieldSettings(train_width=MAX_WIDTH).train_width == MAX_WIDTH
+    assert EvalSettings(resolutions=[MAX_WIDTH, MIN_WIDTH]).resolutions == [MAX_WIDTH, MIN_WIDTH]
+
+
+@pytest.mark.parametrize(
+    "widths, match",
+    [
+        ([], "at least one width"),
+        ([16, 32, 16], "none twice"),
+        ([MIN_WIDTH - 1], "width 7 is not"),
+        ([MAX_WIDTH + 1], "width 65536 is not"),
+        ([10**10], "is not an integer in"),
+        ([16.0], "is not an integer in"),
+        ([True, 16], "is not an integer in"),
+        ([[16], [16]], "is not an integer in"),
+    ],
+    ids=["empty", "repeat", "below 8", "above u16", "10**10", "float", "bool", "list"],
+)
+def test_width_rule_rejects(widths, match):
+    with pytest.raises(ConfigError, match=match):
+        check_widths(widths, "--res")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FieldSettings(train_width=MAX_WIDTH + 1),
+        lambda: EvalSettings(resolutions=[]),
+        lambda: EvalSettings(resolutions=[64, 64]),
+        lambda: EvalSettings(methods=[]),
+        lambda: EvalSettings(methods=["implicit", "implicit"]),
+        lambda: EvalSettings(methods=["nearest"]),
+    ],
+    ids=["train_width", "resolutions empty", "resolutions repeated", "methods empty",
+         "methods repeated", "methods unknown"],
+)
+def test_eval_and_field_settings_apply_the_list_rules(build):
+    with pytest.raises(ConfigError):
+        build()
 
 
 @st.composite
