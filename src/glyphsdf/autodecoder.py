@@ -44,33 +44,34 @@ Both rules are facts of OpenBLAS's AVX-512 kernels (0.3.31, with its 10^6
 small-matrix permit), so the tests compare every split against
 whole-array references at production size.
 
-The rows are independent, so the network spreads its work over
-``ROW_THREADS`` row threads, fixed when this module loads: the CPUs the
-process may run on, at most 2, when ``OPENBLAS_NUM_THREADS`` is ``"1"``,
-as :mod:`glyphsdf.cli` always sets it before numpy loads.  A library
-caller that leaves it unset gets 1, since BLAS then spreads each GEMM over
-its own threads.  :func:`_in_threads` runs one call's tasks, the first on
-the calling thread and the others, under the caller's numpy error state, on one pool of ``ROW_THREADS - 1`` workers per
-process.  The first call that has more than one task opens the pool once
-and it is kept, so a training step starts no thread; a forked child drops
-the pool it inherits and opens its own.  A thread writes its own rows, or
-its own arrays, of buffers the one-thread path allocates too, with scratch
-that :func:`_spread` makes for it, and no result depends on the thread
-count.  One rule, :func:`_row_parts`, cuts the rows of every pass: T
-blocks per ``SUB_ROWS`` rows, rounded up, of one size but the last, which
-takes the remainder; thread t runs blocks t, t + T, ... (:func:`_spread`).
-:func:`forward` and :func:`evaluate` run their hidden layers in these
-blocks and :func:`backward` each layer's slope pass, with the
-``width``-column input gradients when no weight gradient is wanted (latent
-fitting); then one :func:`_in_threads` call runs the weight gradient
-``a_in.T @ dz`` (with the bias gradient) beside the whole input gradient,
-wherever either is needed.  Every sum keeps its order: ``gw``, ``gb``, the
-head's gradients and the latent sum ``total_loss`` takes of ``dX`` are
-whole-array on one thread.  A width under 32, 45 and 55 runs evaluate's
-full chunks whole at one, two and three threads; a short last chunk's
-smaller blocks fall back at larger widths.
-:func:`adam_step` runs on the row threads too, in blocks of
-``ADAM_BLOCK`` elements of each tensor's flat view.
+The rows are independent, so :func:`forward`, :func:`backward` and
+:func:`evaluate` spread their work over ``ROW_THREADS`` row threads, fixed
+when this module loads: the CPUs the process may run on, at most 2, when
+``OPENBLAS_NUM_THREADS`` is ``"1"``, as :mod:`glyphsdf.cli` always sets it
+before numpy loads.  A library caller that leaves it unset gets 1, since
+BLAS then spreads each GEMM over its own threads.  :func:`_in_threads`
+runs one call's tasks, the first on the calling thread and the others,
+under the caller's numpy error state, on one pool of ``ROW_THREADS - 1``
+workers per process.  The first call that has more than one task opens the
+pool once and it is kept, so a training step starts no thread; a forked
+child drops the pool it inherits and opens its own.  A thread writes its
+own rows, or its own arrays, of buffers the one-thread path allocates too,
+with scratch that :func:`_spread` makes for it, and no result depends on
+the thread count.  One rule, :func:`_row_parts`, cuts the rows of every
+pass: T blocks per ``SUB_ROWS`` rows, rounded up, of one size but the
+last, which takes the remainder; thread t runs blocks t, t + T, ...
+(:func:`_spread`).  :func:`forward` and :func:`evaluate` run their hidden
+layers in these blocks and :func:`backward` each layer's slope pass, with
+the ``width``-column input gradients when no weight gradient is wanted
+(latent fitting); then one :func:`_in_threads` call runs the weight
+gradient ``a_in.T @ dz`` (with the bias gradient) beside the whole input
+gradient, wherever either is needed.  Every sum keeps its order: ``gw``,
+``gb``, the head's gradients and the latent sum ``total_loss`` takes of
+``dX`` are whole-array on one thread.  A width under 32, 45 and 55 runs
+evaluate's full chunks whole at one, two and three threads; a short last
+chunk's smaller blocks fall back at larger widths.
+:func:`adam_step` runs on the calling thread, in blocks of about
+``ADAM_BLOCK`` elements: runs of whole leading-axis rows of each tensor.
 
 The cache of :func:`forward` is the tuple ``(X, acts, skip_in)``:
 
@@ -122,9 +123,12 @@ LATENT_DIM = 128
 # activation are 384 KB, which stays in a core's L2 between passes
 BLOCK_ROWS = 128
 
-# elements per block of adam_step's update: on a 2-vCPU AVX-512 Xeon, one
-# step of the 8x384 network took 10 ms in 64K-element blocks at two threads
-# and 16-18 ms in whole-tensor passes; 8K-element blocks took 25 ms, 128K 12
+# elements per block of adam_step's update: on a 2-vCPU AVX-512 Xeon, the
+# median step of the 8x384 network in a loop of steps took 10.4-12.1 ms in
+# these blocks and 12.3-14.6 ms in whole-tensor passes.  Spread over two
+# threads, the same blocks took 11.5-15.6 ms there against 10.6-14.2 ms on
+# one, but 8.0-8.7 ms against 11.4-13.5 ms right after the backward of a
+# 1,895-row training step, which one thread makes about 2% longer
 ADAM_BLOCK = 1 << 16
 
 # rows per chunk of evaluate, and rows a pass cuts into one block per row thread
@@ -138,10 +142,9 @@ _MAX_ROW_THREADS = 2
 
 
 def _row_threads():
-    """Threads of :func:`evaluate`, :func:`forward`, :func:`backward` and
-    :func:`adam_step`: when BLAS runs one thread per call, as under the
-    CLI, the CPUs the process may run on, at most ``_MAX_ROW_THREADS``;
-    else 1."""
+    """Threads of :func:`evaluate`, :func:`forward` and :func:`backward`:
+    when BLAS runs one thread per call, as under the CLI, the CPUs the
+    process may run on, at most ``_MAX_ROW_THREADS``; else 1."""
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         return 1
     try:
@@ -535,26 +538,22 @@ class AdamState:
 def adam_step(state, arrays, grads):
     """One ADAM update, in place, over named parameter arrays.
 
-    ``arrays`` and ``grads`` are dicts name -> ndarray with matching
-    shapes.  A non-finite gradient aborts with the offending tensor named,
-    and a bad one of either kind before any parameter, moment or the step
-    count changes; so does a parameter or moment array whose flat view
-    would be a copy, since the update writes through that view.
+    ``arrays`` and ``grads`` are dicts name -> ndarray of one or more
+    dimensions with matching shapes.  A non-finite gradient aborts with the
+    offending tensor named, and a bad one of either kind before any
+    parameter, moment or the step count changes.
 
-    The update runs on the row threads in blocks of ``ADAM_BLOCK`` elements
-    of each tensor's flat view, each thread with its own scratch: every
-    element sees the same IEEE operations in the same order as in one
-    whole-tensor pass, at any thread count.
+    The update runs on the calling thread in blocks of about ``ADAM_BLOCK``
+    elements, each a run of whole leading-axis rows of the arrays
+    themselves, so a strided array is updated in place like any other.
+    Every element sees the same IEEE operations in the same order as in one
+    whole-tensor pass.
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for tensor {name!r}")
         if arrays[name].shape != g.shape:
             raise ValueError(f"gradient shape mismatch for {name!r}")
-        for a in (arrays[name], state.m.get(name), state.v.get(name)):
-            if a is not None and a.size and not np.may_share_memory(a.reshape(-1), a):
-                raise ValueError(f"tensor {name!r} cannot be updated in place: "
-                                 "its flat view would be a copy")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
@@ -563,14 +562,13 @@ def adam_step(state, arrays, grads):
     for name, g in grads.items():
         p = arrays[name]
         state.ensure(name, p)
-        flat = [a.reshape(-1) for a in (p, state.m[name], state.v[name], g)]
-        blocks += [(flat, slice(s, s + ADAM_BLOCK)) for s in range(0, g.size, ADAM_BLOCK)]
-    size = min(ADAM_BLOCK, max((g.size for g in grads.values()), default=0))
-
-    def run(block, scratch):
-        flat, elements = block
-        p, m, v, g = (a[elements] for a in flat)
-        s, u = (a[: g.size] for a in scratch)
+        step = max(1, ADAM_BLOCK // max(1, math.prod(g.shape[1:])))
+        blocks += [[a[r : r + step] for a in (p, state.m[name], state.v[name], g)]
+                   for r in range(0, len(g), step)]
+    # one scratch pair, as large as the largest block
+    scratch = [np.empty(max((b[3].size for b in blocks), default=0)) for _ in range(2)]
+    for p, m, v, g in blocks:
+        s, u = (a[: g.size].reshape(g.shape) for a in scratch)
         # in place, the same operations in the same order as
         #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*(g*g)
         #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
@@ -587,8 +585,6 @@ def adam_step(state, arrays, grads):
         u += state.eps
         s /= u
         p -= s
-
-    _spread(blocks, run, lambda: (np.empty(size), np.empty(size)))
 
 
 # ---------------------------------------------------------------------------

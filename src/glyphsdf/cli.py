@@ -239,6 +239,11 @@ def cmd_train(cfg, args):
                 file=sys.stderr,
             )
 
+    def save(name, bundle):
+        # either checkpoint's manifest echoes the run's config
+        bundle.train_config = cfg.to_dict()
+        ad.save_checkpoint(out / name, bundle)
+
     try:
         bundle, rows = training.train(
             dataset,
@@ -250,7 +255,7 @@ def cmd_train(cfg, args):
         )
     except training.TrainingDiverged as exc:
         if exc.bundle is not None:
-            ad.save_checkpoint(out / "checkpoint.diverged.ckpt", exc.bundle)
+            save("checkpoint.diverged.ckpt", exc.bundle)
             print(
                 f"training diverged at epoch {exc.epoch}; last good checkpoint "
                 f"written to {out / 'checkpoint.diverged.ckpt'}",
@@ -259,8 +264,7 @@ def cmd_train(cfg, args):
         else:
             print(f"training diverged at epoch {exc.epoch}", file=sys.stderr)
         return 2
-    bundle.train_config = cfg.to_dict()
-    ad.save_checkpoint(out / "checkpoint.ckpt", bundle)
+    save("checkpoint.ckpt", bundle)
     _write_csv(out / "train_log.csv", [
         "epoch", "gamma", "loss_total", "loss_global", "loss_local",
         "loss_grad", "latent_norm", "wall_ms",
@@ -416,13 +420,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg, args)
     except NumericalError as exc:

@@ -283,7 +283,7 @@ class TestTrain:
         assert bundle.network.out_channels == 1
 
     @staticmethod
-    def _train_one_glyph(workspace, *overrides):
+    def _train_one_glyph(workspace, *overrides, resume=None):
         """Train a 2x16 network on the square glyph alone: one step an epoch."""
         (workspace / "one.json").write_text(
             json.dumps([{"family": "fam", "label": "A", "file": "sq.path"}])
@@ -293,6 +293,7 @@ class TestTrain:
             "--set", f"dataset.manifest={json.dumps(str(workspace / 'one.json'))}",
             "--set", "train.hidden_layers=2", "--set", "train.hidden_width=16",
             *(a for o in overrides for a in ("--set", o)), "train",
+            *(["--resume", resume] if resume else []),
         )
 
     def test_divergence_to_nan_writes_the_last_good_checkpoint(self, workspace):
@@ -306,10 +307,31 @@ class TestTrain:
         from glyphsdf import autodecoder as ad
 
         ckpt = workspace / "out" / "checkpoint.diverged.ckpt"
-        assert ad.load_checkpoint(ckpt).epoch == 1
+        bundle = ad.load_checkpoint(ckpt)
+        assert bundle.epoch == 1
+        # the manifest echoes the diverged run's config
+        assert bundle.train_config["train"]["lr"] == 2e76
+        assert bundle.train_config["train"]["epochs"] == 3
         res = run_cli("--config", workspace / "config.json", "render", "--checkpoint", ckpt,
                       "--family", "fam", "--label", "A", "--res", "16")
         assert res.returncode == 0, res.stderr
+
+    def test_resume_from_a_checkpoint_without_adam_moments(self, workspace):
+        # the diverged checkpoint keeps epoch 1's parameters but no moments:
+        # a resumed run starts ADAM afresh and takes epochs 1 and 2
+        res = self._train_one_glyph(
+            workspace, "train.epochs=3", "train.lr=2e76", "train.seed=0")
+        assert res.returncode == 2, res.stderr
+        from glyphsdf import autodecoder as ad
+
+        ckpt = workspace / "out" / "checkpoint.diverged.ckpt"
+        assert ad.load_checkpoint(ckpt).adam is None
+        res = self._train_one_glyph(
+            workspace, "train.epochs=3", "train.lr=1e-3", "train.seed=0", resume=ckpt)
+        assert res.returncode == 0, res.stderr
+        bundle = ad.load_checkpoint(workspace / "out" / "checkpoint.ckpt")
+        assert bundle.epoch == 3
+        assert bundle.adam.step_count == 2
 
     @pytest.mark.parametrize("lr", ["1e300", "1.7e308"])
     def test_unproven_snapshot_is_not_written(self, workspace, lr):
