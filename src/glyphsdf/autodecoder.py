@@ -49,27 +49,27 @@ The rows are independent, so :func:`forward`, :func:`backward` and
 when this module loads: the CPUs the process may run on, at most 2, when
 ``OPENBLAS_NUM_THREADS`` is ``"1"``, as :mod:`glyphsdf.cli` always sets it
 before numpy loads.  A library caller that leaves it unset gets 1, since
-BLAS then spreads each GEMM over its own threads.  :func:`_in_threads`
-runs one call's tasks, the first on the calling thread and the others,
-under the caller's numpy error state, on one pool of ``ROW_THREADS - 1``
-workers per process.  The first call that has more than one task opens the
-pool once and it is kept, so a training step starts no thread; a forked
-child drops the pool it inherits and opens its own.  A thread writes its
-own rows, or its own arrays, of buffers the one-thread path allocates too,
-with scratch that :func:`_spread` makes for it, and no result depends on
-the thread count.  One rule, :func:`_row_parts`, cuts the rows of every
-pass: T blocks per ``SUB_ROWS`` rows, rounded up, of one size but the
-last, which takes the remainder; thread t runs blocks t, t + T, ...
-(:func:`_spread`).  :func:`forward` and :func:`evaluate` run their hidden
-layers in these blocks and :func:`backward` each layer's slope pass, with
-the ``width``-column input gradients when no weight gradient is wanted
-(latent fitting); then one :func:`_in_threads` call runs the weight
-gradient ``a_in.T @ dz`` (with the bias gradient) beside the whole input
-gradient, wherever either is needed.  Every sum keeps its order: ``gw``,
-``gb``, the head's gradients and the latent sum ``total_loss`` takes of
-``dX`` are whole-array on one thread.  A width under 32, 45 and 55 runs
-evaluate's full chunks whole at one, two and three threads; a short last
-chunk's smaller blocks fall back at larger widths.
+BLAS then spreads each GEMM over its own threads.  :func:`_spread` is the
+one way onto the row threads: it runs one call's blocks, thread 0's share on
+the calling thread and the others', under the caller's numpy error state, on
+one pool of ``ROW_THREADS - 1`` workers per process.  The pool is built when
+this module loads, its workers start on the first split call and are kept,
+so a training step starts no thread; a forked child builds its own.  A
+thread writes its own rows, or its own arrays, of buffers the calling thread
+allocates, with scratch that :func:`_spread` makes for it, so no task
+allocates and no result depends on the thread count.  One rule,
+:func:`_row_parts`, cuts the rows of every pass: T blocks per ``SUB_ROWS``
+rows, rounded up, of one size but the last, which takes the remainder;
+thread t runs blocks t, t + T and so on.  :func:`forward` and :func:`evaluate`
+run their hidden layers in these blocks and :func:`backward` each layer's
+slope pass, with the ``width``-column input gradients when no weight
+gradient is wanted (latent fitting); then one :func:`_spread` call runs the
+weight gradient ``a_in.T @ dz`` (with the bias gradient) on the calling
+thread beside the whole input gradient, wherever either is needed.  Every
+sum keeps its order: ``gw``, ``gb``, the head's gradients and the latent sum
+``total_loss`` takes of ``dX`` are whole-array on one thread.  A width under
+32, 45 and 55 runs evaluate's full chunks whole at one, two and three
+threads; a short last chunk's smaller blocks fall back at larger widths.
 :func:`adam_step` runs on the calling thread, in blocks of about
 ``ADAM_BLOCK`` elements: runs of whole leading-axis rows of each tensor.
 
@@ -108,7 +108,6 @@ import json
 import math
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
@@ -161,63 +160,51 @@ ROW_THREADS = _row_threads()
 SMALL_GEMM = 10**6
 
 
-# the row threads' pool: None, or a ThreadPoolExecutor of ROW_THREADS - 1
-# workers, opened by the first call that needs it and kept
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _drop_pool():
-    # a forked child has none of its parent's threads: the pool it inherits
-    # would queue every task forever, so the child opens its own
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # no fork outside POSIX
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _in_threads(tasks):
-    """The results of calling each of ``tasks``, at most ROW_THREADS at once.
-
-    The first task runs on the calling thread and the others, under the
-    caller's numpy error state (numpy keeps one per thread), on the row
-    threads' pool: the first call with more than one task opens it once,
-    with ROW_THREADS - 1 workers, and every later call reuses it.  One
-    task, or ROW_THREADS 1, starts no thread.  A task must not call this
-    function itself: it would wait for a worker that waits for it.  An
-    exception from any task reaches the caller once every task has ended.
-    """
+def _open_pool():
+    # the row threads' pool: ROW_THREADS - 1 workers, which start on the
+    # first split call, or None at one thread.  A forked child has none of
+    # its parent's threads: the pool it inherits would queue every task
+    # forever, so the child opens its own
     global _pool
-    if min(ROW_THREADS, len(tasks)) <= 1:
-        return [task() for task in tasks]
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(ROW_THREADS - 1, thread_name_prefix="glyphsdf-row")
-        pool = _pool
-    state = np.geterr()
-    futures = [pool.submit(np.errstate(**state)(task)) for task in tasks[1:]]
-    try:
-        first = tasks[0]()
-    finally:
-        wait(futures)
-    return [first] + [f.result() for f in futures]
+    _pool = (ThreadPoolExecutor(ROW_THREADS - 1, thread_name_prefix="glyphsdf-row")
+             if ROW_THREADS > 1 else None)
+
+
+_open_pool()
+if hasattr(os, "register_at_fork"):  # no fork outside POSIX
+    os.register_at_fork(after_in_child=_open_pool)
 
 
 def _spread(blocks, run, workspace):
     """Call ``run(block, space)`` for every block on up to ROW_THREADS
-    threads: thread t takes the blocks t, t + threads, ... in turn, and
-    thread 0 is the calling thread.  ``space`` is the thread's own
-    ``workspace()``, made on the calling thread before any block runs, like
-    every buffer of a pass, so that ``run`` allocates nothing: memory a
-    thread allocates stays in its malloc arena, which raised the
-    benchmark's peak RSS by about 15 MB."""
+    threads: thread t takes the blocks t, t + threads, ... in turn.
+
+    Thread 0 is the calling thread, and the others the pool's, under the
+    caller's numpy error state (numpy keeps one per thread).  ``space`` is
+    the thread's own ``workspace()``, made on the calling thread before any
+    block runs, like every buffer of a pass, so that ``run`` allocates
+    nothing: memory a thread allocates stays in its malloc arena, which
+    raised the benchmark's peak RSS by about 15 MB.  One block submits
+    nothing.  ``run`` must not call this function: it would wait for a
+    worker that waits for it.  An exception from any thread reaches the
+    caller once every thread has ended.
+    """
     threads = min(ROW_THREADS, len(blocks))
     spaces = [workspace() for _ in range(threads)]
-    _in_threads([
-        lambda t=t: [run(b, spaces[t]) for b in blocks[t::threads]] for t in range(threads)
-    ])
+
+    def task(t):
+        for b in blocks[t::threads]:
+            run(b, spaces[t])
+
+    state = np.geterr()
+    futures = [_pool.submit(np.errstate(**state)(task), t) for t in range(1, threads)]
+    try:
+        if threads:
+            task(0)
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 @dataclass
@@ -455,13 +442,20 @@ def backward(config, params, cache, d_out, need_param_grads=True):
         # a (factor, mask) block per row thread for the slope pass
         _spread(parts, run, lambda: (np.empty(block), np.empty(block, dtype=bool)))
         a_in = X if l == 0 else skip_in if l == skip else acts[l - 1]
-        # the weight gradient first, so that the calling thread allocates it
-        tasks = [lambda: (a_in.T @ dz, dz.sum(axis=0))] if need_param_grads else []
-        if not split_d_in:
-            tasks.append(lambda: np.matmul(dz, wt, out=d_in))
-        done = _in_threads(tasks)
+
+        def weight_grads():
+            np.matmul(a_in.T, dz, out=gw[l])
+            np.sum(dz, axis=0, out=gb[l])
+
+        jobs = []
         if need_param_grads:
-            gw[l], gb[l] = done[0]
+            gw[l], gb[l] = np.empty(params.weights[l].shape), np.empty(width)
+            jobs.append(weight_grads)
+        if not split_d_in:
+            jobs.append(lambda: np.matmul(dz, wt, out=d_in))
+        # the weight gradients on the calling thread, beside the whole input
+        # gradient on a row thread
+        _spread(jobs, lambda job, _: job(), lambda: None)
         if l == 0:
             dX += d_in
         elif l == skip:

@@ -26,18 +26,14 @@ from pathlib import Path
 
 from . import autodecoder as ad, config, field, geometry, glyphs, metrics, render
 from . import templates, training
-from .errors import CheckpointError, GlyphSdfError, ImageError, NumericalError
+from .errors import CheckpointError, GlyphSdfError, ImageError, NumericalError, UsageError
 
 CONFIG_ENV = "GLYPHSDF_CONFIG"
 
 
-class _UsageError(GlyphSdfError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def _build_parser():
@@ -130,14 +126,14 @@ def _check_file_names(directory, owners, kind, written_as):
     seen = {}
     for owner, name in owners:
         if fold(name) in seen:
-            raise _UsageError(f"{kind} {seen[fold(name)]!r} and {owner!r} would both "
-                              f"be written as {written_as.format(name)}")
+            raise UsageError(f"{kind} {seen[fold(name)]!r} and {owner!r} would both "
+                             f"be written as {written_as.format(name)}")
         seen[fold(name)] = owner
 
 
 def _manifest_entries(cfg):
     if not cfg.dataset.manifest:
-        raise _UsageError("config has no dataset.manifest")
+        raise UsageError("config has no dataset.manifest")
     return glyphs.load_manifest(cfg.dataset.manifest, cfg.dataset.alphabet)
 
 
@@ -174,7 +170,7 @@ def _write_csv(path, cols, rows):
 
 def _family_latent(bundle, family):
     if family not in bundle.latents.family_ids:
-        raise _UsageError(
+        raise UsageError(
             f"unknown family {family!r}; checkpoint has {bundle.latents.family_ids}"
         )
     return bundle.latents.codes[bundle.latents.family_ids.index(family)]
@@ -182,7 +178,7 @@ def _family_latent(bundle, family):
 
 def _label_index(bundle, label_char):
     if len(label_char) != 1 or label_char not in bundle.alphabet:
-        raise _UsageError(f"label {label_char!r} is not one character of the checkpoint alphabet")
+        raise UsageError(f"label {label_char!r} is not one character of the checkpoint alphabet")
     return bundle.alphabet.index(label_char)
 
 
@@ -215,7 +211,7 @@ def cmd_prepare(cfg, args):
 def cmd_train(cfg, args):
     entries = _manifest_entries(cfg)
     if not entries:
-        raise _UsageError(f"manifest {cfg.dataset.manifest} lists no glyphs to train on")
+        raise UsageError(f"manifest {cfg.dataset.manifest} lists no glyphs to train on")
     out = _out_dir(cfg)
     # render and interpolate name their files after the families
     _check_file_names(out, [(f, _file_part(f)) for f in training.latent_families(entries)],
@@ -277,7 +273,7 @@ def cmd_render(cfg, args):
     try:
         widths = [int(v) for v in args.res.split(",") if v]
     except ValueError:
-        raise _UsageError(f"bad --res list {args.res!r}") from None
+        raise UsageError(f"bad --res list {args.res!r}") from None
     config.check_widths(widths, "--res")
     bundle = ad.load_checkpoint(args.checkpoint)
     z = _family_latent(bundle, args.family)
@@ -315,7 +311,7 @@ def cmd_render(cfg, args):
 
 def cmd_interpolate(cfg, args):
     if args.steps < 2:
-        raise _UsageError("--steps must be >= 2 (endpoints included)")
+        raise UsageError("--steps must be >= 2 (endpoints included)")
     config.check_widths([args.res], "--res")
     bundle = ad.load_checkpoint(args.checkpoint)
     za = _family_latent(bundle, args.family_a)
@@ -340,16 +336,7 @@ def cmd_fit(cfg, args):
     bundle = ad.load_checkpoint(args.checkpoint)
     label = _label_index(bundle, args.label)
     target = render.read_image(args.target)
-    mask = None
-    if args.mask:
-        mask_img = render.read_image(args.mask)
-        if mask_img.shape != target.shape:
-            raise _UsageError(
-                f"mask dimensions {mask_img.shape} do not match target {target.shape}"
-            )
-        mask = mask_img >= 0.5
-        if mask.all():
-            raise _UsageError(f"mask {args.mask} hides every pixel of the target")
+    mask = render.read_image(args.mask) >= 0.5 if args.mask else None
     z, history = training.fit_latent(bundle, target, label, cfg.train, mask=mask)
     out = _out_dir(cfg)
     (out / "fit_z.json").write_text(

@@ -34,5 +34,9 @@ class CheckpointError(GlyphSdfError):
     """Unreadable, truncated or incompatible checkpoint file."""
 
 
+class UsageError(GlyphSdfError, ValueError):
+    """A bad argument: a command-line flag or a value a caller passed."""
+
+
 class ImageError(GlyphSdfError, ValueError):
     """Unreadable or malformed PGM image: bad header, truncated payload."""

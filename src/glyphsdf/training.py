@@ -25,7 +25,7 @@ import numpy as np
 from . import autodecoder as ad
 from . import geometry, templates as templates_mod
 from .config import FieldSettings, TrainSettings
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, UsageError
 from .field import compose_train_grad, kernel, kernel_grad
 from .sampling import SampleConfig, SampleSet, sample_glyph
 
@@ -474,22 +474,22 @@ def fit_latent(bundle, target_image, label, settings, mask=None):
     network stays frozen; the code starts at the latent-table mean.
     Returns (z, history) with per-step objective values, each at the
     latent before that step's update; a non-finite objective, or a final
-    latent of non-finite norm, raises NumericalError naming its step.
+    latent of non-finite norm, raises NumericalError naming its step.  A
+    target that is not 2-D, a mask of another shape or hiding every pixel, or
+    a label outside the alphabet raises UsageError.
     """
     img = np.asarray(target_image, dtype=np.float64)
     if img.ndim != 2:
-        raise ValueError("target image must be 2-D")
+        raise UsageError("target image must be 2-D")
     height, width = img.shape
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != img.shape:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match target {img.shape}"
-            )
+            raise UsageError(f"mask dimensions {mask.shape} do not match target {img.shape}")
         if mask.all():
-            raise ValueError("the mask hides every pixel of the target")
+            raise UsageError("the mask hides every pixel of the target")
     if not 0 <= label < bundle.network.alphabet_size:
-        raise ValueError(f"label {label} outside the alphabet")
+        raise UsageError(f"label {label} outside the alphabet")
 
     centers = geometry.pixel_centers(width, height).reshape(-1, 2)
     targets = img.reshape(-1)

@@ -6,8 +6,11 @@ distance transform for signed-distance grids, closed-form box fields.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, strategies as st
@@ -385,6 +388,27 @@ def reference_loss_eikonal(grad_xy):
     norm = np.sqrt(np.einsum("knc,knc->kn", g, g))
     short = np.where(norm < 1.0, 1.0 - norm, 0.0)
     return float(np.mean(short))
+
+
+@contextlib.contextmanager
+def row_threads(threads):
+    """``autodecoder`` at ``threads`` row threads on a host of any CPU count.
+
+    The module fixes ROW_THREADS and builds its pool when it loads; this
+    patches ROW_THREADS and installs a pool of ``threads - 1`` workers (none
+    at one thread), which it yields and shuts down on exit.
+    """
+    from glyphsdf import autodecoder as ad
+
+    pool = None
+    if threads > 1:
+        pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="glyphsdf-row")
+    try:
+        with mock.patch.object(ad, "ROW_THREADS", threads), mock.patch.object(ad, "_pool", pool):
+            yield pool
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def reference_forward(config, params, X, need_cache=True):

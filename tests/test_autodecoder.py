@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import multiprocessing
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -703,18 +704,9 @@ class TestReferenceEquality:
 THREADS = (1, 2, 3)
 
 
-def row_workers():
-    """The live threads of the row threads' pool."""
-    return {t for t in threading.enumerate() if t.name.startswith("glyphsdf-row")}
-
-
-@pytest.fixture(autouse=True)
-def no_row_pool():
-    """Each test starts as a new process does, with no row pool: the pool
-    opens once, at the ROW_THREADS of its first call."""
-    if ad._pool is not None:
-        ad._pool.shutdown()
-    ad._pool = None
+def row_workers(pool):
+    """The threads ``pool`` has started."""
+    return set(pool._threads)
 
 
 def _evaluate_case(cfg, rows, seed=0, chunk=ad.CHUNK_ROWS):
@@ -729,8 +721,7 @@ def _evaluate_case(cfg, rows, seed=0, chunk=ad.CHUNK_ROWS):
     label = cfg.alphabet_size - 1
     outs = {}
     for threads in THREADS:
-        with mock.patch.object(ad, "CHUNK_ROWS", chunk), \
-                mock.patch.object(ad, "ROW_THREADS", threads):
+        with mock.patch.object(ad, "CHUNK_ROWS", chunk), helpers.row_threads(threads):
             outs[threads] = ad.evaluate(cfg, params, pts, label, z)
     return outs, helpers.reference_evaluate(cfg, params, pts, label, z, chunk=chunk)
 
@@ -748,7 +739,7 @@ class TestEvaluateSubBlocks:
     def test_production_network(self, alphabet_size, channels, rows):
         cfg = ad.NetworkConfig(alphabet_size=alphabet_size, out_channels=channels)
         for threads in THREADS:
-            with mock.patch.object(ad, "ROW_THREADS", threads):
+            with helpers.row_threads(threads):
                 assert len(ad._row_parts(cfg, 8192)) == 8192 // (ad.SUB_ROWS // threads)
         outs, ref = _evaluate_case(cfg, rows)
         for threads, out in outs.items():
@@ -761,7 +752,7 @@ class TestEvaluateSubBlocks:
     def test_hidden_width_sweep(self, width):
         cfg = ad.NetworkConfig(alphabet_size=2, hidden_layers=3, width=width, skip_layer=1)
         for threads, min_width in zip(THREADS, (32, 45, 55)):
-            with mock.patch.object(ad, "ROW_THREADS", threads):
+            with helpers.row_threads(threads):
                 assert (len(ad._row_parts(cfg, 8192)) > 1) == (width >= min_width)
         for rows, chunk in [(1, 8192), (900, 8192), (2100, 8192), (3100, 8192), (3100, 2500)]:
             outs, ref = _evaluate_case(cfg, rows, seed=width, chunk=chunk)
@@ -776,7 +767,7 @@ class TestEvaluateSubBlocks:
         for threads in THREADS:
             tracemalloc.start()
             try:
-                with mock.patch.object(ad, "ROW_THREADS", threads):
+                with helpers.row_threads(threads):
                     ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -794,7 +785,7 @@ class TestEvaluateSubBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(ad, "ROW_THREADS", 6):
+            with helpers.row_threads(6):
                 out = ad.evaluate(cfg, params, pts, 1, z)
         finally:
             sys.setswitchinterval(interval)
@@ -812,14 +803,14 @@ class TestEvaluateSubBlocks:
                 raise RuntimeError("worker failed")
             return hidden_layers(*args)
 
-        with mock.patch.object(ad, "ROW_THREADS", 2):
+        with helpers.row_threads(2) as pool:
             with mock.patch.object(ad, "_hidden_layers", fail_off_the_main_thread):
                 with pytest.raises(RuntimeError, match="worker failed"):
                     ad.evaluate(cfg, params, pts, 0, z)
             # the pool outlives the error: the next call runs on its worker
-            workers = row_workers()
+            workers = row_workers(pool)
             out = ad.evaluate(cfg, params, pts, 0, z)
-            assert row_workers() == workers and len(workers) == 1
+            assert row_workers(pool) == workers and len(workers) == 1
         assert np.array_equal(out, helpers.reference_evaluate(cfg, params, pts, 0, z))
 
 
@@ -854,7 +845,7 @@ class TestBackwardInPlace:
             cfg, params, ref_cache, d_out, need_param_grads
         )
         for threads in THREADS:
-            with mock.patch.object(ad, "ROW_THREADS", threads):
+            with helpers.row_threads(threads):
                 out, cache = ad.forward(cfg, params, X)
                 grads, dX = ad.backward(cfg, params, cache, d_out, need_param_grads)
             assert np.array_equal(out, ref_out), threads
@@ -871,7 +862,7 @@ class TestBackwardInPlace:
         for threads in THREADS:
             tracemalloc.start()
             try:
-                with mock.patch.object(ad, "ROW_THREADS", threads):
+                with helpers.row_threads(threads):
                     _, cache = ad.forward(cfg, params, X)
                     ad.backward(cfg, params, cache, d_out)
                 peak = tracemalloc.get_traced_memory()[1]
@@ -880,48 +871,86 @@ class TestBackwardInPlace:
             assert peak < 60e6, threads
 
 
-class TestRowPool:
-    """The row threads run on one pool per process, kept from call to call;
-    the autouse fixture ``no_row_pool`` starts each of these tests with none
-    open."""
+_POOL_LIFE = """
+import os, threading
+# two CPUs on any host, so that the module builds a pool of one worker
+os.sched_getaffinity = lambda pid: {0, 1}
+import glyphsdf.cli
+from glyphsdf import autodecoder as ad
+import numpy as np
 
-    def test_pool_follows_row_threads(self):
-        # the first call that splits its work opens the pool; later calls, at
-        # any ROW_THREADS, run on its one worker and start no thread
+def count():
+    return len(threading.enumerate()), sum(
+        t.name.startswith("glyphsdf-row") for t in threading.enumerate())
+
+print(ad.ROW_THREADS, *count())
+cfg = ad.NetworkConfig(alphabet_size=2)
+params = ad.init_parameters(cfg, np.random.default_rng(0))
+pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(2048, 2))
+assert len(ad._row_parts(cfg, len(pts))) > 1
+for _ in range(2):
+    ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
+    print(*count())
+"""
+
+
+class TestRowPool:
+    """The row threads run on one pool per process, built when the module
+    loads, whose workers start on the first split call and are kept."""
+
+    def test_import_starts_no_thread_and_one_split_call_starts_the_workers(self):
+        res = subprocess.run([sys.executable, "-c", _POOL_LIFE], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        # ROW_THREADS, then (threads, row threads) after the import and
+        # after each of two evaluate calls
+        assert res.stdout.split() == ["2", "1", "0", "2", "1", "2", "1"]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_workers_are_kept(self, threads):
+        # the first call that splits its work starts the pool's workers;
+        # later calls run on them and start no thread
         cfg, params, X, d_out = _production_case(5, 1895, seed=4)
         ref_out, ref_cache = helpers.reference_forward(cfg, params, X)
         ref_grads, ref_dX = helpers.reference_backward(cfg, params, ref_cache, d_out)
         pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3000, 2))
         z = np.zeros(cfg.latent_dim)
         ref_eval = helpers.reference_evaluate(cfg, params, pts, 1, z)
-        assert row_workers() == set()
-        workers = None
-        for threads in (2, 3, 1, 2):
-            with mock.patch.object(ad, "ROW_THREADS", threads):
-                for _ in range(2):
-                    out, cache = ad.forward(cfg, params, X)
-                    grads, dX = ad.backward(cfg, params, cache, d_out)
-                    evaluated = ad.evaluate(cfg, params, pts, 1, z)
-                    assert np.array_equal(out, ref_out), threads
-                    assert np.array_equal(dX, ref_dX), threads
-                    _assert_params_equal(grads, ref_grads)
-                    assert np.array_equal(evaluated, ref_eval), threads
-                    if workers is None:
-                        workers = row_workers()
-                    assert row_workers() == workers, threads
-        assert len(workers) == 1
+        with helpers.row_threads(threads) as pool:
+            assert row_workers(pool) == set()
+            workers = None
+            for _ in range(3):
+                evaluated = ad.evaluate(cfg, params, pts, 1, z)
+                out, cache = ad.forward(cfg, params, X)
+                grads, dX = ad.backward(cfg, params, cache, d_out)
+                assert np.array_equal(evaluated, ref_eval)
+                assert np.array_equal(out, ref_out)
+                assert np.array_equal(dX, ref_dX)
+                _assert_params_equal(grads, ref_grads)
+                if workers is None:
+                    workers = row_workers(pool)
+                assert row_workers(pool) == workers
+        assert len(workers) == threads - 1
 
     def test_workers_take_the_callers_error_state(self):
         # numpy's error state is per thread: a worker runs each task under
         # the state of the call's thread, and keeps none of it afterwards
-        with mock.patch.object(ad, "ROW_THREADS", 2):
+        seen = {}
+
+        def record(block, _):
+            seen[block] = (threading.current_thread(), np.geterr())
+
+        with helpers.row_threads(2) as pool:
             with np.errstate(over="raise"):
-                raising = ad._in_threads([np.geterr, np.geterr])
-            default = ad._in_threads([np.geterr, np.geterr])
-        assert raising[0]["over"] == "raise"
-        assert raising[1] == raising[0]
-        assert default[1] == default[0] == np.geterr()
-        assert len(row_workers()) == 1
+                ad._spread([0, 1], record, lambda: None)
+            raising = dict(seen)
+            ad._spread([0, 1], record, lambda: None)
+            default = dict(seen)
+            workers = row_workers(pool)
+        assert raising[0][0] is default[0][0] is threading.current_thread()
+        assert {raising[1][0], default[1][0]} == workers and len(workers) == 1
+        assert raising[0][1]["over"] == "raise"
+        assert raising[1][1] == raising[0][1]
+        assert default[1][1] == default[0][1] == np.geterr()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork outside POSIX")
     # Python 3.12 warns that a fork with threads alive may deadlock the child,
@@ -938,9 +967,9 @@ class TestRowPool:
         def evaluate_in_child():
             sys.exit(0 if np.array_equal(ad.evaluate(cfg, params, pts, 1, z), ref) else 1)
 
-        with mock.patch.object(ad, "ROW_THREADS", 2):
+        with helpers.row_threads(2) as pool:
             assert np.array_equal(ad.evaluate(cfg, params, pts, 1, z), ref)
-            assert len(row_workers()) == 1
+            assert len(row_workers(pool)) == 1
             child = multiprocessing.get_context("fork").Process(target=evaluate_in_child)
             child.start()
             try:
@@ -992,7 +1021,7 @@ class TestForwardBackwardThreads:
     @settings(max_examples=300, deadline=None)
     @given(network_shapes(), st.integers(1, 20_000), st.integers(1, 3))
     def test_row_parts_cover_the_rows_above_the_small_kernel(self, cfg, m, threads):
-        with mock.patch.object(ad, "ROW_THREADS", threads):
+        with helpers.row_threads(threads):
             parts = ad._row_parts(cfg, m)
         assert [p.start for p in parts] == [0] + [p.stop for p in parts[:-1]]
         assert parts[-1].stop == m
@@ -1006,39 +1035,53 @@ class TestForwardBackwardThreads:
         # a very wide network can take 1-row blocks, and then m = 5 at three
         # threads gives 5 blocks; the production network's stay above 19 rows
         cfg = ad.NetworkConfig(alphabet_size=alphabet_size)
-        with mock.patch.object(ad, "ROW_THREADS", threads):
+        with helpers.row_threads(threads):
             parts = ad._row_parts(cfg, m)
         assert len(parts) <= threads * -(-m // ad.SUB_ROWS)
 
-    def test_one_task_starts_no_thread(self):
-        threads_before = set(threading.enumerate())
-        no_pool = mock.Mock(side_effect=AssertionError("a pool was opened"))
-        with mock.patch.object(ad, "ROW_THREADS", 2), \
-                mock.patch.object(ad, "ThreadPoolExecutor", no_pool):
-            assert ad._in_threads([lambda: 7]) == [7]
+    def test_one_block_submits_nothing(self):
+        # zero blocks or one, or ROW_THREADS 1, run on the calling thread; a
+        # 19-row latent fit's backward spreads only such calls
+        refuse = mock.Mock(**{"submit.side_effect": AssertionError("a task was submitted")})
+        ran = []
+
+        def run(block, space):
+            ran.append((block, space, threading.current_thread()))
+
+        with mock.patch.object(ad, "ROW_THREADS", 2), mock.patch.object(ad, "_pool", refuse):
+            ad._spread([], run, list)
+            ad._spread([7], run, lambda: "space")
             cfg, params, X, d_out = _production_case(5, 19)
             _, cache = ad.forward(cfg, params, X)
             ad.backward(cfg, params, cache, d_out, need_param_grads=False)
-        assert set(threading.enumerate()) <= threads_before
-        with mock.patch.object(ad, "ROW_THREADS", 1), \
-                mock.patch.object(ad, "ThreadPoolExecutor", no_pool):
-            assert ad._in_threads([lambda: 1, lambda: 2]) == [1, 2]
-        assert row_workers() == set()
+        with mock.patch.object(ad, "ROW_THREADS", 1), mock.patch.object(ad, "_pool", refuse):
+            ad._spread([1, 2], run, lambda: "space")
+        me = threading.current_thread()
+        assert ran == [(7, "space", me), (1, "space", me), (2, "space", me)]
 
-    def test_adam_opens_no_pool(self):
+    def test_adam_submits_nothing(self):
         # the production network's update runs on the calling thread alone
         cfg, params, _, _ = _production_case(5, 1)
         grads = {name: np.full_like(w, 0.25) for name, w in params.named()}
-        no_pool = mock.Mock(side_effect=AssertionError("a pool was opened"))
-        with mock.patch.object(ad, "ROW_THREADS", 2), \
-                mock.patch.object(ad, "ThreadPoolExecutor", no_pool):
+        refuse = mock.Mock(**{"submit.side_effect": AssertionError("a task was submitted")})
+        with mock.patch.object(ad, "ROW_THREADS", 2), mock.patch.object(ad, "_pool", refuse):
             ad.adam_step(ad.AdamState(), dict(params.named()), grads)
-        assert row_workers() == set()
 
     def test_no_thread_but_the_calling_one_allocates(self):
-        # off the calling thread every numpy call must write into an out=
-        # array: one without it, np.empty included, allocates
-        calls = []
+        # in a task of _spread, on any thread, every numpy call must write
+        # into an out= array: one without it, np.empty included, allocates
+        calls, in_task = [], threading.local()
+        spread = ad._spread
+
+        def recording_spread(blocks, run, workspace):
+            def task(block, space):
+                in_task.on = True
+                try:
+                    run(block, space)
+                finally:
+                    in_task.on = False
+
+            spread(blocks, task, workspace)
 
         class RecordingNumpy:
             def __getattr__(self, name):
@@ -1047,22 +1090,25 @@ class TestForwardBackwardThreads:
                     return attr
 
                 def call(*args, **kwargs):
-                    if threading.current_thread() is not threading.main_thread():
-                        calls.append((name, "out" in kwargs))
+                    if getattr(in_task, "on", False):
+                        worker = threading.current_thread() is not threading.main_thread()
+                        calls.append((name, "out" in kwargs, worker))
                     return attr(*args, **kwargs)
 
                 return call
 
         cfg, params, X, d_out = _production_case(5, 1895)
         pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(4096, 2))
-        with mock.patch.object(ad, "ROW_THREADS", 2), \
+        with helpers.row_threads(2), mock.patch.object(ad, "_spread", recording_spread), \
                 mock.patch.object(ad, "np", RecordingNumpy()):
             for need_param_grads in (True, False):
                 _, cache = ad.forward(cfg, params, X)
                 ad.backward(cfg, params, cache, d_out, need_param_grads)
             ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
-        assert {name for name, _ in calls} >= {"matmul", "multiply"}
-        assert [name for name, out in calls if not out] == []
+        for worker in (False, True):
+            assert {name for name, _, w in calls if w == worker} >= {"matmul", "multiply"}
+        assert {name for name, _, _ in calls} >= {"sum", "greater_equal", "maximum"}
+        assert [name for name, out, _ in calls if not out] == []
 
     def test_forward_worker_error_reaches_caller(self):
         cfg, params, X, _ = _production_case(5, 1895)
@@ -1073,13 +1119,13 @@ class TestForwardBackwardThreads:
                 raise RuntimeError("worker failed")
             return hidden_layers(*args)
 
-        with mock.patch.object(ad, "ROW_THREADS", 2):
+        with helpers.row_threads(2) as pool:
             with mock.patch.object(ad, "_hidden_layers", fail_off_the_main_thread):
                 with pytest.raises(RuntimeError, match="worker failed"):
                     ad.forward(cfg, params, X)
-            workers = row_workers()
+            workers = row_workers(pool)
             out, _ = ad.forward(cfg, params, X)
-            assert row_workers() == workers and len(workers) == 1
+            assert row_workers(pool) == workers and len(workers) == 1
         assert np.array_equal(out, helpers.reference_forward(cfg, params, X)[0])
 
     @pytest.mark.parametrize("need_param_grads", [True, False])
@@ -1087,9 +1133,6 @@ class TestForwardBackwardThreads:
         # the second thread runs a matrix product in either mode: an input
         # gradient beside the weight gradient, or the rows of one
         cfg, params, X, d_out = _production_case(5, 1895)
-        with mock.patch.object(ad, "ROW_THREADS", 2):
-            _, cache = ad.forward(cfg, params, X)
-        workers = row_workers()
 
         class FailingNumpy:
             def __getattr__(self, name):
@@ -1101,14 +1144,15 @@ class TestForwardBackwardThreads:
                     raise RuntimeError("worker failed")
                 return np.matmul(*args, **kwargs)
 
-        with mock.patch.object(ad, "ROW_THREADS", 2), \
-                mock.patch.object(ad, "np", FailingNumpy()):
-            with pytest.raises(RuntimeError, match="worker failed"):
-                ad.backward(cfg, params, cache, d_out, need_param_grads)
-        with mock.patch.object(ad, "ROW_THREADS", 2):
+        with helpers.row_threads(2) as pool:
+            _, cache = ad.forward(cfg, params, X)
+            workers = row_workers(pool)
+            with mock.patch.object(ad, "np", FailingNumpy()):
+                with pytest.raises(RuntimeError, match="worker failed"):
+                    ad.backward(cfg, params, cache, d_out, need_param_grads)
             _, cache = ad.forward(cfg, params, X)
             grads, dX = ad.backward(cfg, params, cache, d_out, need_param_grads)
-        assert row_workers() == workers and len(workers) == 1
+            assert row_workers(pool) == workers and len(workers) == 1
         ref_grads, ref_dX = helpers.reference_backward(
             cfg, params, helpers.reference_forward(cfg, params, X)[1], d_out, need_param_grads
         )
@@ -1128,7 +1172,7 @@ class TestForwardBackwardThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(ad, "ROW_THREADS", 6):
+            with helpers.row_threads(6):
                 out, cache = ad.forward(cfg, params, X)
                 grads, dX = ad.backward(cfg, params, cache, d_out, need_param_grads)
         finally:

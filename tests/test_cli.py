@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import helpers
 from helpers import L_PATH, SQUARE_PATH, drop_checkpoint_entry, edit_checkpoint_manifest
 
 
@@ -521,22 +522,21 @@ class TestRenderCommand:
                 render.write_image(out / "want.pgm", want_c)
                 assert (out / f"{name}_c{c}.pgm").read_bytes() == (out / "want.pgm").read_bytes()
 
-    def test_implicit_render_keeps_whole_chunk_bits(self, trained, monkeypatch):
+    def test_implicit_render_keeps_whole_chunk_bits(self, trained):
         # 91 px is 8192 + 89 rows: a chunk whose hidden layers run in
         # sub-blocks, then one whose head GEMM is small enough for OpenBLAS's
         # small-matrix kernel; every output must match whole-chunk evaluation
-        import helpers
         from glyphsdf import autodecoder as ad, cli, geometry, render
 
         ws, ckpt = trained
         # evaluate on two threads of 512-row sub-blocks
-        monkeypatch.setattr(ad, "ROW_THREADS", 2)
-        assert cli.main([
-            "--config", str(ws / "config.json"), "render", "--checkpoint", str(ckpt),
-            "--family", "fam", "--label", "B", "--res", "91", "--channels", "--contours",
-        ]) == 0
-        bundle = ad.load_checkpoint(ckpt)
-        assert len(ad._row_parts(bundle.network, 8192)) > 1
+        with helpers.row_threads(2):
+            assert cli.main([
+                "--config", str(ws / "config.json"), "render", "--checkpoint", str(ckpt),
+                "--family", "fam", "--label", "B", "--res", "91", "--channels", "--contours",
+            ]) == 0
+            bundle = ad.load_checkpoint(ckpt)
+            assert len(ad._row_parts(bundle.network, 8192)) > 1
         pts = geometry.pixel_centers(91).reshape(-1, 2)
         grid = helpers.reference_evaluate(
             bundle.network, bundle.params, pts, 1, bundle.latents.codes[0]
@@ -568,15 +568,15 @@ class TestRenderCommand:
         monkeypatch.setattr(render, "field_grid", recording_field_grid)
         outputs = []
         for threads in (1, 2):
-            monkeypatch.setattr(ad, "ROW_THREADS", threads)
             out = ws / f"out_{threads}_threads"
-            assert cli.main([
-                "--config", str(ws / "config.json"),
-                "--set", f"paths.output_dir={json.dumps(str(out))}",
-                "render", "--checkpoint", str(ckpt), "--family", "fam", "--label", "A",
-                "--res", "16,91", "--contours",
-            ]) == 0
-            assert ad.ROW_THREADS == threads
+            with helpers.row_threads(threads):
+                assert cli.main([
+                    "--config", str(ws / "config.json"),
+                    "--set", f"paths.output_dir={json.dumps(str(out))}",
+                    "render", "--checkpoint", str(ckpt), "--family", "fam", "--label", "A",
+                    "--res", "16,91", "--contours",
+                ]) == 0
+                assert ad.ROW_THREADS == threads
             outputs.append({p.name: p.read_bytes() for p in out.glob("render_*")})
         assert seen == [1, 1, 2, 2]
         assert len(outputs[0]) == 4
@@ -1207,17 +1207,17 @@ def test_eval_threads_on_a_large_host_keep_sub_blocks(monkeypatch):
 
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(128)), raising=False)
-    monkeypatch.setattr(ad, "ROW_THREADS", ad._row_threads())
     cfg = ad.NetworkConfig(alphabet_size=52)
-    assert len(ad._row_parts(cfg, ad.CHUNK_ROWS)) > 1
     params = ad.init_parameters(cfg, np.random.default_rng(0))
     pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(16384, 2))
-    tracemalloc.start()
-    try:
-        ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with helpers.row_threads(ad._row_threads()):
+        assert len(ad._row_parts(cfg, ad.CHUNK_ROWS)) > 1
+        tracemalloc.start()
+        try:
+            ad.evaluate(cfg, params, pts, 0, np.zeros(cfg.latent_dim))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < 45e6
 
 

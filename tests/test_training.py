@@ -1,5 +1,4 @@
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,14 +6,15 @@ import pytest
 from glyphsdf import autodecoder as ad
 from glyphsdf import field, geometry, sampling, templates, training
 from glyphsdf.config import FieldSettings, TrainSettings
-from glyphsdf.errors import NumericalError
+from glyphsdf.errors import NumericalError, UsageError
 from glyphsdf.training import (
     LossWeights, WarmupSchedule, fit_latent, prepare_glyph, total_loss, train,
 )
 
 from gradcheck import relative_errors
 from helpers import (
-    reference_compose_train, reference_loss_eikonal, reference_loss_global, square_glyph,
+    reference_compose_train, reference_loss_eikonal, reference_loss_global, row_threads,
+    square_glyph,
 )
 
 LATENT = ad.LATENT_DIM
@@ -247,10 +247,10 @@ class TestWarmup:
         assert s.composer(0) == "median_pair"
 
 
-def desk_dataset(width=24):
+def desk_dataset(width=24, glyphs=1):
+    """``glyphs`` squares of one family, labelled 0, 1, ..."""
     fs = FieldSettings(train_width=width)
-    g = square_glyph(label=0)
-    return [prepare_glyph(g, "fam", 0, 0, fs)], fs
+    return [prepare_glyph(square_glyph(label=i), "fam", 0, i, fs) for i in range(glyphs)], fs
 
 
 class TestTrainLoop:
@@ -349,6 +349,41 @@ class TestTrainLoop:
             train(dataset, "A", fs, TrainSettings(epochs=3, min_homogeneous=16))
         assert (info.value.epoch, info.value.bundle) == (1, None)
 
+    @pytest.mark.parametrize("nan_step, epoch, proven", [(4, 1, 1), (1, 0, None)])
+    def test_adam_ends_the_run_on_a_non_finite_gradient(self, monkeypatch, nan_step,
+                                                         epoch, proven):
+        # two glyphs, two steps an epoch: only an epoch's first step checks
+        # its gradients before ADAM, so a NaN weight gradient on a later step
+        # (step 4: epoch 1's second) or on the run's first epoch (step 1)
+        # reaches adam_step, whose NumericalError ends the run with the state
+        # the epoch's first step proved, or none in epoch 0
+        real, calls, raised = training.total_loss, [], []
+        real_adam = ad.adam_step
+
+        def nan_gradient(*args, **kwargs):
+            terms, grads, dz = real(*args, **kwargs)
+            calls.append(terms)
+            if len(calls) == nan_step:
+                grads.weights[0][0, 0] = np.nan
+            return terms, grads, dz
+
+        def recording_adam(*args):
+            try:
+                return real_adam(*args)
+            except NumericalError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(training, "total_loss", nan_gradient)
+        monkeypatch.setattr(ad, "adam_step", recording_adam)
+        dataset, fs = desk_dataset(glyphs=2)
+        with pytest.raises(training.TrainingDiverged) as info:
+            train(dataset, "AB", fs, TrainSettings(epochs=3, min_homogeneous=16))
+        assert len(calls) == nan_step and len(raised) == 1
+        bundle = info.value.bundle
+        assert info.value.epoch == epoch
+        assert (None if bundle is None else bundle.epoch) == proven
+
     def test_last_epoch_ends_on_the_network_output(self, monkeypatch):
         # no later step checks the last epoch's updates: evaluate on each
         # glyph's first samples does, and its NaN ends the run with the state
@@ -410,7 +445,7 @@ class TestFitLatent:
 
     def test_mask_dimension_mismatch(self):
         bundle, _ = self._trained()
-        with pytest.raises(ValueError, match="mask shape"):
+        with pytest.raises(UsageError, match="mask dimensions"):
             fit_latent(
                 bundle, np.zeros((24, 24)), 0, TrainSettings(), mask=np.ones((8, 8), dtype=bool)
             )
@@ -484,7 +519,7 @@ class TestFitLatent:
         assert (~mask).sum() == 608
         fits = []
         for threads in (1, 2, 3):
-            with mock.patch.object(ad, "ROW_THREADS", threads):
+            with row_threads(threads):
                 assert len(ad._row_parts(cfg, 608)) == threads
                 fits.append(fit_latent(bundle, target, 2, TrainSettings(fit_steps=4), mask=mask))
         for z, history in fits[1:]:
